@@ -21,7 +21,7 @@ from .category import (
     identity_class,
     morphism_class_between,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, InvariantError, ParseError
 from .fiber import (
     cell_block_labels,
     DimensionBoundRow,

@@ -11,3 +11,12 @@ class DomainError(ValueError):
 
 class ParseError(DomainError):
     """A serialized object (complex file, barcode type string) does not parse."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a fault in phfiber, not in its input.
+
+    It is deliberately not a DomainError, so the command line does not report
+    it as an out-of-domain input with exit code 1. The checks raise it
+    explicitly instead of using `assert`, so they also run under `python -O`.
+    """

@@ -7,25 +7,29 @@ ONE, the free blocks falling strictly between consecutive pinned symbols form
 the gaps, and a gap with k free blocks contributes a k-simplex factor. The
 face relation is stratum coarsening, so the whole complex is combinatorial;
 no coordinates beyond symbol rank vectors are ever needed.
+
+The face relation is built locally. The codimension-1 coarsenings of a
+stratum are the merges of two adjacent blocks and the pinning of the first
+block at 0 or of the last block at 1; those that are cells of the fiber are
+the cell's facets. Cells are sorted by dimension, so one pass in that order
+collects every cell's faces as its facets together with their faces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterator
 
-from .barcodes import ZERO, CombinatorialBarcode, canonicalize_barcode
-from .errors import DomainError
-from .persistence import INF, Filter, barcode_of_filter, betti_numbers
+from .barcodes import ZERO, CombinatorialBarcode, canonicalize_barcode, format_barcode_type
+from .errors import DomainError, InvariantError
+from .persistence import INF, Filter, TotalBarcode, barcode_of_filter, betti_numbers
 from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
 from .strata import (
     FilterStratum,
     _closed_subsets,
-    barcode_of_stratum,
     is_lower_star_stratum,
     representative_filter,
     serialize_stratum,
-    stratum_closure_leq,
 )
 
 FIBER_MODES = ("all", "lower_star")
@@ -36,12 +40,14 @@ class FiberCell:
     """One cell of a fiber: a filter stratum plus its product-of-simplices shape.
 
     rank_vector is set on 0-cells only; it assigns each simplex (in canonical
-    order) the symbol of its block's pinned value.
+    order) the symbol of its block's pinned value. labels holds one
+    ("pin", symbol) or ("free", gap index) per block, as cell_block_labels.
     """
 
     stratum: FilterStratum
     gap_shape: tuple[int, ...]
     rank_vector: tuple[int, ...] | None
+    labels: tuple[tuple[str, int], ...]
 
     @property
     def dim(self) -> int:
@@ -50,7 +56,11 @@ class FiberCell:
 
 @dataclass(frozen=True)
 class FiberComplex:
-    """The fiber over one barcode type, with cells sorted by (dim, id string)."""
+    """The fiber over one barcode type, with cells sorted by (dim, id string).
+
+    cell_ids maps each cell's stratum to its id, and faces[j] holds the ids of
+    the proper faces of cell j; both are derived from cells and face_relation.
+    """
 
     complex: SimplicialComplex
     barcode_type: CombinatorialBarcode
@@ -58,6 +68,8 @@ class FiberComplex:
     mode: str
     cells: tuple[FiberCell, ...]
     face_relation: tuple[tuple[int, int], ...]  # (face id, cell id) pairs
+    cell_ids: dict[FilterStratum, int] = dc_field(compare=False, repr=False)
+    faces: tuple[frozenset[int], ...] = dc_field(compare=False, repr=False)
 
     def bounded_deficit(self) -> Fraction:
         return Fraction(
@@ -68,16 +80,15 @@ class FiberComplex:
         return tuple(i for i, c in enumerate(self.cells) if c.dim == 0)
 
     def cell_index(self, stratum: FilterStratum) -> int:
-        for i, c in enumerate(self.cells):
-            if c.stratum == stratum:
-                return i
-        raise DomainError("stratum is not a cell of this fiber")
+        try:
+            return self.cell_ids[stratum]
+        except KeyError:
+            raise DomainError("stratum is not a cell of this fiber") from None
 
     def zero_faces_of(self, cell_id: int) -> tuple[int, ...]:
         """Ids of the 0-cells in the closure of the given cell."""
-        faces = {i for i, j in self.face_relation if j == cell_id}
-        faces.add(cell_id)
-        return tuple(i for i in self.zero_cells() if i in faces)
+        closure = self.faces[cell_id] | {cell_id}
+        return tuple(sorted(i for i in closure if self.cells[i].dim == 0))
 
 
 def _symbol_events(T: CombinatorialBarcode) -> tuple[dict[int, int], set[int]]:
@@ -160,19 +171,12 @@ def _candidate_strata(K: SimplicialComplex, T: CombinatorialBarcode) -> set[Filt
     return out
 
 
-def cell_block_labels(
-    K: SimplicialComplex, stratum: FilterStratum, T: CombinatorialBarcode, field: FieldSpec
+def _block_labels(
+    stratum: FilterStratum, raw: TotalBarcode, T: CombinatorialBarcode
 ) -> tuple[tuple[str, int], ...]:
-    """Per block, ("pin", symbol of T) or ("free", gap index).
-
-    A block is pinned when its representative value is an endpoint of the
-    representative barcode; pinned interior blocks carry the ranks 1..m in
-    order, and a free block belongs to the gap after the last rank seen.
-    """
-    rep = representative_filter(K, stratum)
-    bc = barcode_of_filter(rep, field)
+    """Block labels from the barcode of the stratum's representative filter."""
     endpoints = {
-        e for deg in bc for bar in deg for e in bar if e != INF and 0 < e < 1
+        e for deg in raw for bar in deg for e in bar if e != INF and 0 < e < 1
     }
     d = stratum.interior_dim
     pinned = [Fraction(i, d + 1) in endpoints for i in range(1, d + 1)]
@@ -194,32 +198,72 @@ def cell_block_labels(
     return tuple(labels)
 
 
-def _gap_shape(
+def cell_block_labels(
     K: SimplicialComplex, stratum: FilterStratum, T: CombinatorialBarcode, field: FieldSpec
-) -> tuple[int, ...]:
-    """Free-block counts per gap, read off the representative barcode."""
-    shape = [0] * (T.dim + 1)
-    for kind, pos in cell_block_labels(K, stratum, T, field):
+) -> tuple[tuple[str, int], ...]:
+    """Per block, ("pin", symbol of T) or ("free", gap index).
+
+    A block is pinned when its representative value is an endpoint of the
+    representative barcode; pinned interior blocks carry the ranks 1..m in
+    order, and a free block belongs to the gap after the last rank seen.
+    """
+    raw = barcode_of_filter(representative_filter(K, stratum), field)
+    return _block_labels(stratum, raw, T)
+
+
+def _fiber_cell(
+    K: SimplicialComplex, stratum: FilterStratum, labels: tuple[tuple[str, int], ...], m: int
+) -> FiberCell:
+    """The cell's gap shape, and for a 0-cell the symbol of each simplex."""
+    shape = [0] * (m + 1)
+    for kind, pos in labels:
         if kind == "free":
             shape[pos] += 1
-    return tuple(shape)
+    vec = None
+    if sum(shape) == 0:
+        symbol = {s: pos for block, (_, pos) in zip(stratum.blocks, labels) for s in block}
+        vec = tuple(symbol[s] for s in K.simplices)
+    return FiberCell(stratum, tuple(shape), vec, labels)
 
 
-def _rank_vector(K: SimplicialComplex, cell_stratum: FilterStratum, m: int) -> tuple[int, ...]:
-    """Symbol per simplex for a 0-cell: all interior blocks are pinned."""
-    symbol: dict = {}
-    rank = 0
-    for i, block in enumerate(cell_stratum.blocks):
-        if cell_stratum.at_zero and i == 0:
-            sym = ZERO
-        elif cell_stratum.at_one and i == len(cell_stratum.blocks) - 1:
-            sym = m + 1
-        else:
-            rank += 1
-            sym = rank
-        for s in block:
-            symbol[s] = sym
-    return tuple(symbol[s] for s in K.simplices)
+def _facet_strata(stratum: FilterStratum) -> Iterator[FilterStratum]:
+    """The codimension-1 coarsenings: merge two adjacent blocks, or pin an end.
+
+    None of them may leave a single block pinned at both 0 and 1.
+    """
+    blocks, z, o = stratum.blocks, stratum.at_zero, stratum.at_one
+    n = len(blocks)
+    if not (n == 2 and z and o):
+        for i in range(n - 1):
+            merged = blocks[:i] + (blocks[i] | blocks[i + 1],) + blocks[i + 2 :]
+            yield FilterStratum(merged, z, o)
+    if not z and not (n == 1 and o):
+        yield FilterStratum(blocks, True, o)
+    if not o and not (n == 1 and z):
+        yield FilterStratum(blocks, z, True)
+
+
+def _face_sets(
+    K: SimplicialComplex, cells: list[FiberCell], cell_ids: dict[FilterStratum, int]
+) -> list[frozenset[int]]:
+    """Per cell, the ids of its proper faces: its fiber facets and their faces."""
+    faces: list[frozenset[int]] = []
+    for j, cell in enumerate(cells):
+        below: set[int] = set()
+        for st in _facet_strata(cell.stratum):
+            i = cell_ids.get(st)
+            if i is None:
+                continue
+            if cells[i].dim != cell.dim - 1 or i >= j:
+                raise InvariantError(
+                    f"fiber facet {serialize_stratum(st, K)} of cell {j}: expected "
+                    f"dimension {cell.dim - 1} and an id below {j}, got cell {i} "
+                    f"of dimension {cells[i].dim}"
+                )
+            below.add(i)
+            below |= faces[i]
+        faces.append(frozenset(below))
+    return faces
 
 
 def fiber_complex(
@@ -235,35 +279,33 @@ def fiber_complex(
     """
     if mode not in FIBER_MODES:
         raise DomainError(f"unknown fiber mode {mode!r}, expected one of {FIBER_MODES}")
-    kept = [
-        st
-        for st in _candidate_strata(K, T)
-        if barcode_of_stratum(K, st, field) == T
-    ]
-    if mode == "lower_star":
-        kept = [st for st in kept if is_lower_star_stratum(st)]
-    if not kept:
+    cells = []
+    for st in _candidate_strata(K, T):
+        if mode == "lower_star" and not is_lower_star_stratum(st):
+            continue
+        raw = barcode_of_filter(representative_filter(K, st), field)
+        if canonicalize_barcode(raw) == T:
+            cells.append(_fiber_cell(K, st, _block_labels(st, raw, T), T.dim))
+    if not cells:
         raise DomainError("empty fiber")
+    cells.sort(key=lambda c: (c.dim, serialize_stratum(c.stratum, K)))
 
-    m = T.dim
-    shaped = []
-    for st in kept:
-        shape = _gap_shape(K, st, T, field)
-        vec = _rank_vector(K, st, m) if sum(shape) == 0 else None
-        shaped.append(FiberCell(st, shape, vec))
-    shaped.sort(key=lambda c: (c.dim, serialize_stratum(c.stratum, K)))
-
-    relation = []
-    for i, low in enumerate(shaped):
-        for j, high in enumerate(shaped):
-            if i != j and stratum_closure_leq(low.stratum, high.stratum):
-                relation.append((i, j))
-    return FiberComplex(K, T, field, mode, tuple(shaped), tuple(relation))
+    cell_ids = {c.stratum: i for i, c in enumerate(cells)}
+    faces = _face_sets(K, cells, cell_ids)
+    relation = sorted((i, j) for j, below in enumerate(faces) for i in below)
+    return FiberComplex(
+        K, T, field, mode, tuple(cells), tuple(relation), cell_ids, tuple(faces)
+    )
 
 
 def fiber_dimension(fc: FiberComplex) -> int:
-    d = max(c.dim for c in fc.cells)
-    assert Fraction(d) <= fc.bounded_deficit()
+    top = max(range(len(fc.cells)), key=lambda i: fc.cells[i].dim)
+    d = fc.cells[top].dim
+    if Fraction(d) > fc.bounded_deficit():
+        raise InvariantError(
+            f"cell {top} ({serialize_stratum(fc.cells[top].stratum, fc.complex)}) "
+            f"has dimension {d} above the bounded deficit {fc.bounded_deficit()}"
+        )
     return d
 
 
@@ -351,7 +393,12 @@ def triangulate_fiber(fc: FiberComplex) -> TriangulatedFiber:
     for ci, cell in enumerate(fc.cells):
         vecs = [fc.cells[i].rank_vector for i in fc.zero_faces_of(ci)]
         for chain in _maximal_chains(vecs):
-            assert len(chain) == cell.dim + 1
+            if len(chain) != cell.dim + 1:
+                raise InvariantError(
+                    f"cell {ci} ({serialize_stratum(cell.stratum, fc.complex)}) of "
+                    f"dimension {cell.dim} has a maximal chain of {len(chain)} "
+                    f"0-faces, expected {cell.dim + 1}"
+                )
             key = tuple(sorted(vid[v] for v in chain))
             if key not in chains or ci < chains[key]:
                 chains[key] = ci
@@ -421,7 +468,11 @@ def check_dimension_bound(
     for rec in records:
         fc = fiber_complex(K, rec.barcode_type, field)
         d = fiber_dimension(fc)
-        assert Fraction(d) <= rec.bounded_deficit <= Fraction(rec.codim)
+        if not Fraction(d) <= rec.bounded_deficit <= Fraction(rec.codim):
+            raise InvariantError(
+                f"fiber over {format_barcode_type(rec.barcode_type)}: dimension {d} "
+                f"<= bounded deficit {rec.bounded_deficit} <= codim {rec.codim} fails"
+            )
         rows.append(
             DimensionBoundRow(
                 barcode_type=rec.barcode_type,

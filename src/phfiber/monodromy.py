@@ -12,11 +12,11 @@ from fractions import Fraction
 
 from .barcodes import ZERO, canonicalize_barcode, compose_endpoint_maps
 from .category import MorphismClass, _class_of_map
-from .errors import DomainError
-from .fiber import FiberComplex, cell_block_labels
+from .errors import DomainError, InvariantError
+from .fiber import FiberCell, FiberComplex
 from .persistence import Filter, barcode_of_filter
 from .simplicial import SimplicialComplex
-from .strata import FilterStratum
+from .strata import FilterStratum, serialize_stratum
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,7 @@ class MonodromyMap:
         return tuple(phi(s) for s in vec)
 
 
-def _image_stratum(
-    fc: FiberComplex, stratum: FilterStratum, phi
-) -> FilterStratum:
+def _image_stratum(cell: FiberCell, phi) -> FilterStratum:
     """Push a fiber cell forward along a simplicial endpoint map.
 
     Blocks sharing an image value merge; a free block keeps its gap when the
@@ -62,12 +60,10 @@ def _image_stratum(
     otherwise. Bucket order follows the target values: the pin at symbol t
     sits between the free blocks of gaps t-1 and t.
     """
-    T = fc.barcode_type
-    labels = cell_block_labels(fc.complex, stratum, T, fc.field)
     mp = phi.target_dim
     pins: dict[int, set] = {t: set() for t in range(ZERO, mp + 2)}
     frees: list[tuple[int, int, frozenset]] = []
-    for i, (block, (kind, pos)) in enumerate(zip(stratum.blocks, labels)):
+    for i, (block, (kind, pos)) in enumerate(zip(cell.stratum.blocks, cell.labels)):
         if kind == "pin":
             pins[phi(pos)].update(block)
         else:
@@ -86,7 +82,7 @@ def _image_stratum(
     return FilterStratum(tuple(blocks), bool(pins[ZERO]), bool(pins[mp + 1]))
 
 
-def _assert_equivariant(fc: FiberComplex, target_type, phi) -> None:
+def _check_equivariant(fc: FiberComplex, target_type, phi) -> None:
     mp = phi.target_dim
     values = {ZERO: Fraction(0), mp + 1: Fraction(1)}
     for i in range(1, mp + 1):
@@ -94,15 +90,19 @@ def _assert_equivariant(fc: FiberComplex, target_type, phi) -> None:
     for i in fc.zero_cells():
         vec = fc.cells[i].rank_vector
         image = Filter(fc.complex, tuple(values[phi(s)] for s in vec))
-        assert canonicalize_barcode(barcode_of_filter(image, fc.field)) == target_type
+        if canonicalize_barcode(barcode_of_filter(image, fc.field)) != target_type:
+            raise InvariantError(
+                f"0-cell {i} ({serialize_stratum(fc.cells[i].stratum, fc.complex)}): "
+                "the image of its filter does not lie over the target type"
+            )
 
 
 def _monodromy_tables(
     fc: FiberComplex, fc_target: FiberComplex, phi
 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     cell_map = []
-    for cell in fc.cells:
-        image = _image_stratum(fc, cell.stratum, phi)
+    for i, cell in enumerate(fc.cells):
+        image = _image_stratum(cell, phi)
         j = fc_target.cell_index(image)
         collapsed = {
             g for g in range(fc.barcode_type.dim + 1) if phi(g) == phi(g + 1)
@@ -110,7 +110,12 @@ def _monodromy_tables(
         expected = tuple(
             k for g, k in enumerate(cell.gap_shape) if g not in collapsed
         )
-        assert fc_target.cells[j].gap_shape == expected
+        if fc_target.cells[j].gap_shape != expected:
+            raise InvariantError(
+                f"cell {i} ({serialize_stratum(cell.stratum, fc.complex)}) maps to "
+                f"target cell {j} of gap shape {fc_target.cells[j].gap_shape}, "
+                f"expected {expected}"
+            )
         cell_map.append(j)
     vertex_map = tuple((i, cell_map[i]) for i in fc.zero_cells())
     return vertex_map, tuple(cell_map)
@@ -137,7 +142,7 @@ def monodromy_map(
     phi = c.representative
     if not phi.is_simplicial:
         raise DomainError("morphism representative is not simplicial")
-    _assert_equivariant(fc, c.target, phi)
+    _check_equivariant(fc, c.target, phi)
     vertex_map, cell_map = _monodromy_tables(fc, fc_target, phi)
     return MonodromyMap(fc, fc_target, c, vertex_map, cell_map)
 
@@ -157,7 +162,13 @@ def compose_monodromies(m1: MonodromyMap, m2: MonodromyMap) -> MonodromyMap:
     composed = compose_endpoint_maps(
         m2.morphism.representative, m1.morphism.representative
     )
-    direct = _monodromy_tables(fc, fc_target, composed)
-    assert direct == (vertex_map, cell_map)
+    _, direct = _monodromy_tables(fc, fc_target, composed)
+    for i, (j, k) in enumerate(zip(direct, cell_map)):
+        if j != k:
+            raise InvariantError(
+                f"cell {i} ({serialize_stratum(fc.cells[i].stratum, fc.complex)}): "
+                f"the composed representative maps it to cell {j}, the composed "
+                f"tables to cell {k}"
+            )
     cls = _class_of_map(fc.barcode_type, fc_target.barcode_type, composed)
     return MonodromyMap(fc, fc_target, cls, vertex_map, cell_map)

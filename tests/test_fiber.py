@@ -1,14 +1,25 @@
 """Fibers over barcode types: cells, face poset, triangulation, homology."""
 
+import ast
+import bisect
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import phfiber as ph
-from phfiber import DomainError
-from phfiber.fiber import boundary_circuits, check_dimension_bound, fiber_dimension
+from phfiber import INF, DomainError, InvariantError
+from phfiber.fiber import (
+    _face_sets,
+    _facet_strata,
+    boundary_circuits,
+    cell_block_labels,
+    check_dimension_bound,
+    fiber_dimension,
+)
 from phfiber.strata import FilterStratum, is_lower_star_stratum, stratum_closure_leq
 
 from conftest import FIBER_CENSUS, TYPE_STRINGS
@@ -289,3 +300,135 @@ def test_bounded_deficit_formula(triangle_fibers):
     for fc in triangle_fibers.values():
         expected = Fraction(6 - fc.barcode_type.finite_endpoint_count(), 2)
         assert fc.bounded_deficit() == expected
+
+
+def fibers_over_types(K, stratum_mode, fiber_modes=("all", "lower_star")):
+    """Every nonempty fiber over the barcode types of K's strata."""
+    strata = ph.enumerate_filter_strata(K, stratum_mode)
+    for rec in ph.group_strata_by_barcode(K, strata):
+        for mode in fiber_modes:
+            try:
+                yield ph.fiber_complex(K, rec.barcode_type, mode=mode)
+            except DomainError:
+                assert mode == "lower_star"
+
+
+def labels_from_values(K, stratum, field):
+    """Block labels read off where each block's value falls among the endpoints."""
+    rep = ph.representative_filter(K, stratum)
+    bc = ph.barcode_of_filter(rep, field)
+    ends = sorted({e for deg in bc for bar in deg for e in bar if e != INF and 0 < e < 1})
+    cuts = [Fraction(0)] + ends + [Fraction(1)]
+    value = dict(zip(K.simplices, rep.values))
+    labels = []
+    for block in stratum.blocks:
+        v = value[next(iter(block))]
+        if v in cuts:
+            labels.append(("pin", cuts.index(v)))
+        else:
+            labels.append(("free", bisect.bisect(cuts, v) - 1))
+    return tuple(labels)
+
+
+def assert_matches_closure_oracle(fc):
+    """Face relation and block labels against the pairwise stratum oracle."""
+    cells = fc.cells
+    brute = {
+        (i, j)
+        for i, low in enumerate(cells)
+        for j, high in enumerate(cells)
+        if i != j and stratum_closure_leq(low.stratum, high.stratum)
+    }
+    assert set(fc.face_relation) == brute
+    assert list(fc.face_relation) == sorted(brute)
+    closure = {j: {j} for j in range(len(cells))}
+    for i, j in brute:
+        closure[j].add(i)
+    for j, cell in enumerate(cells):
+        assert fc.cell_index(cell.stratum) == j
+        assert fc.zero_faces_of(j) == tuple(i for i in fc.zero_cells() if i in closure[j])
+        labels = cell_block_labels(fc.complex, cell.stratum, fc.barcode_type, fc.field)
+        assert cell.labels == labels
+        assert labels == labels_from_values(fc.complex, cell.stratum, fc.field)
+
+
+def test_face_poset_matches_oracle_on_every_triangle_type(triangle):
+    fibers = list(fibers_over_types(triangle, "all"))
+    assert len(fibers) == 142
+    assert {fc.mode for fc in fibers} == {"all", "lower_star"}
+    for fc in fibers:
+        assert_matches_closure_oracle(fc)
+
+
+def test_face_poset_matches_oracle_on_two_interval_fibers(two_intervals):
+    fibers = list(fibers_over_types(two_intervals, "interior_only"))
+    assert len(fibers) == 66
+    for fc in fibers:
+        assert_matches_closure_oracle(fc)
+
+
+def test_face_poset_matches_oracle_on_small_path4_fibers():
+    path4 = ph.build_complex([[0, 1], [1, 2], [2, 3]])
+    small = [
+        fc for fc in fibers_over_types(path4, "interior_only", ("all",))
+        if len(fc.cells) <= 120
+    ]
+    assert len(small) == 161
+    assert sum(len(fc.face_relation) for fc in small) > 0
+    for fc in small:
+        assert_matches_closure_oracle(fc)
+
+
+def test_facets_are_the_codimension_one_coarsenings():
+    K = ph.build_complex([[0, 1], [1, 2]])
+    strata = ph.enumerate_filter_strata(K, "all")
+    assert len(strata) == 407
+    for high in strata:
+        facets = list(_facet_strata(high))
+        assert len(set(facets)) == len(facets)
+        assert set(facets) == {
+            low
+            for low in strata
+            if low != high
+            and low.interior_dim == high.interior_dim - 1
+            and stratum_closure_leq(low, high)
+        }
+
+
+def test_facet_pass_rejects_a_facet_of_the_wrong_dimension(triangle_fibers):
+    fc = triangle_fibers[TYPE_STRINGS["mobius"]]
+    edge = next(i for i, c in enumerate(fc.cells) if c.dim == 1)
+    cells = list(fc.cells)
+    # claim the edge is a 2-cell: its vertex facets are now two dimensions down
+    cells[edge] = dataclasses.replace(cells[edge], gap_shape=(0, 2, 0))
+    with pytest.raises(InvariantError, match=f"of cell {edge}: expected dimension 1"):
+        _face_sets(fc.complex, cells, fc.cell_ids)
+
+
+def test_dimension_checks_raise_invariant_errors(triangle_fibers):
+    fc = triangle_fibers[TYPE_STRINGS["hexagon"]]
+    edge = next(i for i, c in enumerate(fc.cells) if c.dim == 1)
+    cells = list(fc.cells)
+    cells[edge] = dataclasses.replace(cells[edge], gap_shape=(0, 4, 0))
+    broken = dataclasses.replace(fc, cells=tuple(cells))
+    with pytest.raises(InvariantError, match=f"cell {edge} .*bounded deficit"):
+        fiber_dimension(broken)
+    cells[edge] = dataclasses.replace(cells[edge], gap_shape=(0, 2, 0))
+    broken = dataclasses.replace(fc, cells=tuple(cells))
+    with pytest.raises(InvariantError, match=f"cell {edge} .*maximal chain of 2"):
+        ph.triangulate_fiber(broken)
+
+
+def test_invariant_error_is_not_a_domain_error():
+    assert issubclass(InvariantError, RuntimeError)
+    assert not issubclass(InvariantError, DomainError)
+
+
+def test_library_code_has_no_bare_assert():
+    """Invariant checks must survive `python -O`, which strips asserts."""
+    sources = sorted(Path(ph.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert lines == [], f"{path.name} asserts at lines {lines}"

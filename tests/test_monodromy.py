@@ -1,12 +1,13 @@
 """Monodromy: the action of morphism classes on fibers."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
 import phfiber as ph
-from phfiber import INF, DomainError
+from phfiber import INF, DomainError, InvariantError
 from phfiber.category import MorphismClass, identity_class, morphism_class_between
 from phfiber.barcodes import EndpointMap
 from phfiber.monodromy import compose_monodromies, monodromy_map
@@ -274,3 +275,38 @@ def test_compose_rejects_mismatched_middle(triangle, triangle_fibers, types):
     )
     with pytest.raises(DomainError, match="mismatched fibers"):
         compose_monodromies(first, second)
+
+
+def _with_cell(fc, i, **changes):
+    cells = list(fc.cells)
+    cells[i] = dataclasses.replace(cells[i], **changes)
+    return dataclasses.replace(fc, cells=tuple(cells))
+
+
+def test_monodromy_checks_raise_invariant_errors(triangle, triangle_fibers, types):
+    cls = morphism_class_between(types["circle_shared_death"], types["hexagon"])
+    fc = get_fiber(triangle_fibers, "circle_shared_death")
+    fc_t = get_fiber(triangle_fibers, "hexagon")
+    # a 0-cell whose rank vector is the constant filter at 0 leaves the fiber
+    z = fc.zero_cells()[0]
+    zeros = (0,) * len(triangle)
+    with pytest.raises(InvariantError, match=f"0-cell {z} .*target type"):
+        monodromy_map(triangle, _with_cell(fc, z, rank_vector=zeros), fc_t, cls)
+    # a target edge with the wrong gap shape
+    edge = next(i for i, c in enumerate(fc_t.cells) if c.dim == 1)
+    bad_t = _with_cell(fc_t, edge, gap_shape=(1, 0, 1))
+    with pytest.raises(InvariantError, match=f"target cell {edge} of gap shape"):
+        monodromy_map(triangle, fc, bad_t, cls)
+
+
+def test_compose_checks_the_composed_tables(triangle, triangle_fibers, types):
+    first = named_monodromy(
+        triangle, triangle_fibers, types, "two_circles", "circle_shared_death"
+    )
+    second = named_monodromy(
+        triangle, triangle_fibers, types, "circle_shared_death", "mobius"
+    )
+    shifted = second.cell_map[1:] + second.cell_map[:1]
+    bad = dataclasses.replace(second, cell_map=shifted)
+    with pytest.raises(InvariantError, match="composed representative maps it"):
+        compose_monodromies(first, bad)
