@@ -57,7 +57,6 @@ from .simplicial import (
     SimplicialComplex,
     apply_permutation,
     automorphisms,
-    boundary_matrix,
     build_complex,
     is_automorphism,
     simplex,

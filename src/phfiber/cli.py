@@ -2,16 +2,15 @@
 
 Exit codes: 0 on success, 1 when the input is outside the mathematical domain
 (including unparsable barcode types and complex files), 2 on usage errors.
-Output goes to stdout, diagnostics to stderr. The environment variable
-PHFIBER_THREADS sets the worker count for the per-stratum barcode fan-out;
-results are aggregated in a fixed order, so output bytes never depend on it.
+Output goes to stdout, diagnostics to stderr. Every command runs in one
+thread: each barcode, Betti number and removability test is one exact sparse
+column reduction (persistence.barcode_of_filter), so output bytes depend only
+on the arguments.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import io
 from .barcodes import parse_barcode_type
@@ -25,11 +24,7 @@ from .fiber import (
 )
 from .monodromy import monodromy_map
 from .simplicial import FieldSpec, automorphisms
-from .strata import (
-    barcode_of_stratum,
-    enumerate_filter_strata,
-    group_strata_by_barcode,
-)
+from .strata import enumerate_filter_strata, group_strata_by_barcode
 from .structure import (
     DEFAULT_BUDGET,
     fiber_symmetry_orbits,
@@ -39,29 +34,6 @@ from .structure import (
 
 STRATUM_MODES = {"all": "all", "interior": "interior_only", "lower-star": "lower_star"}
 FIBER_MODES = {"all": "all", "lower-star": "lower_star"}
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PHFIBER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"PHFIBER_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise DomainError("PHFIBER_THREADS must be at least 1")
-    return n
-
-
-def _image_records(K, mode: str, field: FieldSpec):
-    """Barcode strata records, fanning the per-stratum barcodes out to threads."""
-    strata = enumerate_filter_strata(K, mode)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            types = list(pool.map(lambda st: barcode_of_stratum(K, st, field), strata))
-        cached = dict(zip(strata, types))
-        return group_strata_by_barcode(K, strata, field, barcode_map=cached.__getitem__)
-    return group_strata_by_barcode(K, strata, field)
 
 
 def _field(args) -> FieldSpec:
@@ -77,8 +49,9 @@ def _cmd_strata(args) -> str:
 
 def _cmd_image(args) -> str:
     K = io.load_complex(args.complex)
-    records = _image_records(K, STRATUM_MODES[args.mode], _field(args))
-    return io.dumps(io.image_doc(records))
+    field = _field(args)
+    strata = enumerate_filter_strata(K, STRATUM_MODES[args.mode])
+    return io.dumps(io.image_doc(group_strata_by_barcode(K, strata, field)))
 
 
 def _cmd_fiber(args) -> str:
@@ -121,7 +94,8 @@ def _cmd_monodromy(args) -> str:
 def _cmd_check_bounds(args) -> str:
     K = io.load_complex(args.complex)
     field = _field(args)
-    records = _image_records(K, STRATUM_MODES[args.mode], field)
+    strata = enumerate_filter_strata(K, STRATUM_MODES[args.mode])
+    records = group_strata_by_barcode(K, strata, field)
     return io.dumps(io.bounds_doc(check_dimension_bound(K, records, field)))
 
 

@@ -4,6 +4,9 @@ A filter assigns each simplex a rational value in [0, 1], faces getting values
 no larger than their cofaces. Its total barcode is a tuple, indexed by
 homology degree 0..dim K, of sorted bar tuples (birth, death); deaths are
 either a Fraction or INF. Zero-length bars are suppressed.
+
+The column reduction here is the package's only homology kernel: Betti
+numbers and removability (structure.is_removable) are read off barcodes too.
 """
 from __future__ import annotations
 
@@ -12,8 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DomainError
-from .linalg import rank_mod_p
-from .simplicial import F2, FieldSpec, Simplex, SimplicialComplex, boundary_matrix
+from .simplicial import F2, FieldSpec, Simplex, SimplicialComplex
 
 INF = float("inf")
 
@@ -44,11 +46,13 @@ class Filter:
         K = self.complex
         if len(self.values) != len(K):
             raise DomainError("not a filter: value count does not match the complex")
-        for s, v in zip(K.simplices, self.values):
-            for facet in s.facets():
-                if self.values[K.index[facet]] > v:
+        values = self.values
+        for j, facets in enumerate(K.facet_ids):
+            for i in facets:
+                if values[i] > values[j]:
                     raise DomainError(
-                        f"not a filter: face {facet} has larger value than {s}"
+                        f"not a filter: face {K.simplices[i]} has larger value "
+                        f"than {K.simplices[j]}"
                     )
 
     def __getitem__(self, s: Simplex) -> Fraction:
@@ -87,10 +91,9 @@ def barcode_of_filter(filt: Filter, field: FieldSpec = F2) -> TotalBarcode:
     bars: list[list[Bar]] = [[] for _ in range(K.dim + 1)]
 
     for j, idx in enumerate(order):
-        s = K.simplices[idx]
         col: dict[int, int] = {}
-        for i, facet in enumerate(s.facets()):
-            col[pos[K.index[facet]]] = (-1) ** i % p
+        for i, facet in enumerate(K.facet_ids[idx]):
+            col[pos[facet]] = (-1) ** i % p
         while col:
             low = max(col)
             if low not in reduced:
@@ -128,12 +131,13 @@ def _bar_key(bar: Bar):
 
 
 def betti_numbers(K: SimplicialComplex, field: FieldSpec = F2) -> tuple[int, ...]:
-    """Betti numbers over F_p for degrees 0..dim K."""
-    p = field.characteristic
-    ranks = [rank_mod_p(boundary_matrix(K, q, field), p) for q in range(K.dim + 1)]
-    ranks.append(0)
-    counts = [len(K.p_simplices(q)) for q in range(K.dim + 1)]
-    return tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(K.dim + 1))
+    """Betti numbers over F_p for degrees 0..dim K.
+
+    Under the constant filter at 0 every finite bar would be (0, 0) and is
+    suppressed, so the bars left in degree q are (0, inf), one per basis
+    element of H_q(K).
+    """
+    return infinite_bar_counts(barcode_of_filter(constant_filter(K, 0), field))
 
 
 def infinite_bar_counts(barcode: TotalBarcode) -> tuple[int, ...]:

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -96,6 +94,11 @@ class SimplicialComplex:
         self.index = {s: i for i, s in enumerate(simplices)}
         self.dim = max(s.dim for s in simplices)
         self.vertex_ids = tuple(sorted({v for s in simplices for v in s.vertices}))
+        # Canonical ids of each simplex's facets, in Simplex.facets() order, so
+        # facet i carries the boundary sign (-1) ** i.
+        self.facet_ids = tuple(
+            tuple(self.index[f] for f in s.facets()) for s in simplices
+        )
         # Proper faces of each simplex as a bitmask over canonical ids; faces
         # always have smaller ids than their cofaces.
         self.face_masks = tuple(
@@ -139,27 +142,6 @@ def build_complex(maximal_simplices: Iterable[Iterable[int]]) -> SimplicialCompl
         closure.update(s.proper_faces())
     ordered = tuple(sorted(closure, key=lambda s: s.sort_key))
     return SimplicialComplex(ordered)
-
-
-def boundary_matrix(K: SimplicialComplex, p: int, field: FieldSpec = F2) -> np.ndarray:
-    """Signed incidence matrix of the boundary map C_p -> C_{p-1} over F_p.
-
-    Rows are the (p-1)-simplices, columns the p-simplices, both in canonical
-    order. Signs come from the sorted vertex order, reduced mod the field
-    characteristic.
-    """
-    if p < 0 or p > K.dim:
-        raise DomainError(f"degree {p} out of range for a complex of dimension {K.dim}")
-    q = field.characteristic
-    cols = K.p_simplices(p)
-    rows = K.p_simplices(p - 1) if p > 0 else ()
-    row_index = {s: i for i, s in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, s in enumerate(cols):
-        for i, facet in enumerate(s.facets()):
-            if facet in row_index:
-                mat[row_index[facet], j] = (-1) ** i % q
-    return mat
 
 
 def _vertex_signature(K: SimplicialComplex, v: int) -> tuple[int, ...]:

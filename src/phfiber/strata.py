@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError
@@ -217,18 +217,15 @@ def group_strata_by_barcode(
     K: SimplicialComplex,
     strata: Iterable[FilterStratum],
     field: FieldSpec = F2,
-    barcode_map: Callable[[FilterStratum], CombinatorialBarcode] | None = None,
 ) -> tuple[BarcodeStratumRecord, ...]:
     """Group strata by barcode type, sorted by (codimension, type string).
 
-    barcode_map, when given, replaces the per-stratum barcode computation
-    (the CLI uses it to fan out over a thread pool).
+    Each stratum's type is the canonical barcode of its representative filter,
+    computed once, in enumeration order, by the one column-reduction kernel.
     """
-    if barcode_map is None:
-        barcode_map = lambda st: barcode_of_stratum(K, st, field)
     groups: dict[CombinatorialBarcode, list[int]] = {}
     for i, st in enumerate(strata):
-        groups.setdefault(barcode_map(st), []).append(i)
+        groups.setdefault(barcode_of_stratum(K, st, field), []).append(i)
     records = [
         BarcodeStratumRecord(
             barcode_type=T,

@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import DomainError
 from .fiber import FiberComplex
-from .linalg import nullspace_mod_p, rank_mod_p
-from .persistence import Filter, betti_numbers, make_filter
+from .persistence import INF, Filter, barcode_of_filter, filter_from_values, make_filter
 from .simplicial import (
     F2,
     FieldSpec,
@@ -24,7 +21,6 @@ from .simplicial import (
     SimplicialComplex,
     apply_permutation,
     automorphisms,
-    boundary_matrix,
     is_automorphism,
 )
 from .strata import FilterStratum
@@ -46,41 +42,23 @@ class RemovabilityReport:
 
 
 def _inclusion_is_iso(
-    K: SimplicialComplex, sub: SimplicialComplex, field: FieldSpec
+    K: SimplicialComplex, removed: set[int], field: FieldSpec
 ) -> bool:
-    """True when the inclusion sub -> K is a homology isomorphism.
+    """True when including the complement of the removed ids is a homology iso.
 
-    Equal Betti numbers alone do not suffice; the rank of the induced map is
-    computed in each degree as rank([cycles(sub) | boundaries(K)]) minus
-    rank(boundaries(K)), with the cycle columns embedded into K's chain basis.
+    Filter K by 0 on the kept subcomplex and 1 on the removed simplices. Its
+    barcode is the interval decomposition of the map H(sub) -> H(K): a (0, 1)
+    bar is a class of sub that dies in K (the kernel), a (1, inf) bar a class
+    of K not coming from sub (the cokernel), and a (0, inf) bar a class mapped
+    isomorphically. So the inclusion is an isomorphism exactly when every bar
+    is (0, inf).
     """
-    p = field.characteristic
-    betti_K = betti_numbers(K, field)
-    betti_sub = list(betti_numbers(sub, field))
-    betti_sub += [0] * (len(betti_K) - len(betti_sub))
-    if tuple(betti_sub) != betti_K:
-        return False
-    for q in range(K.dim + 1):
-        rows = K.p_simplices(q)
-        row_index = {s: i for i, s in enumerate(rows)}
-        if q <= sub.dim:
-            cycles = nullspace_mod_p(boundary_matrix(sub, q, field), p)
-            embedded = np.zeros((len(rows), cycles.shape[1]), dtype=np.int64)
-            positions = np.array(
-                [row_index[s] for s in sub.p_simplices(q)], dtype=np.int64
-            )
-            embedded[positions] = cycles
-        else:
-            embedded = np.zeros((len(rows), 0), dtype=np.int64)
-        if q < K.dim:
-            boundaries = boundary_matrix(K, q + 1, field)
-        else:
-            boundaries = np.zeros((len(rows), 0), dtype=np.int64)
-        stacked = np.hstack([embedded, boundaries])
-        induced_rank = rank_mod_p(stacked, p) - rank_mod_p(boundaries, p)
-        if induced_rank != betti_K[q]:
-            return False
-    return True
+    filt = filter_from_values(K, (int(i in removed) for i in range(len(K))))
+    return all(
+        birth == 0 and death == INF
+        for bars in barcode_of_filter(filt, field)
+        for birth, death in bars
+    )
 
 
 def is_removable(
@@ -91,17 +69,21 @@ def is_removable(
     for s in chosen:
         if s not in K:
             raise DomainError(f"subset simplex {s} is not in the complex")
-    ordered = tuple(s for s in K.simplices if s in chosen)
-    rest = tuple(s for s in K.simplices if s not in chosen)
-    if not rest:
+    removed = {K.index[s] for s in chosen}
+    ordered = tuple(K.simplices[i] for i in sorted(removed))
+    if len(removed) == len(K):
         return RemovabilityReport(ordered, True, False)
-    closed = all(facet not in chosen for s in rest for facet in s.facets())
+    closed = all(
+        f not in removed
+        for j, facets in enumerate(K.facet_ids)
+        if j not in removed
+        for f in facets
+    )
     if not closed:
         return RemovabilityReport(ordered, False, False)
-    if not chosen:
+    if not removed:
         return RemovabilityReport(ordered, True, True)
-    sub = SimplicialComplex(rest)
-    return RemovabilityReport(ordered, True, _inclusion_is_iso(K, sub, field))
+    return RemovabilityReport(ordered, True, _inclusion_is_iso(K, removed, field))
 
 
 def _upward_closed_masks(K: SimplicialComplex, budget: int) -> list[int]:

@@ -70,6 +70,13 @@ def wedge():
 
 
 @pytest.fixture(scope="session")
+def rp2():
+    """Minimal RP^2: six vertices, ten triangles; H differs over F2 and F3."""
+    triangles = "012 023 034 045 051 124 235 341 452 513".split()
+    return ph.build_complex([[int(c) for c in t] for t in triangles])
+
+
+@pytest.fixture(scope="session")
 def types():
     return {k: ph.parse_barcode_type(v) for k, v in TYPE_STRINGS.items()}
 

@@ -211,22 +211,6 @@ def test_empty_fiber_exits_one(capsys, triangle_file):
     assert "empty fiber" in err
 
 
-def test_thread_fanout_is_deterministic(capsys, monkeypatch, triangle_file):
-    monkeypatch.setenv("PHFIBER_THREADS", "1")
-    base = run(capsys, "image", triangle_file)
-    monkeypatch.setenv("PHFIBER_THREADS", "4")
-    fanned = run(capsys, "image", triangle_file)
-    assert base == fanned
-    assert base[0] == 0
-
-
-def test_bad_thread_count_exits_one(capsys, monkeypatch, triangle_file):
-    monkeypatch.setenv("PHFIBER_THREADS", "zero")
-    assert run(capsys, "image", triangle_file)[0] == 1
-    monkeypatch.setenv("PHFIBER_THREADS", "0")
-    assert run(capsys, "image", triangle_file)[0] == 1
-
-
 def test_field_choice_changes_nothing_on_these_fibers(capsys, triangle_file):
     over2 = run(capsys, "homology", triangle_file, "--barcode",
                 TYPE_STRINGS["two_circles"])

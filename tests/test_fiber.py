@@ -4,6 +4,8 @@ import ast
 import bisect
 import dataclasses
 import math
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -432,3 +434,26 @@ def test_library_code_has_no_bare_assert():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert lines == [], f"{path.name} asserts at lines {lines}"
+
+
+def test_library_code_imports_only_the_standard_library():
+    """phfiber has no runtime dependencies: every absolute import is stdlib."""
+    package = Path(ph.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    allowed = set(sys.stdlib_module_names) | {"phfiber"}
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (
+                    f"{path.name} line {node.lineno} imports {name}"
+                )
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)

@@ -89,11 +89,14 @@ def test_barcode_agrees_across_fields(triangle):
     assert b2 == ph.barcode_of_filter(f, ph.FieldSpec(5))
 
 
-def test_betti_numbers_of_standard_complexes():
+def test_betti_numbers_of_standard_complexes(rp2):
     assert ph.betti_numbers(ph.build_complex([[0, 1, 2]])) == (1, 0, 0)
     assert ph.betti_numbers(ph.build_complex([[0, 1], [2, 3]])) == (2, 0)
     sphere = ph.build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     assert ph.betti_numbers(sphere) == (1, 0, 1)
+    # Only correct boundary signs make F3 differ from F2 on RP^2.
+    assert ph.betti_numbers(rp2) == (1, 1, 1)
+    assert ph.betti_numbers(rp2, ph.FieldSpec(3)) == (1, 0, 0)
 
 
 def test_filter_from_values_checks_length(interval):

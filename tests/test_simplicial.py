@@ -1,12 +1,10 @@
-"""Simplices, complexes, boundary matrices, automorphisms."""
+"""Simplices, complexes, facet ids, automorphisms."""
 
-import numpy as np
 import pytest
 
 import phfiber as ph
 from phfiber import DomainError
-from phfiber.simplicial import boundary_matrix, is_automorphism
-from phfiber.linalg import rank_mod_p, nullspace_mod_p
+from phfiber.simplicial import is_automorphism
 
 
 def test_simplex_normalizes_vertex_order():
@@ -52,27 +50,24 @@ def test_euler_characteristic():
     assert ph.build_complex([[0, 1], [2, 3]]).euler_characteristic() == 2
 
 
+def test_facet_ids_follow_the_facet_order():
+    K = ph.build_complex([[0, 1, 2, 3], [2, 4]])
+    for s, ids in zip(K.simplices, K.facet_ids):
+        assert ids == tuple(K.index[f] for f in s.facets())
+        assert all(i < K.index[s] for i in ids)
+    assert K.facet_ids[K.index[ph.simplex([0])]] == ()
+
+
 def test_boundary_of_boundary_vanishes():
-    K = ph.build_complex([[0, 1, 2], [1, 2, 3]])
+    """Facet i of facet_ids carries the sign (-1) ** i, so d(d(s)) = 0."""
+    K = ph.build_complex([[0, 1, 2, 3], [1, 2, 4]])
     for p in (2, 3, 5):
-        fs = ph.FieldSpec(p)
-        d1 = boundary_matrix(K, 1, fs)
-        d2 = boundary_matrix(K, 2, fs)
-        assert np.all((d1 @ d2) % p == 0)
-
-
-def test_boundary_matrix_degree_range():
-    K = ph.build_complex([[0, 1]])
-    with pytest.raises(DomainError, match="degree"):
-        boundary_matrix(K, 2)
-
-
-def test_rank_and_nullspace_mod_p():
-    d1 = boundary_matrix(ph.build_complex([[0, 1], [1, 2], [0, 2]]), 1)
-    assert rank_mod_p(d1, 2) == 2
-    ns = nullspace_mod_p(d1, 2)
-    assert ns.shape[1] == 1
-    assert np.all((d1 @ ns) % 2 == 0)
+        for facets in K.facet_ids:
+            dd: dict[int, int] = {}
+            for i, f in enumerate(facets):
+                for k, g in enumerate(K.facet_ids[f]):
+                    dd[g] = (dd.get(g, 0) + (-1) ** (i + k)) % p
+            assert not any(dd.values())
 
 
 def test_field_spec_requires_prime():

@@ -7,7 +7,12 @@ import pytest
 
 import phfiber as ph
 from phfiber import DomainError
-from phfiber.structure import DEFAULT_BUDGET, find_removable_subset, is_removable
+from phfiber.structure import (
+    DEFAULT_BUDGET,
+    _upward_closed_masks,
+    find_removable_subset,
+    is_removable,
+)
 
 from conftest import TYPE_STRINGS
 
@@ -77,6 +82,80 @@ def test_removability_agrees_across_fields(interval):
     a, b, ab = interval.simplices
     for p in (2, 3, 5):
         assert is_removable(interval, [b, ab], ph.FieldSpec(p)).removable
+
+
+def _rank_mod_p(rows, p):
+    """Rank over F_p of a dense matrix given as a list of int rows."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _relative_betti(K, removed, p):
+    """Betti numbers of H(K, K minus removed) from the relative chain complex.
+
+    Relative q-chains have the removed q-simplices as a basis, and the
+    relative boundary drops every facet that is not removed.
+    """
+    by_dim = [[j for j in sorted(removed) if K.simplices[j].dim == q]
+              for q in range(K.dim + 2)]
+    ranks = [0]  # the boundary out of degree 0 is zero
+    for q in range(1, K.dim + 2):
+        row_of = {j: r for r, j in enumerate(by_dim[q - 1])}
+        matrix = [[0] * len(by_dim[q]) for _ in by_dim[q - 1]]
+        for c, j in enumerate(by_dim[q]):
+            for i, f in enumerate(K.facet_ids[j]):
+                if f in row_of:
+                    matrix[row_of[f]][c] = (-1) ** i
+        ranks.append(_rank_mod_p(matrix, p))
+    return [len(by_dim[q]) - ranks[q] - ranks[q + 1] for q in range(K.dim + 1)]
+
+
+def _check_against_relative_homology(K, masks):
+    for p in (2, 3):
+        for mask in masks:
+            removed = {j for j in range(len(K)) if mask >> j & 1}
+            subset = [K.simplices[j] for j in removed]
+            report = is_removable(K, subset, ph.FieldSpec(p))
+            assert report.is_subcomplex_complement
+            expected = not any(_relative_betti(K, removed, p))
+            assert report.removable == expected, (p, [str(s) for s in subset])
+
+
+@pytest.mark.parametrize(
+    "maximal",
+    [
+        [[0, 1]],
+        [[0, 1], [1, 2], [0, 2]],
+        [[0, 1, 2]],
+        [[0, 1, 2], [1, 2, 3]],
+        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    ],
+    ids=["interval", "triangle", "filled_triangle", "two_triangles", "hollow_tetrahedron"],
+)
+def test_removability_matches_relative_homology(maximal):
+    """By the long exact sequence of (K, sub), sub -> K is a homology
+    isomorphism exactly when H(K, sub) vanishes."""
+    K = ph.build_complex(maximal)
+    _check_against_relative_homology(K, _upward_closed_masks(K, DEFAULT_BUDGET))
+
+
+def test_rp2_removability_matches_relative_homology(rp2):
+    masks = _upward_closed_masks(rp2, DEFAULT_BUDGET)
+    assert len(masks) == 147_244
+    _check_against_relative_homology(rp2, masks[:500])
 
 
 def test_lower_star_extension_takes_vertex_maxima(triangle):
