@@ -77,32 +77,20 @@ class CombinatorialBarcode:
         return format_barcode_type(self)
 
 
-def _encode(value, interior_rank: dict, m: int) -> int:
-    if value == INF:
-        return m + 2
-    if value == 0:
-        return ZERO
-    if value == 1:
-        return m + 1
-    return interior_rank[value]
+def canonicalize_barcode(barcode: TotalBarcode, one=1) -> CombinatorialBarcode:
+    """Collapse a barcode to its combinatorial type.
 
-
-def canonicalize_barcode(barcode: TotalBarcode) -> CombinatorialBarcode:
-    """Collapse a rational barcode to its combinatorial type."""
-    endpoints = {
-        e
-        for deg in barcode
-        for bar in deg
-        for e in bar
-        if e != INF
-    }
-    interior = sorted(e for e in endpoints if 0 < e < 1)
-    rank = {v: i + 1 for i, v in enumerate(interior)}
+    Finite endpoints lie between 0 and `one`, the value standing for 1: pass
+    1 for a filter's rational barcode and m + 1 for a barcode of integer
+    levels 0..m + 1. Deaths may also be INF.
+    """
+    interior = sorted(
+        {e for deg in barcode for bar in deg for e in bar if 0 < e < one}
+    )
     m = len(interior)
-    degrees = [
-        tuple(sorted((_encode(b, rank, m), _encode(d, rank, m)) for b, d in deg))
-        for deg in barcode
-    ]
+    symbol = {v: rank for rank, v in enumerate(interior, start=1)}
+    symbol.update({0: ZERO, one: m + 1, INF: m + 2})
+    degrees = [tuple(sorted((symbol[b], symbol[d]) for b, d in deg)) for deg in barcode]
     while degrees and not degrees[-1]:
         degrees.pop()
     return CombinatorialBarcode(m, tuple(degrees))
@@ -318,26 +306,9 @@ def apply_endpoint_map_to_type(
     if phi.source_dim != T.dim:
         raise DomainError("endpoint map does not match the type's dimension")
     degrees, _ = map_bars_raw(phi, T)
-    mt = phi.target_dim
-    used = sorted(
-        {s for deg in degrees for bar in deg for s in bar if 1 <= s <= mt}
-    )
-    rerank = {r: i + 1 for i, r in enumerate(used)}
-    m_new = len(used)
-
-    def enc(sym: int) -> int:
-        if sym == ZERO:
-            return ZERO
-        if sym == mt + 1:
-            return m_new + 1
-        if sym == mt + 2:
-            return m_new + 2
-        return rerank[sym]
-
-    new_degrees = tuple(
-        tuple(sorted((enc(b), enc(d)) for b, d in deg)) for deg in degrees
-    )
-    return CombinatorialBarcode(m_new, new_degrees)
+    inf = phi.target_dim + 2
+    bars = [[(b, INF if d == inf else d) for b, d in deg] for deg in degrees]
+    return canonicalize_barcode(bars, phi.target_dim + 1)
 
 
 def all_endpoint_maps(source_dim: int, target_dim: int):

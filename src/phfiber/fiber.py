@@ -8,6 +8,10 @@ the gaps, and a gap with k free blocks contributes a k-simplex factor. The
 face relation is stratum coarsening, so the whole complex is combinatorial;
 no coordinates beyond symbol rank vectors are ever needed.
 
+Candidates are rechecked on the barcode of their integer levels
+(strata.stratum_levels), where a block is pinned when its level is an
+endpoint; a 0-cell's levels are its symbols, so its rank vector is its levels.
+
 The face relation is built locally. The codimension-1 coarsenings of a
 stratum are the merges of two adjacent blocks and the pinning of the first
 block at 0 or of the last block at 1; those that are cells of the fiber are
@@ -22,14 +26,15 @@ from typing import Iterator
 
 from .barcodes import ZERO, CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError, InvariantError
-from .persistence import INF, Filter, TotalBarcode, barcode_of_filter, betti_numbers
+from .persistence import Filter, TotalBarcode, betti_numbers, level_barcode
 from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
 from .strata import (
     FilterStratum,
     _closed_subsets,
+    bounded_deficit,
     is_lower_star_stratum,
-    representative_filter,
     serialize_stratum,
+    stratum_levels,
 )
 
 FIBER_MODES = ("all", "lower_star")
@@ -40,8 +45,8 @@ class FiberCell:
     """One cell of a fiber: a filter stratum plus its product-of-simplices shape.
 
     rank_vector is set on 0-cells only; it assigns each simplex (in canonical
-    order) the symbol of its block's pinned value. labels holds one
-    ("pin", symbol) or ("free", gap index) per block, as cell_block_labels.
+    order) the symbol of its block's pinned value, which is its level. labels
+    holds one ("pin", symbol) or ("free", gap index) per block.
     """
 
     stratum: FilterStratum
@@ -72,9 +77,7 @@ class FiberComplex:
     faces: tuple[frozenset[int], ...] = dc_field(compare=False, repr=False)
 
     def bounded_deficit(self) -> Fraction:
-        return Fraction(
-            len(self.complex) - self.barcode_type.finite_endpoint_count(), 2
-        )
+        return bounded_deficit(self.complex, self.barcode_type)
 
     def zero_cells(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.cells) if c.dim == 0)
@@ -174,12 +177,9 @@ def _candidate_strata(K: SimplicialComplex, T: CombinatorialBarcode) -> set[Filt
 def _block_labels(
     stratum: FilterStratum, raw: TotalBarcode, T: CombinatorialBarcode
 ) -> tuple[tuple[str, int], ...]:
-    """Block labels from the barcode of the stratum's representative filter."""
-    endpoints = {
-        e for deg in raw for bar in deg for e in bar if e != INF and 0 < e < 1
-    }
-    d = stratum.interior_dim
-    pinned = [Fraction(i, d + 1) in endpoints for i in range(1, d + 1)]
+    """Block labels from the barcode of the stratum's levels."""
+    endpoints = {e for deg in raw for bar in deg for e in bar}
+    pinned = [i in endpoints for i in range(1, stratum.interior_dim + 1)]
     if sum(pinned) != T.dim:
         raise DomainError("stratum does not lie over the given barcode type")
     labels = []
@@ -203,27 +203,23 @@ def cell_block_labels(
 ) -> tuple[tuple[str, int], ...]:
     """Per block, ("pin", symbol of T) or ("free", gap index).
 
-    A block is pinned when its representative value is an endpoint of the
-    representative barcode; pinned interior blocks carry the ranks 1..m in
-    order, and a free block belongs to the gap after the last rank seen.
+    A block is pinned when its level is an endpoint of the level barcode;
+    pinned interior blocks carry the ranks 1..m in order, and a free block
+    belongs to the gap after the last rank seen.
     """
-    raw = barcode_of_filter(representative_filter(K, stratum), field)
+    raw = level_barcode(K, stratum_levels(K, stratum), field)
     return _block_labels(stratum, raw, T)
 
 
 def _fiber_cell(
-    K: SimplicialComplex, stratum: FilterStratum, labels: tuple[tuple[str, int], ...], m: int
+    stratum: FilterStratum, levels: tuple[int, ...], labels: tuple[tuple[str, int], ...], m: int
 ) -> FiberCell:
-    """The cell's gap shape, and for a 0-cell the symbol of each simplex."""
+    """The cell's gap shape, and for a 0-cell its levels as the rank vector."""
     shape = [0] * (m + 1)
     for kind, pos in labels:
         if kind == "free":
             shape[pos] += 1
-    vec = None
-    if sum(shape) == 0:
-        symbol = {s: pos for block, (_, pos) in zip(stratum.blocks, labels) for s in block}
-        vec = tuple(symbol[s] for s in K.simplices)
-    return FiberCell(stratum, tuple(shape), vec, labels)
+    return FiberCell(stratum, tuple(shape), None if any(shape) else levels, labels)
 
 
 def _facet_strata(stratum: FilterStratum) -> Iterator[FilterStratum]:
@@ -283,9 +279,10 @@ def fiber_complex(
     for st in _candidate_strata(K, T):
         if mode == "lower_star" and not is_lower_star_stratum(st):
             continue
-        raw = barcode_of_filter(representative_filter(K, st), field)
-        if canonicalize_barcode(raw) == T:
-            cells.append(_fiber_cell(K, st, _block_labels(st, raw, T), T.dim))
+        levels = stratum_levels(K, st)
+        raw = level_barcode(K, levels, field)
+        if canonicalize_barcode(raw, st.interior_dim + 1) == T:
+            cells.append(_fiber_cell(st, levels, _block_labels(st, raw, T), T.dim))
     if not cells:
         raise DomainError("empty fiber")
     cells.sort(key=lambda c: (c.dim, serialize_stratum(c.stratum, K)))
@@ -312,14 +309,10 @@ def fiber_dimension(fc: FiberComplex) -> int:
 def fiber_vertices(fc: FiberComplex) -> tuple[Filter, ...]:
     """The 0-cells realized as filters with values 0, i/(m+1), 1."""
     m = fc.barcode_type.dim
-    values = {ZERO: Fraction(0), m + 1: Fraction(1)}
-    for i in range(1, m + 1):
-        values[i] = Fraction(i, m + 1)
-    out = []
-    for i in fc.zero_cells():
-        vec = fc.cells[i].rank_vector
-        out.append(Filter(fc.complex, tuple(values[s] for s in vec)))
-    return tuple(out)
+    return tuple(
+        Filter(fc.complex, tuple(Fraction(s, m + 1) for s in fc.cells[i].rank_vector))
+        for i in fc.zero_cells()
+    )
 
 
 @dataclass(frozen=True)

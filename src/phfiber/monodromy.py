@@ -8,13 +8,12 @@ projecting away the gaps whose two delimiting endpoints are identified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .barcodes import ZERO, canonicalize_barcode, compose_endpoint_maps
 from .category import MorphismClass, _class_of_map
 from .errors import DomainError, InvariantError
 from .fiber import FiberCell, FiberComplex
-from .persistence import Filter, barcode_of_filter
+from .persistence import check_monotone, level_barcode
 from .simplicial import SimplicialComplex
 from .strata import FilterStratum, serialize_stratum
 
@@ -83,14 +82,12 @@ def _image_stratum(cell: FiberCell, phi) -> FilterStratum:
 
 
 def _check_equivariant(fc: FiberComplex, target_type, phi) -> None:
-    mp = phi.target_dim
-    values = {ZERO: Fraction(0), mp + 1: Fraction(1)}
-    for i in range(1, mp + 1):
-        values[i] = Fraction(i, mp + 1)
+    """Each 0-cell's levels pushed along phi are levels over the target type."""
     for i in fc.zero_cells():
-        vec = fc.cells[i].rank_vector
-        image = Filter(fc.complex, tuple(values[phi(s)] for s in vec))
-        if canonicalize_barcode(barcode_of_filter(image, fc.field)) != target_type:
+        image = tuple(phi(s) for s in fc.cells[i].rank_vector)
+        check_monotone(fc.complex, image)
+        raw = level_barcode(fc.complex, image, fc.field)
+        if canonicalize_barcode(raw, phi.target_dim + 1) != target_type:
             raise InvariantError(
                 f"0-cell {i} ({serialize_stratum(fc.cells[i].stratum, fc.complex)}): "
                 "the image of its filter does not lie over the target type"

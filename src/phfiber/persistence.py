@@ -3,23 +3,25 @@
 A filter assigns each simplex a rational value in [0, 1], faces getting values
 no larger than their cofaces. Its total barcode is a tuple, indexed by
 homology degree 0..dim K, of sorted bar tuples (birth, death); deaths are
-either a Fraction or INF. Zero-length bars are suppressed.
+either a value or INF. Zero-length bars are suppressed.
 
-The column reduction here is the package's only homology kernel: Betti
-numbers and removability (structure.is_removable) are read off barcodes too.
+The column reduction in level_barcode is the package's only homology kernel.
+It reads only the order of the values, so the package feeds it integer
+levels (stratum block positions, rank vectors, 0/1 for removability, all 0
+for Betti numbers); Filter's Fraction values are for the API.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
 from .simplicial import F2, FieldSpec, Simplex, SimplicialComplex
 
 INF = float("inf")
 
-Bar = tuple  # (birth: Fraction, death: Fraction | INF)
+Bar = tuple  # (birth, death): filter values or levels, death possibly INF
 TotalBarcode = tuple  # one tuple of bars per degree 0..dim K
 
 
@@ -46,20 +48,24 @@ class Filter:
         K = self.complex
         if len(self.values) != len(K):
             raise DomainError("not a filter: value count does not match the complex")
-        values = self.values
-        for j, facets in enumerate(K.facet_ids):
-            for i in facets:
-                if values[i] > values[j]:
-                    raise DomainError(
-                        f"not a filter: face {K.simplices[i]} has larger value "
-                        f"than {K.simplices[j]}"
-                    )
+        check_monotone(K, self.values)
 
     def __getitem__(self, s: Simplex) -> Fraction:
         return self.values[self.complex.index[s]]
 
     def value_set(self) -> tuple[Fraction, ...]:
         return tuple(sorted(set(self.values)))
+
+
+def check_monotone(K: SimplicialComplex, values: Sequence) -> None:
+    """Raise DomainError unless no face has a larger value than a coface."""
+    for j, facets in enumerate(K.facet_ids):
+        for i in facets:
+            if values[i] > values[j]:
+                raise DomainError(
+                    f"not a filter: face {K.simplices[i]} has larger value "
+                    f"than {K.simplices[j]}"
+                )
 
 
 def make_filter(K: SimplicialComplex, values: Mapping[Simplex, object]) -> Filter:
@@ -71,18 +77,26 @@ def make_filter(K: SimplicialComplex, values: Mapping[Simplex, object]) -> Filte
 
 
 def barcode_of_filter(filt: Filter, field: FieldSpec = F2) -> TotalBarcode:
-    """Total barcode of the sublevel filtration, by column reduction.
+    """Total barcode of the sublevel filtration of a filter."""
+    return level_barcode(filt.complex, filt.values, field)
 
+
+def level_barcode(
+    K: SimplicialComplex, values: Sequence, field: FieldSpec = F2
+) -> TotalBarcode:
+    """Total barcode of the sublevel filtration of values, by column reduction.
+
+    values, in canonical simplex order, are any comparable values monotone
+    on K, unchecked (see check_monotone); bar endpoints are these values.
     Columns are processed in filtration order with ties broken by the
     canonical simplex order; a column reducing to zero creates a class, a
     surviving column kills the class created at its pivot row.
     """
-    K = filt.complex
     p = field.characteristic
     n = len(K)
     # Canonical ids are already sorted by dimension then lex, so (value, id)
     # is a valid filtration order (faces never come after cofaces).
-    order = sorted(range(n), key=lambda i: (filt.values[i], i))
+    order = sorted(range(n), key=lambda i: (values[i], i))
     pos = {idx: j for j, idx in enumerate(order)}
 
     reduced: dict[int, dict[int, int]] = {}  # pivot row -> its reduced column
@@ -111,8 +125,8 @@ def barcode_of_filter(filt: Filter, field: FieldSpec = F2) -> TotalBarcode:
             reduced[low] = col
             killed.add(low)
             creator = K.simplices[order[low]]
-            birth = filt.values[order[low]]
-            death = filt.values[idx]
+            birth = values[order[low]]
+            death = values[idx]
             if birth < death:
                 bars[creator.dim].append((birth, death))
         else:
@@ -120,24 +134,18 @@ def barcode_of_filter(filt: Filter, field: FieldSpec = F2) -> TotalBarcode:
 
     for j in sorted(creators - killed):
         s = K.simplices[order[j]]
-        bars[s.dim].append((filt.values[order[j]], INF))
+        bars[s.dim].append((values[order[j]], INF))
 
-    return tuple(tuple(sorted(b, key=_bar_key)) for b in bars)
-
-
-def _bar_key(bar: Bar):
-    birth, death = bar
-    return (birth, death == INF, death)
+    return tuple(tuple(sorted(b)) for b in bars)
 
 
 def betti_numbers(K: SimplicialComplex, field: FieldSpec = F2) -> tuple[int, ...]:
     """Betti numbers over F_p for degrees 0..dim K.
 
-    Under the constant filter at 0 every finite bar would be (0, 0) and is
-    suppressed, so the bars left in degree q are (0, inf), one per basis
-    element of H_q(K).
+    With every level 0 each finite bar would be (0, 0) and is suppressed, so
+    the bars left in degree q are (0, inf), one per basis element of H_q(K).
     """
-    return infinite_bar_counts(barcode_of_filter(constant_filter(K, 0), field))
+    return infinite_bar_counts(level_barcode(K, (0,) * len(K), field))
 
 
 def infinite_bar_counts(barcode: TotalBarcode) -> tuple[int, ...]:

@@ -6,6 +6,10 @@ is the disjoint union of these strata. A stratum is recorded as its ordered
 block sequence plus two flags saying whether the first block sits at 0 and
 whether the last sits at 1. The unflagged blocks carry the stratum's interior
 dimension, one free value each.
+
+A stratum's barcode type depends only on its block order, so it is read off
+the barcode of its integer levels (stratum_levels); representative_filter,
+the same levels over m + 1 as Fractions, is for the API.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError
-from .persistence import Filter, barcode_of_filter
+from .persistence import Filter, check_monotone, level_barcode
 from .simplicial import F2, FieldSpec, Simplex, SimplicialComplex
 
 MODES = ("all", "interior_only", "lower_star")
@@ -146,31 +150,34 @@ def enumerate_filter_strata(
     return tuple(out)
 
 
+def stratum_levels(K: SimplicialComplex, stratum: FilterStratum) -> tuple[int, ...]:
+    """Per simplex in canonical order, the value position of its block.
+
+    A block pinned at 0 has level 0 and the next blocks 1, 2, ..., so a block
+    pinned at 1 has level m + 1 for the interior dimension m. These are the
+    values of representative_filter times m + 1.
+    """
+    first = 0 if stratum.at_zero else 1
+    level = {s: first + i for i, block in enumerate(stratum.blocks) for s in block}
+    if level.keys() != K.index.keys():
+        raise DomainError("stratum does not partition the simplices of this complex")
+    levels = tuple(level[s] for s in K.simplices)
+    check_monotone(K, levels)
+    return levels
+
+
 def representative_filter(K: SimplicialComplex, stratum: FilterStratum) -> Filter:
     """The evenly spaced filter of the stratum: 0, 1/(m+1), ..., m/(m+1), 1."""
-    if stratum.support() != frozenset(K.simplices):
-        raise DomainError("stratum does not partition the simplices of this complex")
     m = stratum.interior_dim
-    values: dict[Simplex, Fraction] = {}
-    pos = 0
-    for i, block in enumerate(stratum.blocks):
-        if stratum.at_zero and i == 0:
-            v = Fraction(0)
-        elif stratum.at_one and i == len(stratum.blocks) - 1:
-            v = Fraction(1)
-        else:
-            pos += 1
-            v = Fraction(pos, m + 1)
-        for s in block:
-            values[s] = v
-    return Filter(K, tuple(values[s] for s in K.simplices))
+    return Filter(K, tuple(Fraction(v, m + 1) for v in stratum_levels(K, stratum)))
 
 
 def barcode_of_stratum(
     K: SimplicialComplex, stratum: FilterStratum, field: FieldSpec = F2
 ) -> CombinatorialBarcode:
     """Combinatorial barcode type shared by every filter of the stratum."""
-    return canonicalize_barcode(barcode_of_filter(representative_filter(K, stratum), field))
+    levels = stratum_levels(K, stratum)
+    return canonicalize_barcode(level_barcode(K, levels, field), stratum.interior_dim + 1)
 
 
 def stratum_closure_leq(low: FilterStratum, high: FilterStratum) -> bool:
@@ -203,6 +210,11 @@ def stratum_closure_leq(low: FilterStratum, high: FilterStratum) -> bool:
     return True
 
 
+def bounded_deficit(K: SimplicialComplex, T: CombinatorialBarcode) -> Fraction:
+    """Half the simplices not accounted for by a finite endpoint of T."""
+    return Fraction(len(K) - T.finite_endpoint_count(), 2)
+
+
 @dataclass(frozen=True)
 class BarcodeStratumRecord:
     """One barcode stratum of the image, with its member filter strata."""
@@ -220,8 +232,8 @@ def group_strata_by_barcode(
 ) -> tuple[BarcodeStratumRecord, ...]:
     """Group strata by barcode type, sorted by (codimension, type string).
 
-    Each stratum's type is the canonical barcode of its representative filter,
-    computed once, in enumeration order, by the one column-reduction kernel.
+    Each stratum's type is the canonical barcode of its levels, computed once,
+    in enumeration order, by the one column-reduction kernel.
     """
     groups: dict[CombinatorialBarcode, list[int]] = {}
     for i, st in enumerate(strata):
@@ -231,7 +243,7 @@ def group_strata_by_barcode(
             barcode_type=T,
             member_ids=tuple(ids),
             codim=len(K) - T.dim,
-            bounded_deficit=Fraction(len(K) - T.finite_endpoint_count(), 2),
+            bounded_deficit=bounded_deficit(K, T),
         )
         for T, ids in groups.items()
     ]

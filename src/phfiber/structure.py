@@ -9,11 +9,11 @@ fiber by permuting cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError
 from .fiber import FiberComplex
-from .persistence import INF, Filter, barcode_of_filter, filter_from_values, make_filter
+from .persistence import INF, Filter, level_barcode, make_filter
 from .simplicial import (
     F2,
     FieldSpec,
@@ -46,17 +46,18 @@ def _inclusion_is_iso(
 ) -> bool:
     """True when including the complement of the removed ids is a homology iso.
 
-    Filter K by 0 on the kept subcomplex and 1 on the removed simplices. Its
-    barcode is the interval decomposition of the map H(sub) -> H(K): a (0, 1)
-    bar is a class of sub that dies in K (the kernel), a (1, inf) bar a class
-    of K not coming from sub (the cokernel), and a (0, inf) bar a class mapped
-    isomorphically. So the inclusion is an isomorphism exactly when every bar
-    is (0, inf).
+    Filter K by level 0 on the kept subcomplex and 1 on the removed
+    simplices; is_removable's closedness check is exactly the monotonicity of
+    these levels. Their barcode is the interval decomposition of the map
+    H(sub) -> H(K): a (0, 1) bar is a class of sub that dies in K (the
+    kernel), a (1, inf) bar a class of K not coming from sub (the cokernel),
+    and a (0, inf) bar a class mapped isomorphically. So the inclusion is an
+    isomorphism exactly when every bar is (0, inf).
     """
-    filt = filter_from_values(K, (int(i in removed) for i in range(len(K))))
+    levels = tuple(int(i in removed) for i in range(len(K)))
     return all(
         birth == 0 and death == INF
-        for bars in barcode_of_filter(filt, field)
+        for bars in level_barcode(K, levels, field)
         for birth, death in bars
     )
 
@@ -86,12 +87,13 @@ def is_removable(
     return RemovabilityReport(ordered, True, _inclusion_is_iso(K, removed, field))
 
 
-def _upward_closed_masks(K: SimplicialComplex, budget: int) -> list[int]:
-    """Masks of the nonempty coface-closed subsets, smallest first.
+def _upward_closed_masks(K: SimplicialComplex, budget: int) -> Iterator[int]:
+    """Masks of the nonempty coface-closed subsets in (size, mask) order.
 
-    Only these subsets have subcomplex complements. Ids are processed in
-    descending order so a simplex may join only after all of its cofaces,
-    which always have larger ids, already did.
+    Only these subsets have subcomplex complements. Dropping a minimal
+    element keeps a set coface-closed, so the sets of size k+1 are those of
+    size k plus a simplex whose cofaces they all hold. A size is built only
+    once the last one was consumed; past `budget` masks, DomainError.
     """
     n = len(K)
     coface_masks = [0] * n
@@ -100,21 +102,23 @@ def _upward_closed_masks(K: SimplicialComplex, budget: int) -> list[int]:
         for i in range(n):
             if faces >> i & 1:
                 coface_masks[i] |= 1 << j
-    out: list[int] = []
-
-    def rec(pos: int, mask: int) -> None:
-        if pos < 0:
-            if mask:
-                out.append(mask)
-                if len(out) > budget:
-                    raise DomainError("too large for exhaustive essentiality")
+    steps = [(1 << i, coface_masks[i]) for i in range(n)]
+    level = [0]
+    count = 0
+    while True:
+        level = sorted({
+            mask | bit
+            for mask in level
+            for bit, cofaces in steps
+            if not mask & bit and mask & cofaces == cofaces
+        })
+        if not level:
             return
-        rec(pos - 1, mask)
-        if coface_masks[pos] & ~mask == 0:
-            rec(pos - 1, mask | 1 << pos)
-
-    rec(n - 1, 0)
-    return sorted(out, key=lambda m: (bin(m).count("1"), m))
+        for mask in level:
+            count += 1
+            if count > budget:
+                raise DomainError("too large for exhaustive essentiality")
+            yield mask
 
 
 def find_removable_subset(

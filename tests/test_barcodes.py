@@ -8,6 +8,7 @@ import phfiber as ph
 from phfiber import INF, DomainError, ParseError
 from phfiber.barcodes import (
     ZERO,
+    CombinatorialBarcode,
     EndpointMap,
     all_endpoint_maps,
     apply_endpoint_map_to_type,
@@ -144,6 +145,33 @@ def test_apply_endpoint_map_reranks(types):
     assert apply_endpoint_map_to_type(phi, T) == types["mobius"]
     ident = ph.identity_endpoint_map(T)
     assert apply_endpoint_map_to_type(ident, T) == T
+
+
+def _rerank_image(phi, T):
+    """The push-forward as an explicit re-ranking of the used target ranks."""
+    degrees, _ = map_bars_raw(phi, T)
+    mt = phi.target_dim
+    used = sorted({s for deg in degrees for bar in deg for s in bar if 1 <= s <= mt})
+    rerank = {r: i + 1 for i, r in enumerate(used)}
+    m_new = len(used)
+    rerank.update({ZERO: ZERO, mt + 1: m_new + 1, mt + 2: m_new + 2})
+    return CombinatorialBarcode(
+        m_new,
+        tuple(tuple(sorted((rerank[b], rerank[d]) for b, d in deg)) for deg in degrees),
+    )
+
+
+def test_apply_endpoint_map_matches_reranking_on_triangle_types(triangle):
+    """Every map out of an all-mode triangle type into 0..dim ranks."""
+    strata = ph.enumerate_filter_strata(triangle, "all")
+    cases = 0
+    for rec in ph.group_strata_by_barcode(triangle, strata):
+        T = rec.barcode_type
+        for mt in range(T.dim + 1):
+            for phi in all_endpoint_maps(T.dim, mt):
+                assert apply_endpoint_map_to_type(phi, T) == _rerank_image(phi, T)
+                cases += 1
+    assert cases == 35_399
 
 
 def test_all_endpoint_maps_enumeration():

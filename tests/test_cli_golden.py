@@ -23,9 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 COMPLEXES = ("demos/complexes/interval.json", "demos/complexes/triangle.json")
 
-if __package__ in (None, "") and __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(GOLDEN.parent)]
 
 from phfiber.cli import main  # noqa: E402
 
@@ -76,9 +75,9 @@ def _key(argv: list[str]) -> str:
 
 def test_cli_output_matches_the_recorded_digests():
     golden = json.loads(GOLDEN.read_text())
-    keys = [_key(argv) for argv in cases()]
-    assert sorted(keys) == sorted(golden), "the case list differs from the recording"
-    mismatched = [k for k, argv in zip(keys, cases()) if replay(argv) != golden[k]]
+    recorded = {_key(argv): argv for argv in cases()}
+    assert recorded.keys() == golden.keys(), "the case list differs from the recording"
+    mismatched = [k for k, argv in recorded.items() if replay(argv) != golden[k]]
     assert not mismatched, f"{len(mismatched)} cases differ, first: {mismatched[0]}"
 
 

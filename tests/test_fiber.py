@@ -22,7 +22,12 @@ from phfiber.fiber import (
     check_dimension_bound,
     fiber_dimension,
 )
-from phfiber.strata import FilterStratum, is_lower_star_stratum, stratum_closure_leq
+from phfiber.strata import (
+    FilterStratum,
+    is_lower_star_stratum,
+    stratum_closure_leq,
+    stratum_levels,
+)
 
 from conftest import FIBER_CENSUS, TYPE_STRINGS
 
@@ -379,6 +384,23 @@ def test_face_poset_matches_oracle_on_small_path4_fibers():
     assert sum(len(fc.face_relation) for fc in small) > 0
     for fc in small:
         assert_matches_closure_oracle(fc)
+
+
+def test_zero_cells_are_their_levels(triangle):
+    """Every 0-cell's rank vector is its stratum's levels, and the Fraction
+    filter fiber_vertices builds from it lies over the fiber's type."""
+    fibers = list(fibers_over_types(triangle, "all"))
+    assert len(fibers) == 142
+    for fc in fibers:
+        T = fc.barcode_type
+        zero = fc.zero_cells()
+        vertices = ph.fiber_vertices(fc)
+        assert len(vertices) == len(zero) > 0
+        for i, f in zip(zero, vertices):
+            vec = fc.cells[i].rank_vector
+            assert vec == stratum_levels(fc.complex, fc.cells[i].stratum)
+            assert f.values == tuple(Fraction(s, T.dim + 1) for s in vec)
+            assert ph.canonicalize_barcode(ph.barcode_of_filter(f, fc.field)) == T
 
 
 def test_facets_are_the_codimension_one_coarsenings():

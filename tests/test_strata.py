@@ -12,6 +12,7 @@ from phfiber.strata import (
     is_lower_star_stratum,
     serialize_stratum,
     stratum_closure_leq,
+    stratum_levels,
 )
 
 from conftest import TRIANGLE_CODIM_COUNTS
@@ -107,6 +108,43 @@ def test_representative_filter_requires_full_support(triangle, interval):
     st = FilterStratum((frozenset({a, b, ab}),), False, False)
     with pytest.raises(DomainError, match="partition"):
         ph.representative_filter(triangle, st)
+
+
+@pytest.mark.parametrize(
+    "maximal, mode",
+    [
+        ([[0, 1]], "all"),
+        ([[0, 1], [1, 2], [0, 2]], "all"),
+        ([[0, 1, 2]], "interior_only"),
+        ([[0, 1], [1, 2], [2, 3]], "interior_only"),
+    ],
+    ids=["interval", "triangle", "filled_triangle", "path4"],
+)
+def test_level_barcode_matches_the_representative_filter(maximal, mode):
+    """Oracle for the integer-level path: the levels are the representative
+    filter's values times m + 1, and the stratum's type is the canonical type
+    of that Fraction filter's barcode."""
+    K = ph.build_complex(maximal)
+    for st in ph.enumerate_filter_strata(K, mode):
+        m = st.interior_dim
+        rep = ph.representative_filter(K, st)
+        assert rep.values == tuple(Fraction(v, m + 1) for v in stratum_levels(K, st))
+        for p in (2, 3):
+            field = ph.FieldSpec(p)
+            expected = ph.canonicalize_barcode(ph.barcode_of_filter(rep, field))
+            assert ph.barcode_of_stratum(K, st, field) == expected
+
+
+def test_barcode_of_stratum_rejects_bad_strata(triangle, interval):
+    a, b, ab = interval.simplices
+    backwards = FilterStratum((frozenset({ab}), frozenset({a, b})))
+    with pytest.raises(DomainError) as err:
+        ph.barcode_of_stratum(interval, backwards)
+    assert str(err.value) == "not a filter: face {1} has larger value than {0,1}"
+    foreign = FilterStratum((frozenset({a, b, ab}),))
+    with pytest.raises(DomainError) as err:
+        ph.barcode_of_stratum(triangle, foreign)
+    assert str(err.value) == "stratum does not partition the simplices of this complex"
 
 
 def test_barcode_of_stratum(interval):

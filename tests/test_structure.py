@@ -78,6 +78,15 @@ def test_essentiality_budget_guard(triangle):
     assert DEFAULT_BUDGET >= 1 << 20
 
 
+def test_essentiality_stops_at_the_first_witness():
+    """The whisker's vertex and edge are the sixth of 478 coface-closed
+    subsets, so a budget of 10 reaches them."""
+    K = ph.build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [3, 4]])
+    witness = find_removable_subset(K, budget=10)
+    assert [s.vertices for s in witness] == [(4,), (3, 4)]
+    assert sum(1 for _ in _upward_closed_masks(K, DEFAULT_BUDGET)) == 478
+
+
 def test_removability_agrees_across_fields(interval):
     a, b, ab = interval.simplices
     for p in (2, 3, 5):
@@ -153,7 +162,7 @@ def test_removability_matches_relative_homology(maximal):
 
 
 def test_rp2_removability_matches_relative_homology(rp2):
-    masks = _upward_closed_masks(rp2, DEFAULT_BUDGET)
+    masks = list(_upward_closed_masks(rp2, DEFAULT_BUDGET))
     assert len(masks) == 147_244
     _check_against_relative_homology(rp2, masks[:500])
 
