@@ -153,14 +153,8 @@ def decompose_codim1(c: MorphismClass) -> tuple[MorphismClass, ...]:
     phi = c.representative
     while T.dim > c.target.dim:
         eps = _elementary_factor(T, phi)
-        _, step_matching = map_bars_raw(eps, T)
         T_next = _apply_collapse(T, eps)
-        for cls in enumerate_morphism_classes(T, T_next):
-            if cls.bar_matching == step_matching:
-                steps.append(cls)
-                break
-        else:
-            raise DomainError("elementary collapse induces no enumerated class")
+        steps.append(_class_of_map(T, T_next, eps))
         phi = _quotient_map(eps, phi)
         T = T_next
     if T != c.target or phi.rank_images != tuple(range(1, T.dim + 1)):

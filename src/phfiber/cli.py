@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import io
+from . import fiber, io, strata
 from .barcodes import parse_barcode_type
 from .category import enumerate_morphism_classes, morphism_class_between
 from .errors import DomainError
@@ -32,8 +32,9 @@ from .structure import (
     symmetry_action_on_fiber,
 )
 
-STRATUM_MODES = {"all": "all", "interior": "interior_only", "lower-star": "lower_star"}
-FIBER_MODES = {"all": "all", "lower-star": "lower_star"}
+# CLI token -> internal mode name, from the one token table in io.
+STRATUM_MODES = {io.MODE_TOKENS[mode]: mode for mode in strata.MODES}
+FIBER_MODES = {io.MODE_TOKENS[mode]: mode for mode in fiber.FIBER_MODES}
 
 
 def _field(args) -> FieldSpec:

@@ -8,7 +8,11 @@ the gaps, and a gap with k free blocks contributes a k-simplex factor. The
 face relation is stratum coarsening, so the whole complex is combinatorial;
 no coordinates beyond symbol rank vectors are ever needed.
 
-Candidates are rechecked on the barcode of their integer levels
+Candidates come from the strata walker (strata._walk_partitions) with an
+Euler-count step: a partial partition is pruned as soon as a block's Euler
+count differs from the birth/death balance of the symbol it takes (0 when the
+block is free).
+They are rechecked on the barcode of their integer levels
 (strata.stratum_levels), where a block is pinned when its level is an
 endpoint; a 0-cell's levels are its symbols, so its rank vector is its levels.
 
@@ -30,7 +34,8 @@ from .persistence import Filter, TotalBarcode, betti_numbers, level_barcode
 from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
 from .strata import (
     FilterStratum,
-    _closed_subsets,
+    _strata_from_masks,
+    _walk_partitions,
     bounded_deficit,
     is_lower_star_stratum,
     serialize_stratum,
@@ -109,69 +114,43 @@ def _symbol_events(T: CombinatorialBarcode) -> tuple[dict[int, int], set[int]]:
     return chi, present
 
 
-def _candidate_strata(K: SimplicialComplex, T: CombinatorialBarcode) -> set[FilterStratum]:
+def _candidate_strata(K: SimplicialComplex, T: CombinatorialBarcode) -> list[FilterStratum]:
     """Monotone partitions that could map to T, by Euler-count pruning.
 
     Every block entering at a pinned symbol must change the sublevel Euler
     characteristic by that symbol's birth/death balance, and blocks at free
     values must not change it at all. These conditions are necessary, so the
     survivors are rechecked against the exact barcode by the caller.
+
+    The walk's state is (at_zero, next symbol to pin, at_one). The first block
+    is pinned at 0 exactly when ZERO is present, since it holds a vertex; a
+    last block pinned at 1 may carry no events, when its births and deaths
+    cancel.
     """
-    m = T.dim
+    m, one = T.dim, T.one
     chi, present = _symbol_events(T)
-    sign = tuple((-1) ** s.dim for s in K.simplices)
+    odd = sum(1 << i for i, s in enumerate(K.simplices) if s.dim % 2)
     full = (1 << len(K)) - 1
 
-    def chi_of(mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += sign[i]
-            mask >>= 1
-            i += 1
-        return total
+    def step(state, placed, S):
+        at_zero, rank, _ = state
+        c = (S & ~odd).bit_count() - (S & odd).bit_count()
+        if rank == ZERO:
+            moves = [(True, 1, False)] if c == chi[ZERO] else []
+        else:
+            moves = [(at_zero, rank, False)] if c == 0 else []
+            if rank <= m and c == chi[rank]:
+                moves.append((at_zero, rank + 1, False))
+        if placed | S != full:
+            return moves
+        # The last block: all ranks are placed, and a present ONE is pinned.
+        if rank > m and c == chi[one]:
+            moves.append((at_zero, rank, True))
+        return [st for st in moves if st[1] > m and (st[2] or one not in present)]
 
-    out: set[FilterStratum] = set()
-
-    def emit(blocks: tuple[int, ...], at_zero: bool, at_one: bool) -> None:
-        if not blocks:
-            return
-        simplex_blocks = tuple(
-            frozenset(K.simplices[i] for i in range(len(K)) if b >> i & 1)
-            for b in blocks
-        )
-        if len(blocks) == 1 and at_zero and at_one:
-            return
-        out.add(FilterStratum(simplex_blocks, at_zero, at_one))
-
-    def rec(placed: int, blocks: tuple[int, ...], at_zero: bool, next_rank: int) -> None:
-        rest = full & ~placed
-        if next_rank > m:
-            # Inside the last gap; close with the 1-end or finish flagless.
-            if T.one in present:
-                if rest and chi_of(rest) == chi[T.one]:
-                    emit(blocks + (rest,), at_zero, True)
-            else:
-                if rest == 0:
-                    emit(blocks, at_zero, False)
-                elif chi_of(rest) == 0:
-                    # A block at value 1 whose events all cancel in pairs.
-                    emit(blocks + (rest,), at_zero, True)
-        for S in _closed_subsets(K, rest, placed):
-            c = chi_of(S)
-            if c == 0:
-                rec(placed | S, blocks + (S,), at_zero, next_rank)
-            if next_rank <= m and c == chi[next_rank]:
-                rec(placed | S, blocks + (S,), at_zero, next_rank + 1)
-
-    if ZERO in present:
-        for S in _closed_subsets(K, full, 0):
-            if chi_of(S) == chi[ZERO]:
-                rec(S, (S,), True, 1)
-    else:
-        rec(0, (), False, 1)
-    return out
+    start = (False, ZERO if ZERO in present else 1, False)
+    leaves = {(b, z, o) for b, (z, _, o) in _walk_partitions(K, step, start)}
+    return list(_strata_from_masks(K, leaves))
 
 
 def _block_labels(

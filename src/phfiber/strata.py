@@ -7,6 +7,10 @@ block sequence plus two flags saying whether the first block sits at 0 and
 whether the last sits at 1. The unflagged blocks carry the stratum's interior
 dimension, one free value each.
 
+Strata are enumerated by one walker over block bitmasks on canonical ids,
+which the fiber's candidate search also runs with a pruning step; masks become
+frozensets of Simplex objects only when a FilterStratum is returned.
+
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels); representative_filter,
 the same levels over m + 1 as Fractions, is for the API.
@@ -64,45 +68,54 @@ def serialize_stratum(stratum: FilterStratum, K: SimplicialComplex) -> str:
     return text
 
 
-def _closed_subsets(
-    K: SimplicialComplex, remaining: int, placed: int
-) -> Iterator[int]:
+def _closed_subsets(K: SimplicialComplex, remaining: int, placed: int) -> list[int]:
     """Nonempty subsets S of `remaining` with all faces inside placed | S.
 
     Sets are bitmasks over canonical ids. Faces have smaller ids than their
-    cofaces, so a single ascending pass decides inclusion exactly.
+    cofaces, so one ascending pass decides inclusion exactly: each subset
+    built so far is extended by id i when i's faces lie in placed | subset.
     """
-    members = [i for i in range(len(K)) if remaining >> i & 1]
-
-    def rec(pos: int, current: int) -> Iterator[int]:
-        if pos == len(members):
-            if current:
-                yield current
-            return
-        i = members[pos]
-        yield from rec(pos + 1, current)
-        if K.face_masks[i] & ~(placed | current) == 0:
-            yield from rec(pos + 1, current | (1 << i))
-
-    yield from rec(0, 0)
+    subsets = [0]
+    for i in range(len(K)):
+        if remaining >> i & 1:
+            faces = K.face_masks[i]
+            subsets += [S | 1 << i for S in subsets if faces & ~(placed | S) == 0]
+    return subsets[1:]
 
 
-def _monotone_partitions(K: SimplicialComplex) -> Iterator[tuple[int, ...]]:
-    """All ordered set partitions of K compatible with the face order."""
+def _walk_partitions(
+    K: SimplicialComplex, step=lambda state, placed, S: (state,), state=None
+) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Ordered set partitions of K compatible with the face order, as block masks.
+
+    step(state, placed, S) gives the states reached by appending the closed
+    block S after the blocks whose union is `placed`; a branch with no state
+    is pruned. Yields each complete partition with the state it ended in.
+    """
     full = (1 << len(K)) - 1
-
-    def rec(placed: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    stack = [(0, (), state)]
+    while stack:
+        placed, blocks, state = stack.pop()
         if placed == full:
-            yield blocks
-            return
+            yield blocks, state
+            continue
         for S in _closed_subsets(K, full & ~placed, placed):
-            yield from rec(placed | S, blocks + (S,))
+            for nxt in step(state, placed, S):
+                stack.append((placed | S, blocks + (S,), nxt))
 
-    yield from rec(0, ())
 
-
-def _mask_to_block(K: SimplicialComplex, mask: int) -> frozenset[Simplex]:
-    return frozenset(K.simplices[i] for i in range(len(K)) if mask >> i & 1)
+def _strata_from_masks(
+    K: SimplicialComplex, leaves: Iterable[tuple[tuple[int, ...], bool, bool]]
+) -> Iterator[FilterStratum]:
+    """FilterStrata from (block masks, at_zero, at_one); equal masks share one block."""
+    blocks: dict[int, frozenset[Simplex]] = {}
+    for masks, at_zero, at_one in leaves:
+        for mask in masks:
+            if mask not in blocks:
+                blocks[mask] = frozenset(
+                    s for i, s in enumerate(K.simplices) if mask >> i & 1
+                )
+        yield FilterStratum(tuple(blocks[m] for m in masks), at_zero, at_one)
 
 
 def is_lower_star_stratum(stratum: FilterStratum) -> bool:
@@ -132,20 +145,20 @@ def enumerate_filter_strata(
     """
     if mode not in MODES:
         raise DomainError(f"unknown stratum mode {mode!r}, expected one of {MODES}")
-    out = []
-    for masks in _monotone_partitions(K):
-        blocks = tuple(_mask_to_block(K, m) for m in masks)
-        if mode == "all":
-            flag_choices = [(False, False), (True, False), (False, True), (True, True)]
-        else:
-            flag_choices = [(False, False)]
-        for at_zero, at_one in flag_choices:
-            if at_zero and at_one and len(blocks) == 1:
-                continue
-            stratum = FilterStratum(blocks, at_zero, at_one)
-            if mode == "lower_star" and not is_lower_star_stratum(stratum):
-                continue
-            out.append(stratum)
+    flags = [(False, False)]
+    if mode == "all":
+        flags += [(True, False), (False, True), (True, True)]
+    leaves = (
+        (masks, at_zero, at_one)
+        for masks, _ in _walk_partitions(K)
+        for at_zero, at_one in flags
+        if not (at_zero and at_one and len(masks) == 1)
+    )
+    out = [
+        st
+        for st in _strata_from_masks(K, leaves)
+        if mode != "lower_star" or is_lower_star_stratum(st)
+    ]
     out.sort(key=lambda st: serialize_stratum(st, K))
     return tuple(out)
 

@@ -403,6 +403,24 @@ def test_zero_cells_are_their_levels(triangle):
             assert ph.canonicalize_barcode(ph.barcode_of_filter(f, fc.field)) == T
 
 
+@pytest.mark.parametrize(
+    "maximal",
+    [[[0, 1]], [[0, 1], [1, 2], [0, 2]], [[0, 1, 2]], [[0, 1], [2, 3]]],
+    ids=["interval", "triangle", "filled_triangle", "two_intervals"],
+)
+def test_euler_pruning_keeps_every_member_stratum(maximal):
+    """Oracle for the Euler-pruned candidate search: the cells of the fiber
+    over each all-mode type are exactly the strata grouped under that type."""
+    K = ph.build_complex(maximal)
+    strata = ph.enumerate_filter_strata(K, "all")
+    for p in (2, 3):
+        field = ph.FieldSpec(p)
+        for rec in ph.group_strata_by_barcode(K, strata, field):
+            fc = ph.fiber_complex(K, rec.barcode_type, field, "all")
+            assert len(fc.cells) == len(rec.member_ids)
+            assert {c.stratum for c in fc.cells} == {strata[i] for i in rec.member_ids}
+
+
 def test_facets_are_the_codimension_one_coarsenings():
     K = ph.build_complex([[0, 1], [1, 2]])
     strata = ph.enumerate_filter_strata(K, "all")

@@ -34,10 +34,20 @@ def count_monotone_surjections(K):
     return total
 
 
-def test_interval_interior_strata_count_matches_oracle(interval):
-    strata = ph.enumerate_filter_strata(interval, "interior_only")
-    assert len(strata) == 6
-    assert count_monotone_surjections(interval) == 6
+@pytest.mark.parametrize(
+    "maximal, count",
+    [
+        ([[0, 1]], 6),
+        ([[0, 1], [1, 2], [0, 2]], 446),
+        ([[0, 1], [2, 3]], 730),
+        ([[0, 1, 2]], 892),
+    ],
+    ids=["interval", "triangle", "two_intervals", "filled_triangle"],
+)
+def test_interior_strata_count_matches_oracle(maximal, count):
+    K = ph.build_complex(maximal)
+    assert len(ph.enumerate_filter_strata(K, "interior_only")) == count
+    assert count_monotone_surjections(K) == count
 
 
 def test_interval_all_mode_adds_flag_combinations(interval):
@@ -45,12 +55,6 @@ def test_interval_all_mode_adds_flag_combinations(interval):
     # each partition admits 4 flag choices except the single block, which
     # cannot be pinned at both ends
     assert len(strata) == 4 * 6 - 1 == 23
-
-
-def test_triangle_interior_strata_count_matches_oracle(triangle):
-    strata = ph.enumerate_filter_strata(triangle, "interior_only")
-    assert len(strata) == 446
-    assert count_monotone_surjections(triangle) == 446
 
 
 def test_triangle_all_mode_count(triangle):
