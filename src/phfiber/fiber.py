@@ -11,15 +11,16 @@ no coordinates beyond symbol rank vectors are ever needed.
 Candidates come from the strata walker (strata._walk_partitions) with an
 Euler-count step: a partial partition is pruned as soon as a block's Euler
 count differs from the birth/death balance of the symbol it takes (0 when the
-block is free).
-They are rechecked on the barcode of their integer levels
-(strata.stratum_levels), where a block is pinned when its level is an
-endpoint; a 0-cell's levels are its symbols, so its rank vector is its levels.
+block is free). A surviving leaf's block masks are its stratum's blocks, so
+cells, their facets and the monodromy images are all built on masks. They are
+rechecked on the barcode of their integer levels (strata.stratum_levels),
+where a block is pinned when its level is an endpoint; a 0-cell's levels are
+its symbols, so its rank vector is its levels.
 
 The face relation is built locally. The codimension-1 coarsenings of a
-stratum are the merges of two adjacent blocks and the pinning of the first
-block at 0 or of the last block at 1; those that are cells of the fiber are
-the cell's facets. Cells are sorted by dimension, so one pass in that order
+stratum are the merges of two adjacent blocks (the OR of their masks) and the
+pinning of the first block at 0 or of the last block at 1; those that are
+cells of the fiber are the cell's facets. Cells are sorted by dimension, so one pass in that order
 collects every cell's faces as its facets together with their faces.
 """
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .persistence import Filter, TotalBarcode, betti_numbers, level_barcode
 from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
 from .strata import (
     FilterStratum,
-    _strata_from_masks,
     _walk_partitions,
     bounded_deficit,
     is_lower_star_stratum,
@@ -150,7 +150,7 @@ def _candidate_strata(K: SimplicialComplex, T: CombinatorialBarcode) -> list[Fil
 
     start = (False, ZERO if ZERO in present else 1, False)
     leaves = {(b, z, o) for b, (z, _, o) in _walk_partitions(K, step, start)}
-    return list(_strata_from_masks(K, leaves))
+    return [FilterStratum(b, z, o) for b, z, o in leaves]
 
 
 def _block_labels(
@@ -256,7 +256,7 @@ def fiber_complex(
         raise DomainError(f"unknown fiber mode {mode!r}, expected one of {FIBER_MODES}")
     cells = []
     for st in _candidate_strata(K, T):
-        if mode == "lower_star" and not is_lower_star_stratum(st):
+        if mode == "lower_star" and not is_lower_star_stratum(K, st):
             continue
         levels = stratum_levels(K, st)
         raw = level_barcode(K, levels, field)

@@ -17,7 +17,7 @@ from .errors import ParseError
 from .fiber import FiberComplex, TriangulatedFiber, fiber_dimension
 from .monodromy import MonodromyMap
 from .simplicial import SimplicialComplex, build_complex, simplex
-from .strata import BarcodeStratumRecord, FilterStratum
+from .strata import BarcodeStratumRecord, FilterStratum, mask_ids
 
 MODE_TOKENS = {"all": "all", "interior_only": "interior", "lower_star": "lower-star"}
 
@@ -76,9 +76,10 @@ def load_complex(path: str) -> SimplicialComplex:
 
 
 def stratum_doc(stratum: FilterStratum, K: SimplicialComplex) -> dict:
+    """Each block as the vertex lists of its simplices, in canonical id order."""
     return {
         "blocks": [
-            [list(s.vertices) for s in sorted(block, key=lambda s: s.sort_key)]
+            [list(K.simplices[i].vertices) for i in mask_ids(block)]
             for block in stratum.blocks
         ],
         "at_zero": stratum.at_zero,
@@ -86,11 +87,20 @@ def stratum_doc(stratum: FilterStratum, K: SimplicialComplex) -> dict:
     }
 
 
-def parse_stratum_doc(doc) -> FilterStratum:
+def _block_mask(K: SimplicialComplex, block) -> int:
+    mask = 0
+    for vs in block:
+        s = simplex(vs)
+        if s not in K:
+            raise ParseError(f"stratum simplex {s} is not in the complex")
+        mask |= 1 << K.index[s]
+    return mask
+
+
+def parse_stratum_doc(doc, K: SimplicialComplex) -> FilterStratum:
+    """The stratum of a stratum_doc, with blocks as masks over K's ids."""
     try:
-        blocks = tuple(
-            frozenset(simplex(vs) for vs in block) for block in doc["blocks"]
-        )
+        blocks = tuple(_block_mask(K, block) for block in doc["blocks"])
         return FilterStratum(blocks, bool(doc["at_zero"]), bool(doc["at_one"]))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed stratum document: {exc}") from exc

@@ -57,27 +57,28 @@ def _image_stratum(cell: FiberCell, phi) -> FilterStratum:
     Blocks sharing an image value merge; a free block keeps its gap when the
     gap's delimiters stay distinct and is pinned at their common image
     otherwise. Bucket order follows the target values: the pin at symbol t
-    sits between the free blocks of gaps t-1 and t.
+    sits between the free blocks of gaps t-1 and t. Free blocks keep their
+    source order, in which their gaps, and so their images, never decrease.
     """
     mp = phi.target_dim
-    pins: dict[int, set] = {t: set() for t in range(ZERO, mp + 2)}
-    frees: list[tuple[int, int, frozenset]] = []
-    for i, (block, (kind, pos)) in enumerate(zip(cell.stratum.blocks, cell.labels)):
+    pins = dict.fromkeys(range(ZERO, mp + 2), 0)
+    frees: list[tuple[int, int]] = []
+    for block, (kind, pos) in zip(cell.stratum.blocks, cell.labels):
         if kind == "pin":
-            pins[phi(pos)].update(block)
+            pins[phi(pos)] |= block
         else:
             lo, hi = phi(pos), phi(pos + 1)
             if lo == hi:
-                pins[lo].update(block)
+                pins[lo] |= block
             else:
-                frees.append((lo, i, block))
-    blocks: list[frozenset] = []
+                frees.append((lo, block))
+    blocks: list[int] = []
     for t in range(ZERO, mp + 2):
         if pins[t]:
-            blocks.append(frozenset(pins[t]))
+            blocks.append(pins[t])
         elif 1 <= t <= mp:
             raise DomainError("image stratum misses a pinned endpoint")
-        blocks.extend(b for g, _, b in sorted(frees, key=lambda f: f[:2]) if g == t)
+        blocks.extend(b for g, b in frees if g == t)
     return FilterStratum(tuple(blocks), bool(pins[ZERO]), bool(pins[mp + 1]))
 
 

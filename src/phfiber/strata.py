@@ -7,9 +7,11 @@ block sequence plus two flags saying whether the first block sits at 0 and
 whether the last sits at 1. The unflagged blocks carry the stratum's interior
 dimension, one free value each.
 
-Strata are enumerated by one walker over block bitmasks on canonical ids,
-which the fiber's candidate search also runs with a pruning step; masks become
-frozensets of Simplex objects only when a FilterStratum is returned.
+A block is a bitmask over the complex's canonical simplex ids (bit i set when
+simplex i lies in the block). Strata are enumerated by one walker over these
+masks, which the fiber's candidate search also runs with a pruning step, and
+every consumer reads the masks directly; Simplex objects appear only in the
+JSON documents (io.stratum_doc, io.parse_stratum_doc).
 
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels); representative_filter,
@@ -24,22 +26,28 @@ from typing import Iterable, Iterator
 from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError
 from .persistence import Filter, check_monotone, level_barcode
-from .simplicial import F2, FieldSpec, Simplex, SimplicialComplex
+from .simplicial import F2, FieldSpec, SimplicialComplex
 
 MODES = ("all", "interior_only", "lower_star")
 
 
 @dataclass(frozen=True)
 class FilterStratum:
-    """An ordered monotone set partition of the simplices, with end flags."""
+    """An ordered monotone set partition of the simplices, with end flags.
 
-    blocks: tuple[frozenset[Simplex], ...]
+    Each block is a positive int, the bitmask of its canonical simplex ids.
+    """
+
+    blocks: tuple[int, ...]
     at_zero: bool = False
     at_one: bool = False
 
     def __post_init__(self) -> None:
-        if not self.blocks or any(not b for b in self.blocks):
-            raise DomainError("stratum blocks must be nonempty")
+        if not self.blocks or any(type(b) is not int or b <= 0 for b in self.blocks):
+            raise DomainError(
+                "stratum blocks must be nonempty bitmasks over canonical simplex ids "
+                f"(positive ints), got {self.blocks!r}"
+            )
         if len(self.blocks) == 1 and self.at_zero and self.at_one:
             raise DomainError("a single block cannot be pinned at both 0 and 1")
 
@@ -47,25 +55,28 @@ class FilterStratum:
     def interior_dim(self) -> int:
         return len(self.blocks) - int(self.at_zero) - int(self.at_one)
 
-    def block_of(self) -> dict[Simplex, int]:
-        return {s: i for i, b in enumerate(self.blocks) for s in b}
+    def support(self) -> int:
+        """The union of the blocks, as a mask."""
+        mask = 0
+        for b in self.blocks:
+            mask |= b
+        return mask
 
-    def support(self) -> frozenset[Simplex]:
-        return frozenset(s for b in self.blocks for s in b)
+
+def mask_ids(mask: int) -> list[int]:
+    """The ids of the set bits of a mask, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def serialize_stratum(stratum: FilterStratum, K: SimplicialComplex) -> str:
-    """Stable text id: canonical simplex ids per block, flags appended."""
-    parts = [
-        ".".join(str(i) for i in sorted(K.index[s] for s in block))
-        for block in stratum.blocks
-    ]
-    text = "|".join(parts)
-    if stratum.at_zero:
-        text += "+z"
-    if stratum.at_one:
-        text += "+o"
-    return text
+    """Stable text id: canonical simplex ids of K per block, flags appended."""
+    text = "|".join(".".join(map(str, mask_ids(b))) for b in stratum.blocks)
+    return text + "+z" * stratum.at_zero + "+o" * stratum.at_one
 
 
 def _closed_subsets(K: SimplicialComplex, remaining: int, placed: int) -> list[int]:
@@ -104,34 +115,21 @@ def _walk_partitions(
                 stack.append((placed | S, blocks + (S,), nxt))
 
 
-def _strata_from_masks(
-    K: SimplicialComplex, leaves: Iterable[tuple[tuple[int, ...], bool, bool]]
-) -> Iterator[FilterStratum]:
-    """FilterStrata from (block masks, at_zero, at_one); equal masks share one block."""
-    blocks: dict[int, frozenset[Simplex]] = {}
-    for masks, at_zero, at_one in leaves:
-        for mask in masks:
-            if mask not in blocks:
-                blocks[mask] = frozenset(
-                    s for i, s in enumerate(K.simplices) if mask >> i & 1
-                )
-        yield FilterStratum(tuple(blocks[m] for m in masks), at_zero, at_one)
-
-
-def is_lower_star_stratum(stratum: FilterStratum) -> bool:
+def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
     """True when every filter of the stratum is a lower-star filter.
 
     Equivalent block criterion: each simplex of positive dimension lies in
-    the same block as its last vertex, i.e. every non-vertex simplex shares
-    its block with at least one of its own vertices.
+    the same block as its last vertex, i.e. all its vertices are placed by
+    its own block and at least one of them lies in it.
     """
-    block_of = stratum.block_of()
+    vertices = (1 << len(K.vertex_ids)) - 1  # vertices come first in id order
+    placed = 0
     for block in stratum.blocks:
-        for s in block:
-            if s.dim > 0:
-                top = max(block_of[Simplex((v,))] for v in s.vertices)
-                if top != block_of[s]:
-                    return False
+        placed |= block
+        for i in mask_ids(block & ~vertices):
+            own = K.face_masks[i] & vertices
+            if own & ~placed or not own & block:
+                return False
     return True
 
 
@@ -148,17 +146,14 @@ def enumerate_filter_strata(
     flags = [(False, False)]
     if mode == "all":
         flags += [(True, False), (False, True), (True, True)]
-    leaves = (
-        (masks, at_zero, at_one)
+    out = [
+        FilterStratum(masks, at_zero, at_one)
         for masks, _ in _walk_partitions(K)
         for at_zero, at_one in flags
         if not (at_zero and at_one and len(masks) == 1)
-    )
-    out = [
-        st
-        for st in _strata_from_masks(K, leaves)
-        if mode != "lower_star" or is_lower_star_stratum(st)
     ]
+    if mode == "lower_star":
+        out = [st for st in out if is_lower_star_stratum(K, st)]
     out.sort(key=lambda st: serialize_stratum(st, K))
     return tuple(out)
 
@@ -170,13 +165,16 @@ def stratum_levels(K: SimplicialComplex, stratum: FilterStratum) -> tuple[int, .
     pinned at 1 has level m + 1 for the interior dimension m. These are the
     values of representative_filter times m + 1.
     """
-    first = 0 if stratum.at_zero else 1
-    level = {s: first + i for i, block in enumerate(stratum.blocks) for s in block}
-    if level.keys() != K.index.keys():
+    # The blocks partition the ids exactly when their union is every id and
+    # their sum equals their union; overlapping blocks sum to more.
+    if not sum(stratum.blocks) == stratum.support() == (1 << len(K)) - 1:
         raise DomainError("stratum does not partition the simplices of this complex")
-    levels = tuple(level[s] for s in K.simplices)
+    levels = [0] * len(K)
+    for level, block in enumerate(stratum.blocks, 0 if stratum.at_zero else 1):
+        for i in mask_ids(block):
+            levels[i] = level
     check_monotone(K, levels)
-    return levels
+    return tuple(levels)
 
 
 def representative_filter(K: SimplicialComplex, stratum: FilterStratum) -> Filter:
@@ -206,20 +204,16 @@ def stratum_closure_leq(low: FilterStratum, high: FilterStratum) -> bool:
         return False
     if high.at_one and not low.at_one:
         return False
-    low_of = low.block_of()
-    prev = 0
-    for hi_pos, block in enumerate(high.blocks):
-        targets = {low_of[s] for s in block}
-        if len(targets) != 1:
-            return False
-        t = targets.pop()
-        if t < prev:
-            return False
-        prev = t
-        if high.at_zero and hi_pos == 0 and t != 0:
-            return False
-        if high.at_one and hi_pos == len(high.blocks) - 1 and t != len(low.blocks) - 1:
-            return False
+    # Each block of high lies inside one block of low, at nondecreasing
+    # positions t; low's blocks are disjoint, so a forward scan finds it.
+    # With equal supports the first and last blocks of high then land in
+    # the first and last blocks of low, so pinned ends stay pinned.
+    lows, t = low.blocks, 0
+    for h in high.blocks:
+        while h & ~lows[t]:
+            t += 1
+            if t == len(lows):
+                return False
     return True
 
 

@@ -23,7 +23,7 @@ from .simplicial import (
     automorphisms,
     is_automorphism,
 )
-from .strata import FilterStratum
+from .strata import FilterStratum, mask_ids
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -41,10 +41,8 @@ class RemovabilityReport:
         return self.is_subcomplex_complement and self.homology_preserved
 
 
-def _inclusion_is_iso(
-    K: SimplicialComplex, removed: set[int], field: FieldSpec
-) -> bool:
-    """True when including the complement of the removed ids is a homology iso.
+def _inclusion_is_iso(K: SimplicialComplex, removed: int, field: FieldSpec) -> bool:
+    """True when including the complement of the removed mask is a homology iso.
 
     Filter K by level 0 on the kept subcomplex and 1 on the removed
     simplices; is_removable's closedness check is exactly the monotonicity of
@@ -54,7 +52,7 @@ def _inclusion_is_iso(
     and a (0, inf) bar a class mapped isomorphically. So the inclusion is an
     isomorphism exactly when every bar is (0, inf).
     """
-    levels = tuple(int(i in removed) for i in range(len(K)))
+    levels = tuple(removed >> i & 1 for i in range(len(K)))
     return all(
         birth == 0 and death == INF
         for bars in level_barcode(K, levels, field)
@@ -70,17 +68,12 @@ def is_removable(
     for s in chosen:
         if s not in K:
             raise DomainError(f"subset simplex {s} is not in the complex")
-    removed = {K.index[s] for s in chosen}
-    ordered = tuple(K.simplices[i] for i in sorted(removed))
-    if len(removed) == len(K):
+    removed = sum(1 << K.index[s] for s in chosen)
+    ordered = tuple(K.simplices[i] for i in mask_ids(removed))
+    full = (1 << len(K)) - 1
+    if removed == full:
         return RemovabilityReport(ordered, True, False)
-    closed = all(
-        f not in removed
-        for j, facets in enumerate(K.facet_ids)
-        if j not in removed
-        for f in facets
-    )
-    if not closed:
+    if any(K.face_masks[j] & removed for j in mask_ids(full & ~removed)):
         return RemovabilityReport(ordered, False, False)
     if not removed:
         return RemovabilityReport(ordered, True, True)
@@ -124,11 +117,15 @@ def _upward_closed_masks(K: SimplicialComplex, budget: int) -> Iterator[int]:
 def find_removable_subset(
     K: SimplicialComplex, field: FieldSpec = F2, budget: int = DEFAULT_BUDGET
 ) -> tuple[Simplex, ...] | None:
-    """First nonempty removable subset in (size, mask) order, or None."""
+    """First nonempty removable subset in (size, mask) order, or None.
+
+    Every walked mask is coface-closed, so its complement is a subcomplex
+    and only the homology test remains; removing all of K never counts.
+    """
+    full = (1 << len(K)) - 1
     for mask in _upward_closed_masks(K, budget):
-        subset = tuple(K.simplices[i] for i in range(len(K)) if mask >> i & 1)
-        if is_removable(K, subset, field).removable:
-            return subset
+        if mask != full and _inclusion_is_iso(K, mask, field):
+            return tuple(K.simplices[i] for i in mask_ids(mask))
     return None
 
 
@@ -162,20 +159,15 @@ def symmetry_action_on_fiber(
     the barcode type is preserved and the fiber's cells are permuted with
     0-cells going to 0-cells.
     """
-    if not is_automorphism(fc.complex, perm):
+    K = fc.complex
+    if not is_automorphism(K, perm):
         raise DomainError("permutation is not an automorphism of the complex")
+    image = [K.index[apply_permutation(perm, s)] for s in K.simplices]
     out = []
     for cell in fc.cells:
         st = cell.stratum
-        mapped = FilterStratum(
-            tuple(
-                frozenset(apply_permutation(perm, s) for s in block)
-                for block in st.blocks
-            ),
-            st.at_zero,
-            st.at_one,
-        )
-        out.append(fc.cell_index(mapped))
+        blocks = tuple(sum(1 << image[i] for i in mask_ids(b)) for b in st.blocks)
+        out.append(fc.cell_index(FilterStratum(blocks, st.at_zero, st.at_one)))
     return tuple(out)
 
 

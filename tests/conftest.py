@@ -109,6 +109,16 @@ def random_monotone_filter(K, rng, denominator=64):
     return ph.make_filter(K, values)
 
 
+def block_masks(K, *blocks):
+    """Stratum blocks as bitmasks over K's canonical ids, one per list of simplices."""
+    return tuple(sum(1 << K.index[s] for s in set(block)) for block in blocks)
+
+
+def block_simplices(K, mask):
+    """The simplices of K in a block mask, in canonical order."""
+    return [s for i, s in enumerate(K.simplices) if mask >> i & 1]
+
+
 COMPLEX_POOL = [
     [[0, 1]],
     [[0, 1], [1, 2]],

@@ -17,7 +17,13 @@ from phfiber.fiber import boundary_circuits, check_dimension_bound, fiber_dimens
 from phfiber.monodromy import monodromy_map
 from phfiber.strata import FilterStratum, stratum_closure_leq
 
-from conftest import COMPLEX_POOL, TYPE_STRINGS, random_monotone_filter
+from conftest import (
+    COMPLEX_POOL,
+    TYPE_STRINGS,
+    block_masks,
+    block_simplices,
+    random_monotone_filter,
+)
 
 
 def _report(num, ok, detail):
@@ -30,7 +36,7 @@ def test_criterion_01_triangle_stratum_counts():
     K = ph.build_complex([[0, 1], [1, 2], [0, 2]])
     strata = ph.enumerate_filter_strata(K, "interior_only")
     records = ph.group_strata_by_barcode(K, strata)
-    injective = sum(1 for st in strata if all(len(b) == 1 for b in st.blocks))
+    injective = sum(1 for st in strata if all(b.bit_count() == 1 for b in st.blocks))
     top = sum(1 for r in records if r.codim == 0)
     elapsed = time.perf_counter() - start
     ok = injective == 48 and top == 3 and len(records) == 34 and elapsed < 10
@@ -155,12 +161,13 @@ def test_criterion_07_interval_fibers(interval):
 def test_criterion_08_path_square_cell(path5):
     sx = {s.vertices: s for s in path5.simplices}
     st = FilterStratum(
-        (
-            frozenset({sx[(0,)]}),
-            frozenset({sx[(1,)], sx[(0, 1)]}),
-            frozenset({sx[(3,)]}),
-            frozenset({sx[(2,)], sx[(1, 2)], sx[(2, 3)]}),
-            frozenset({sx[(4,)], sx[(3, 4)]}),
+        block_masks(
+            path5,
+            [sx[(0,)]],
+            [sx[(1,)], sx[(0, 1)]],
+            [sx[(3,)]],
+            [sx[(2,)], sx[(1, 2)], sx[(2, 3)]],
+            [sx[(4,)], sx[(3, 4)]],
         ),
         True,
         False,
@@ -280,7 +287,7 @@ def test_criterion_11_property_suites(triangle, triangle_records, triangle_fiber
             level = {
                 s: Fraction(values[i], 64)
                 for i, block in enumerate(st.blocks)
-                for s in block
+                for s in block_simplices(triangle, block)
             }
             f = ph.make_filter(triangle, level)
             assert ph.canonicalize_barcode(ph.barcode_of_filter(f)) == T
@@ -323,7 +330,7 @@ def test_criterion_11_property_suites(triangle, triangle_records, triangle_fiber
     top = [
         st
         for st in strata
-        if all(len(b) == 1 for b in st.blocks)
+        if all(b.bit_count() == 1 for b in st.blocks)
     ]
     witness_hits = 0
     for rec in triangle_records:

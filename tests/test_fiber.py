@@ -29,7 +29,7 @@ from phfiber.strata import (
     stratum_levels,
 )
 
-from conftest import FIBER_CENSUS, TYPE_STRINGS
+from conftest import FIBER_CENSUS, TYPE_STRINGS, block_masks, block_simplices
 
 
 def multinomial(shape):
@@ -152,12 +152,13 @@ def test_interval_fiber_over_single_infinite_bar(interval):
 def test_path5_pinned_stratum_is_a_square_cell(path5):
     sx = {s.vertices: s for s in path5.simplices}
     st = FilterStratum(
-        (
-            frozenset({sx[(0,)]}),
-            frozenset({sx[(1,)], sx[(0, 1)]}),
-            frozenset({sx[(3,)]}),
-            frozenset({sx[(2,)], sx[(1, 2)], sx[(2, 3)]}),
-            frozenset({sx[(4,)], sx[(3, 4)]}),
+        block_masks(
+            path5,
+            [sx[(0,)]],
+            [sx[(1,)], sx[(0, 1)]],
+            [sx[(3,)]],
+            [sx[(2,)], sx[(1, 2)], sx[(2, 3)]],
+            [sx[(4,)], sx[(3, 4)]],
         ),
         True,
         False,
@@ -270,7 +271,7 @@ def test_unknown_fiber_mode_rejected(triangle, types):
 def test_cell_index_rejects_foreign_stratum(triangle_fibers, interval):
     fc = triangle_fibers[TYPE_STRINGS["point"]]
     a, b, ab = interval.simplices
-    foreign = FilterStratum((frozenset({a, b, ab}),), False, False)
+    foreign = FilterStratum(block_masks(interval, [a, b, ab]), False, False)
     with pytest.raises(DomainError, match="not a cell"):
         fc.cell_index(foreign)
 
@@ -294,7 +295,7 @@ def test_interval_dimension_bounds(interval):
 def test_lower_star_fiber_over_mobius_type(triangle, types):
     fc = ph.fiber_complex(triangle, types["mobius"], mode="lower_star")
     assert cell_counts(fc) == {0: 6, 1: 6}
-    assert all(is_lower_star_stratum(c.stratum) for c in fc.cells)
+    assert all(is_lower_star_stratum(triangle, c.stratum) for c in fc.cells)
     assert ph.fiber_homology(ph.triangulate_fiber(fc)) == (1, 1)
 
 
@@ -329,7 +330,7 @@ def labels_from_values(K, stratum, field):
     value = dict(zip(K.simplices, rep.values))
     labels = []
     for block in stratum.blocks:
-        v = value[next(iter(block))]
+        v = value[block_simplices(K, block)[0]]
         if v in cuts:
             labels.append(("pin", cuts.index(v)))
         else:

@@ -82,15 +82,18 @@ def test_load_complex_reads_a_file(tmp_path, triangle):
 def test_stratum_doc_round_trip(triangle):
     for st in ph.enumerate_filter_strata(triangle, "all")[:40]:
         doc = stratum_doc(st, triangle)
-        assert parse_stratum_doc(doc) == st
+        assert parse_stratum_doc(doc, triangle) == st
         json.loads(dumps(doc))
 
 
-def test_parse_stratum_doc_rejects_malformed():
+def test_parse_stratum_doc_rejects_malformed(interval):
     with pytest.raises(ParseError, match="malformed stratum"):
-        parse_stratum_doc({"blocks": [[[0]]]})
+        parse_stratum_doc({"blocks": [[[0]]]}, interval)
     with pytest.raises(ParseError, match="malformed stratum"):
-        parse_stratum_doc({"blocks": 5, "at_zero": False, "at_one": False})
+        parse_stratum_doc({"blocks": 5, "at_zero": False, "at_one": False}, interval)
+    foreign = {"blocks": [[[0], [2]], [[1], [0, 1]]], "at_zero": False, "at_one": False}
+    with pytest.raises(ParseError, match=r"stratum simplex \{2\} is not in the complex"):
+        parse_stratum_doc(foreign, interval)
 
 
 def test_strata_doc_lists_every_stratum(interval):

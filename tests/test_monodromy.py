@@ -12,7 +12,7 @@ from phfiber.category import MorphismClass, identity_class, morphism_class_betwe
 from phfiber.barcodes import EndpointMap
 from phfiber.monodromy import compose_monodromies, monodromy_map
 
-from conftest import TYPE_STRINGS
+from conftest import TYPE_STRINGS, block_masks
 
 
 def get_fiber(triangle_fibers, name):
@@ -69,8 +69,8 @@ def _blocks(filt):
     """The ordered partition of the simplices by filter value."""
     by_value = {}
     for s, v in zip(filt.complex.simplices, filt.values):
-        by_value.setdefault(v, set()).add(s)
-    return tuple(frozenset(by_value[v]) for v in sorted(by_value))
+        by_value.setdefault(v, []).append(s)
+    return block_masks(filt.complex, *(by_value[v] for v in sorted(by_value)))
 
 
 def _collapse_gap(filt, lo, hi):

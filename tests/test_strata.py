@@ -15,7 +15,7 @@ from phfiber.strata import (
     stratum_levels,
 )
 
-from conftest import TRIANGLE_CODIM_COUNTS
+from conftest import TRIANGLE_CODIM_COUNTS, block_masks
 
 
 def count_monotone_surjections(K):
@@ -63,7 +63,7 @@ def test_triangle_all_mode_count(triangle):
 
 def test_injective_strata_are_linear_extensions(triangle):
     strata = ph.enumerate_filter_strata(triangle, "interior_only")
-    injective = [st for st in strata if all(len(b) == 1 for b in st.blocks)]
+    injective = [st for st in strata if all(b.bit_count() == 1 for b in st.blocks)]
     face_pairs = [
         (f, s) for s in triangle.simplices for f in s.facets()
     ]
@@ -89,27 +89,27 @@ def test_strata_are_deterministically_ordered(triangle):
 
 def test_interior_dim_counts_blocks_minus_flags(interval):
     a, b, ab = interval.simplices
-    st = FilterStratum((frozenset({a}), frozenset({b, ab})), False, False)
+    st = FilterStratum(block_masks(interval, [a], [b, ab]), False, False)
     assert st.interior_dim == 2
-    st0 = FilterStratum((frozenset({a}), frozenset({b, ab})), True, False)
+    st0 = FilterStratum(block_masks(interval, [a], [b, ab]), True, False)
     assert st0.interior_dim == 1
-    st01 = FilterStratum((frozenset({a}), frozenset({b, ab})), True, True)
+    st01 = FilterStratum(block_masks(interval, [a], [b, ab]), True, True)
     assert st01.interior_dim == 0
 
 
 def test_representative_filter_spacing(interval):
     a, b, ab = interval.simplices
-    st = FilterStratum((frozenset({a}), frozenset({b, ab})), False, False)
+    st = FilterStratum(block_masks(interval, [a], [b, ab]), False, False)
     f = ph.representative_filter(interval, st)
     assert (f[a], f[b], f[ab]) == (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
-    st0 = FilterStratum((frozenset({a}), frozenset({b, ab})), True, False)
+    st0 = FilterStratum(block_masks(interval, [a], [b, ab]), True, False)
     f0 = ph.representative_filter(interval, st0)
     assert (f0[a], f0[b], f0[ab]) == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
 
 
 def test_representative_filter_requires_full_support(triangle, interval):
     a, b, ab = interval.simplices
-    st = FilterStratum((frozenset({a, b, ab}),), False, False)
+    st = FilterStratum(block_masks(interval, [a, b, ab]), False, False)
     with pytest.raises(DomainError, match="partition"):
         ph.representative_filter(triangle, st)
 
@@ -141,35 +141,45 @@ def test_level_barcode_matches_the_representative_filter(maximal, mode):
 
 def test_barcode_of_stratum_rejects_bad_strata(triangle, interval):
     a, b, ab = interval.simplices
-    backwards = FilterStratum((frozenset({ab}), frozenset({a, b})))
+    backwards = FilterStratum(block_masks(interval, [ab], [a, b]))
     with pytest.raises(DomainError) as err:
         ph.barcode_of_stratum(interval, backwards)
     assert str(err.value) == "not a filter: face {1} has larger value than {0,1}"
-    foreign = FilterStratum((frozenset({a, b, ab}),))
-    with pytest.raises(DomainError) as err:
-        ph.barcode_of_stratum(triangle, foreign)
-    assert str(err.value) == "stratum does not partition the simplices of this complex"
+    not_a_partition = [
+        (triangle, FilterStratum(block_masks(interval, [a, b, ab]))),  # missing ids
+        (interval, FilterStratum(block_masks(interval, [a, b], [b, ab]))),  # overlap
+        (interval, FilterStratum(block_masks(interval, [a, b, ab]) + (1 << 3,))),
+    ]
+    for K, st in not_a_partition:
+        with pytest.raises(DomainError) as err:
+            ph.barcode_of_stratum(K, st)
+        assert str(err.value) == "stratum does not partition the simplices of this complex"
+    # blocks are positive int masks; anything else fails at construction
+    for bad in (frozenset({a}), 0, -1, True):
+        with pytest.raises(DomainError, match="bitmasks over canonical simplex ids"):
+            FilterStratum((bad,) + block_masks(interval, [b, ab]))
 
 
 def test_barcode_of_stratum(interval):
     a, b, ab = interval.simplices
-    st = FilterStratum((frozenset({a}), frozenset({b}), frozenset({ab})), False, False)
+    st = FilterStratum(block_masks(interval, [a], [b], [ab]), False, False)
     T = ph.barcode_of_stratum(interval, st)
     assert ph.format_barcode_type(T) == "0:(1,inf),(2,3)"
 
 
 def test_lower_star_predicate(interval):
     a, b, ab = interval.simplices
-    ties = FilterStratum((frozenset({a}), frozenset({b, ab})), False, False)
-    assert is_lower_star_stratum(ties)
-    apart = FilterStratum(
-        (frozenset({a}), frozenset({b}), frozenset({ab})), False, False
-    )
-    assert not is_lower_star_stratum(apart)
+    ties = FilterStratum(block_masks(interval, [a], [b, ab]), False, False)
+    assert is_lower_star_stratum(interval, ties)
+    apart = FilterStratum(block_masks(interval, [a], [b], [ab]), False, False)
+    assert not is_lower_star_stratum(interval, apart)
+    # a vertex placed after its coface is not a lower-star ordering either
+    late_vertex = FilterStratum(block_masks(interval, [a, ab], [b]), False, False)
+    assert not is_lower_star_stratum(interval, late_vertex)
     # the predicate looks at blocks only; flagged strata are excluded by the
     # enumeration mode, not by the predicate
-    pinned = FilterStratum((frozenset({a}), frozenset({b, ab})), True, False)
-    assert is_lower_star_stratum(pinned)
+    pinned = FilterStratum(block_masks(interval, [a], [b, ab]), True, False)
+    assert is_lower_star_stratum(interval, pinned)
     assert pinned not in ph.enumerate_filter_strata(interval, "lower_star")
 
 
@@ -189,20 +199,18 @@ def test_closure_order_is_reflexive_and_antisymmetric(interval):
 
 def test_closure_order_examples(interval):
     a, b, ab = interval.simplices
-    fine = FilterStratum(
-        (frozenset({a}), frozenset({b}), frozenset({ab})), False, False
-    )
-    coarse = FilterStratum((frozenset({a}), frozenset({b, ab})), False, False)
-    point = FilterStratum((frozenset({a, b, ab}),), False, False)
+    fine = FilterStratum(block_masks(interval, [a], [b], [ab]), False, False)
+    coarse = FilterStratum(block_masks(interval, [a], [b, ab]), False, False)
+    point = FilterStratum(block_masks(interval, [a, b, ab]), False, False)
     assert stratum_closure_leq(coarse, fine)
     assert stratum_closure_leq(point, fine)
     assert not stratum_closure_leq(fine, coarse)
     # pinning an end moves into the closure, never out of it
-    pinned = FilterStratum((frozenset({a}), frozenset({b, ab})), True, False)
+    pinned = FilterStratum(block_masks(interval, [a], [b, ab]), True, False)
     assert stratum_closure_leq(pinned, coarse)
     assert not stratum_closure_leq(coarse, pinned)
     # merging away from the pinned end is blocked
-    merged_off_zero = FilterStratum((frozenset({a, b, ab}),), False, False)
+    merged_off_zero = FilterStratum(block_masks(interval, [a, b, ab]), False, False)
     assert not stratum_closure_leq(merged_off_zero, pinned)
 
 
@@ -246,9 +254,9 @@ def test_grouping_members_have_the_grouped_barcode(triangle, triangle_records):
 
 def test_serialize_stratum_shows_blocks_and_flags(interval):
     a, b, ab = interval.simplices
-    st = FilterStratum((frozenset({a}), frozenset({b, ab})), True, False)
+    st = FilterStratum(block_masks(interval, [a], [b, ab]), True, False)
     text = serialize_stratum(st, interval)
     flipped = serialize_stratum(
-        FilterStratum((frozenset({a}), frozenset({b, ab})), False, True), interval
+        FilterStratum(block_masks(interval, [a], [b, ab]), False, True), interval
     )
     assert text != flipped

@@ -14,7 +14,7 @@ from phfiber.structure import (
     is_removable,
 )
 
-from conftest import TYPE_STRINGS
+from conftest import TYPE_STRINGS, block_masks, block_simplices
 
 
 def test_interval_top_pair_is_removable(interval):
@@ -159,6 +159,15 @@ def test_removability_matches_relative_homology(maximal):
     isomorphism exactly when H(K, sub) vanishes."""
     K = ph.build_complex(maximal)
     _check_against_relative_homology(K, _upward_closed_masks(K, DEFAULT_BUDGET))
+    # the search returns the first walked subset that is_removable accepts
+    for p in (2, 3):
+        field = ph.FieldSpec(p)
+        subsets = (
+            tuple(block_simplices(K, mask))
+            for mask in _upward_closed_masks(K, DEFAULT_BUDGET)
+        )
+        first = next((s for s in subsets if is_removable(K, s, field).removable), None)
+        assert find_removable_subset(K, field) == first
 
 
 def test_rp2_removability_matches_relative_homology(rp2):
@@ -267,9 +276,12 @@ def test_stratum_barcode_is_symmetry_invariant(triangle):
     for st in sample:
         T = ph.barcode_of_stratum(triangle, st)
         for perm in ph.automorphisms(triangle):
-            blocks = tuple(
-                frozenset(ph.apply_permutation(perm, s) for s in b)
-                for b in st.blocks
+            blocks = block_masks(
+                triangle,
+                *(
+                    [ph.apply_permutation(perm, s) for s in block_simplices(triangle, b)]
+                    for b in st.blocks
+                ),
             )
             moved = type(st)(blocks, st.at_zero, st.at_one)
             assert ph.barcode_of_stratum(triangle, moved) == T
