@@ -23,7 +23,6 @@ from .category import (
 )
 from .errors import DomainError, InvariantError, ParseError
 from .fiber import (
-    cell_block_labels,
     DimensionBoundRow,
     FiberCell,
     FiberComplex,

@@ -16,6 +16,7 @@ from .barcodes import (
     CombinatorialBarcode,
     EndpointMap,
     all_endpoint_maps,
+    apply_endpoint_map_to_type,
     identity_endpoint_map,
     map_bars_raw,
 )
@@ -67,22 +68,15 @@ def enumerate_morphism_classes(
 
     Empty when no monotone endpoint map carries the bars of T onto the bars
     of Tp, which happens exactly when Tp is not a degeneration of T.
+    Every such map hits each rank of Tp, so it is simplicial. Maps come in
+    increasing order, so the last one seen with a matching is the largest.
     """
-    by_matching: dict[BarMatching, list[EndpointMap]] = {}
+    reps: dict[BarMatching, EndpointMap] = {}
     for phi in all_endpoint_maps(T.dim, Tp.dim):
         degrees, matching = map_bars_raw(phi, T)
-        if degrees != Tp.degrees:
-            continue
-        if phi.is_simplicial:
-            by_matching.setdefault(matching, []).append(phi)
-        else:
-            by_matching.setdefault(matching, [])
-    out = []
-    for matching, simplicial in by_matching.items():
-        if not simplicial:
-            raise DomainError("morphism class without a simplicial representative")
-        rep = max(simplicial, key=lambda p: p.rank_images)
-        out.append(MorphismClass(T, Tp, matching, rep))
+        if degrees == Tp.degrees:
+            reps[matching] = phi
+    out = [MorphismClass(T, Tp, matching, rep) for matching, rep in reps.items()]
     out.sort(key=lambda c: c.representative.rank_images)
     return tuple(out)
 
@@ -153,21 +147,15 @@ def decompose_codim1(c: MorphismClass) -> tuple[MorphismClass, ...]:
     phi = c.representative
     while T.dim > c.target.dim:
         eps = _elementary_factor(T, phi)
-        T_next = _apply_collapse(T, eps)
+        T_next = apply_endpoint_map_to_type(eps, T)
+        if T.dim - T_next.dim != 1:
+            raise DomainError("collapse does not drop the dimension by one")
         steps.append(_class_of_map(T, T_next, eps))
         phi = _quotient_map(eps, phi)
         T = T_next
     if T != c.target or phi.rank_images != tuple(range(1, T.dim + 1)):
         raise DomainError("decomposition did not terminate at the target type")
     return tuple(steps)
-
-
-def _apply_collapse(T: CombinatorialBarcode, eps: EndpointMap) -> CombinatorialBarcode:
-    degrees, _ = map_bars_raw(eps, T)
-    T_next = CombinatorialBarcode(eps.target_dim, degrees)
-    if T.dim - T_next.dim != 1:
-        raise DomainError("collapse does not drop the dimension by one")
-    return T_next
 
 
 def _quotient_map(eps: EndpointMap, phi: EndpointMap) -> EndpointMap:

@@ -13,21 +13,24 @@ Euler-count step: a partial partition is pruned as soon as a block's Euler
 count differs from the birth/death balance of the symbol it takes (0 when the
 block is free). A surviving leaf's block masks are its stratum's blocks, so
 cells, their facets and the monodromy images are all built on masks. They are
-rechecked on the barcode of their integer levels (strata.stratum_levels),
-where a block is pinned when its level is an endpoint; a 0-cell's levels are
-its symbols, so its rank vector is its levels.
+rechecked on the barcode of their integer levels (strata.stratum_levels), and
+one pass over a survivor's block levels builds its cell: a block is pinned
+when its level is 0, the top level or an endpoint, and free otherwise. A
+0-cell's levels are its symbols, so its rank vector is its levels.
 
 The face relation is built locally. The codimension-1 coarsenings of a
 stratum are the merges of two adjacent blocks (the OR of their masks) and the
 pinning of the first block at 0 or of the last block at 1; those that are
 cells of the fiber are the cell's facets. Cells are sorted by dimension, so one pass in that order
-collects every cell's faces as its facets together with their faces.
+collects every cell's faces as its facets together with their faces. The
+triangulation takes its maximal simplices from the cells that are no other
+cell's face.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .barcodes import ZERO, CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError, InvariantError
@@ -153,52 +156,34 @@ def _candidate_strata(K: SimplicialComplex, T: CombinatorialBarcode) -> list[Fil
     return [FilterStratum(b, z, o) for b, z, o in leaves]
 
 
-def _block_labels(
-    stratum: FilterStratum, raw: TotalBarcode, T: CombinatorialBarcode
-) -> tuple[tuple[str, int], ...]:
-    """Block labels from the barcode of the stratum's levels."""
+def _fiber_cell(
+    stratum: FilterStratum, levels: tuple[int, ...], raw: TotalBarcode, T: CombinatorialBarcode
+) -> FiberCell:
+    """The cell of a stratum over T, read off its block levels in one pass.
+
+    Level 0 is pinned at ZERO and level m + 1 at ONE, for the interior
+    dimension m. An interior level that is an endpoint of the level barcode
+    raw takes the next rank; any other level is free, in the gap after the
+    last rank taken. A 0-cell's levels are its rank vector.
+    """
     endpoints = {e for deg in raw for bar in deg for e in bar}
-    pinned = [i in endpoints for i in range(1, stratum.interior_dim + 1)]
-    if sum(pinned) != T.dim:
-        raise DomainError("stratum does not lie over the given barcode type")
+    top = stratum.interior_dim + 1
+    first = 0 if stratum.at_zero else 1
+    shape = [0] * (T.dim + 1)
     labels = []
     rank = 0
-    n_blocks = len(stratum.blocks)
-    for i in range(n_blocks):
-        if stratum.at_zero and i == 0:
+    for level in range(first, first + len(stratum.blocks)):
+        if level == 0:
             labels.append(("pin", ZERO))
-        elif stratum.at_one and i == n_blocks - 1:
-            labels.append(("pin", T.dim + 1))
-        elif pinned[len(labels) - (1 if stratum.at_zero else 0)]:
+        elif level == top:
+            labels.append(("pin", T.one))
+        elif level in endpoints:
             rank += 1
             labels.append(("pin", rank))
         else:
             labels.append(("free", rank))
-    return tuple(labels)
-
-
-def cell_block_labels(
-    K: SimplicialComplex, stratum: FilterStratum, T: CombinatorialBarcode, field: FieldSpec
-) -> tuple[tuple[str, int], ...]:
-    """Per block, ("pin", symbol of T) or ("free", gap index).
-
-    A block is pinned when its level is an endpoint of the level barcode;
-    pinned interior blocks carry the ranks 1..m in order, and a free block
-    belongs to the gap after the last rank seen.
-    """
-    raw = level_barcode(K, stratum_levels(K, stratum), field)
-    return _block_labels(stratum, raw, T)
-
-
-def _fiber_cell(
-    stratum: FilterStratum, levels: tuple[int, ...], labels: tuple[tuple[str, int], ...], m: int
-) -> FiberCell:
-    """The cell's gap shape, and for a 0-cell its levels as the rank vector."""
-    shape = [0] * (m + 1)
-    for kind, pos in labels:
-        if kind == "free":
-            shape[pos] += 1
-    return FiberCell(stratum, tuple(shape), None if any(shape) else levels, labels)
+            shape[rank] += 1
+    return FiberCell(stratum, tuple(shape), None if any(shape) else levels, tuple(labels))
 
 
 def _facet_strata(stratum: FilterStratum) -> Iterator[FilterStratum]:
@@ -261,7 +246,7 @@ def fiber_complex(
         levels = stratum_levels(K, st)
         raw = level_barcode(K, levels, field)
         if canonicalize_barcode(raw, st.interior_dim + 1) == T:
-            cells.append(_fiber_cell(st, levels, _block_labels(st, raw, T), T.dim))
+            cells.append(_fiber_cell(st, levels, raw, T))
     if not cells:
         raise DomainError("empty fiber")
     cells.sort(key=lambda c: (c.dim, serialize_stratum(c.stratum, K)))
@@ -300,14 +285,12 @@ class TriangulatedFiber:
 
     Vertices are the deduplicated rank vectors of the fiber's 0-cells; the
     simplices are the chains of those vectors under the pointwise symbol
-    order, taken within each cell. provenance[k] is the smallest cell id
-    whose chains produced maximal_simplices[k].
+    order, taken within each cell.
     """
 
     fiber: FiberComplex
     vertices: tuple[tuple[int, ...], ...]
     maximal_simplices: tuple[tuple[int, ...], ...]
-    provenance: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -356,12 +339,16 @@ def triangulate_fiber(fc: FiberComplex) -> TriangulatedFiber:
     """Staircase triangulation: per cell, the order complex of its 0-faces.
 
     Chains coming from a shared face agree, so the per-cell triangulations
-    glue; globally maximal chains are kept as the maximal simplices.
+    glue. A maximal chain of a cell spans a simplex whose interior lies in
+    the cell's interior, so it lies in no chain of another cell unless the
+    cell is a face of that one: the maximal simplices are exactly the
+    maximal chains of the maximal cells, each produced once.
     """
     vertices = sorted(fc.cells[i].rank_vector for i in fc.zero_cells())
     vid = {v: k for k, v in enumerate(vertices)}
+    faces = set().union(*fc.faces)
 
-    chains: dict[tuple[int, ...], int] = {}
+    maximal = []
     for ci, cell in enumerate(fc.cells):
         vecs = [fc.cells[i].rank_vector for i in fc.zero_faces_of(ci)]
         for chain in _maximal_chains(vecs):
@@ -371,22 +358,9 @@ def triangulate_fiber(fc: FiberComplex) -> TriangulatedFiber:
                     f"dimension {cell.dim} has a maximal chain of {len(chain)} "
                     f"0-faces, expected {cell.dim + 1}"
                 )
-            key = tuple(sorted(vid[v] for v in chain))
-            if key not in chains or ci < chains[key]:
-                chains[key] = ci
-    keys = sorted(chains)
-    sets = [frozenset(k) for k in keys]
-    maximal = [
-        k
-        for i, k in enumerate(keys)
-        if not any(j != i and sets[i] < sets[j] for j in range(len(keys)))
-    ]
-    return TriangulatedFiber(
-        fiber=fc,
-        vertices=tuple(vertices),
-        maximal_simplices=tuple(maximal),
-        provenance=tuple(chains[k] for k in maximal),
-    )
+            if ci not in faces:
+                maximal.append(tuple(sorted(vid[v] for v in chain)))
+    return TriangulatedFiber(fc, tuple(vertices), tuple(sorted(maximal)))
 
 
 def fiber_homology(tf: TriangulatedFiber, field: FieldSpec = F2) -> tuple[int, ...]:
@@ -399,6 +373,26 @@ def fiber_homology(tf: TriangulatedFiber, field: FieldSpec = F2) -> tuple[int, .
     return tuple(betti)
 
 
+def _components(
+    nodes: Iterable[int], pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, ...]]:
+    """Connected components of a graph, each sorted, ordered by least node."""
+    parent = {x: x for x in nodes}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for x in sorted(parent):
+        groups.setdefault(find(x), []).append(x)
+    return sorted(tuple(g) for g in groups.values())
+
+
 def boundary_circuits(tf: TriangulatedFiber) -> int:
     """Connected components of the edges lying on exactly one triangle."""
     if any(len(s) != 3 for s in tf.maximal_simplices):
@@ -408,19 +402,7 @@ def boundary_circuits(tf: TriangulatedFiber) -> int:
         for e in ((a, b), (a, c), (b, c)):
             incidence[e] = incidence.get(e, 0) + 1
     boundary = [e for e, n in incidence.items() if n == 1]
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in boundary:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        parent[find(a)] = find(b)
-    return len({find(x) for x in parent})
+    return len(_components({v for e in boundary for v in e}, boundary))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError
-from .fiber import FiberComplex
+from .fiber import FiberComplex, _components
 from .persistence import INF, Filter, level_barcode, make_filter
 from .simplicial import (
     F2,
@@ -173,18 +173,9 @@ def symmetry_action_on_fiber(
 
 def fiber_symmetry_orbits(fc: FiberComplex) -> tuple[tuple[int, ...], ...]:
     """Orbits of the fiber's cells under all automorphisms of the complex."""
-    parent = list(range(len(fc.cells)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in automorphisms(fc.complex):
-        for i, j in enumerate(symmetry_action_on_fiber(fc, perm)):
-            parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(fc.cells)):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(g) for g in sorted(groups.values()))
+    pairs = (
+        (i, j)
+        for perm in automorphisms(fc.complex)
+        for i, j in enumerate(symmetry_action_on_fiber(fc, perm))
+    )
+    return tuple(_components(range(len(fc.cells)), pairs))

@@ -74,10 +74,18 @@ def test_brute_force_class_count_to_the_most_degenerate_type(types):
 
 def test_representative_induces_the_recorded_matching(types):
     for src, tgt in itertools.permutations(types.values(), 2):
+        largest = {}
+        for phi in all_endpoint_maps(src.dim, tgt.dim):
+            degrees, matching = map_bars_raw(phi, src)
+            if degrees == tgt.degrees:
+                largest[matching] = max(
+                    largest.get(matching, phi), phi, key=lambda p: p.rank_images
+                )
         for cls in enumerate_morphism_classes(src, tgt):
             _, matching = map_bars_raw(cls.representative, src)
             assert matching == cls.bar_matching
             assert cls.representative.is_simplicial
+            assert cls.representative == largest[matching]
 
 
 def test_classes_have_distinct_matchings(types):

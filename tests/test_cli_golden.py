@@ -1,9 +1,10 @@
 """Golden CLI output: every recorded invocation prints the recorded bytes.
 
-Each case runs `phfiber.cli.main` in process on `demos/complexes/interval.json`
-or `demos/complexes/triangle.json` and compares the sha256 of stdout and of
-stderr, and the exit code, with `tests/golden_cli.json`. A refactor that is
-meant to leave results alone proves it by passing this test unchanged.
+Each case runs `phfiber.cli.main` in process on `demos/complexes/interval.json`,
+`demos/complexes/triangle.json` or, for one large fiber, `demos/complexes/path5.json`,
+and compares the sha256 of stdout and of stderr, and the exit code, with
+`tests/golden_cli.json`. A refactor that is meant to leave results alone proves
+it by passing this test unchanged.
 
 Re-record only for a deliberate change of output, and say which output
 changed and why in the same commit:
@@ -22,6 +23,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 COMPLEXES = ("demos/complexes/interval.json", "demos/complexes/triangle.json")
+# path5's fiber JSON over this type is 2,986,801 bytes, the largest output recorded.
+PATH5 = "demos/complexes/path5.json"
+PATH5_TYPE = "0:(zero,inf),(1,2)"
 
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(GOLDEN.parent)]
@@ -53,6 +57,10 @@ def cases() -> list[list[str]]:
     for S in types:
         for T in types:
             out.append(["monodromy", triangle, "--from", S, "--to", T])
+    for mode in ("all", "lower-star"):
+        out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--mode", mode])
+    out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--emit-dot"])
+    out.append(["homology", PATH5, "--barcode", PATH5_TYPE])
     return out
 
 
@@ -62,7 +70,7 @@ def _digest(text: str) -> str:
 
 def replay(argv: list[str]) -> dict:
     """Run one case in process; complex paths resolve against the repo root."""
-    args = [str(ROOT / a) if a in COMPLEXES else a for a in argv]
+    args = [str(ROOT / a) if a in (*COMPLEXES, PATH5) else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)

@@ -18,7 +18,6 @@ from phfiber.fiber import (
     _face_sets,
     _facet_strata,
     boundary_circuits,
-    cell_block_labels,
     check_dimension_bound,
     fiber_dimension,
 )
@@ -355,9 +354,7 @@ def assert_matches_closure_oracle(fc):
     for j, cell in enumerate(cells):
         assert fc.cell_index(cell.stratum) == j
         assert fc.zero_faces_of(j) == tuple(i for i in fc.zero_cells() if i in closure[j])
-        labels = cell_block_labels(fc.complex, cell.stratum, fc.barcode_type, fc.field)
-        assert cell.labels == labels
-        assert labels == labels_from_values(fc.complex, cell.stratum, fc.field)
+        assert cell.labels == labels_from_values(fc.complex, cell.stratum, fc.field)
 
 
 def test_face_poset_matches_oracle_on_every_triangle_type(triangle):
@@ -402,6 +399,52 @@ def test_zero_cells_are_their_levels(triangle):
             assert vec == stratum_levels(fc.complex, fc.cells[i].stratum)
             assert f.values == tuple(Fraction(s, T.dim + 1) for s in vec)
             assert ph.canonicalize_barcode(ph.barcode_of_filter(f, fc.field)) == T
+
+
+def globally_maximal_chains(fc):
+    """Every cell's maximal chains of 0-faces under the pointwise order, kept
+    when no other chain strictly contains them, as sorted vertex-id tuples."""
+    vertices = sorted(fc.cells[i].rank_vector for i in fc.zero_cells())
+    vid = {v: k for k, v in enumerate(vertices)}
+
+    def leq(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    chains = set()
+    for j in range(len(fc.cells)):
+        vecs = [fc.cells[i].rank_vector for i in fc.zero_faces_of(j)]
+
+        def extend(chain):
+            above = [v for v in vecs if v != chain[-1] and leq(chain[-1], v)]
+            covers = [v for v in above if not any(u != v and leq(u, v) for u in above)]
+            if not covers:
+                chains.add(frozenset(vid[v] for v in chain))
+            for v in covers:
+                extend(chain + [v])
+
+        for v in vecs:
+            if not any(u != v and leq(u, v) for u in vecs):
+                extend([v])
+    return sorted(tuple(sorted(c)) for c in chains if not any(c < d for d in chains))
+
+
+def test_triangulation_keeps_the_globally_maximal_chains(triangle, two_intervals):
+    """Chains of the maximal cells are the maximal simplices of the union of
+    every cell's chains."""
+    filled = ph.build_complex([[0, 1, 2]])
+    fibers = [
+        *fibers_over_types(triangle, "all"),
+        *fibers_over_types(filled, "all"),
+        *fibers_over_types(two_intervals, "all"),
+    ]
+    assert len(fibers) == 610
+    with_faces = 0
+    for fc in fibers:
+        tf = ph.triangulate_fiber(fc)
+        assert tf.vertices == tuple(sorted(fc.cells[i].rank_vector for i in fc.zero_cells()))
+        assert list(tf.maximal_simplices) == globally_maximal_chains(fc)
+        with_faces += bool(fc.face_relation)
+    assert with_faces == 128
 
 
 @pytest.mark.parametrize(
