@@ -14,8 +14,12 @@ every consumer reads the masks directly; Simplex objects appear only in the
 JSON documents (io.stratum_doc, io.parse_stratum_doc).
 
 A stratum's barcode type depends only on its block order, so it is read off
-the barcode of its integer levels (stratum_levels); representative_filter,
-the same levels over m + 1 as Fractions, is for the API.
+the barcode of its integer levels (stratum_levels, barcode_of_stratum);
+representative_filter, the same levels over m + 1 as Fractions, is for the
+API. group_strata_by_barcode types many strata at once: it visits them in
+order of their blocks and carries one column reduction down the shared
+block prefixes (persistence._PrefixReduction), so each block is reduced once
+per distinct prefix instead of all of K once per stratum.
 """
 from __future__ import annotations
 
@@ -24,8 +28,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
-from .errors import DomainError
-from .persistence import Filter, check_monotone, level_barcode
+from .errors import DomainError, InvariantError
+from .persistence import Filter, _PrefixReduction, check_monotone, level_barcode
 from .simplicial import F2, FieldSpec, SimplicialComplex
 
 MODES = ("all", "interior_only", "lower_star")
@@ -154,7 +158,16 @@ def enumerate_filter_strata(
     ]
     if mode == "lower_star":
         out = [st for st in out if is_lower_star_stratum(K, st)]
-    out.sort(key=lambda st: serialize_stratum(st, K))
+    texts: dict[int, str] = {}  # each distinct block's id text, built once
+
+    def key(st: FilterStratum) -> str:  # serialize_stratum(st, K)
+        for b in st.blocks:
+            if b not in texts:
+                texts[b] = ".".join(map(str, mask_ids(b)))
+        text = "|".join([texts[b] for b in st.blocks])
+        return text + "+z" * st.at_zero + "+o" * st.at_one
+
+    out.sort(key=key)
     return tuple(out)
 
 
@@ -239,16 +252,62 @@ def group_strata_by_barcode(
 ) -> tuple[BarcodeStratumRecord, ...]:
     """Group strata by barcode type, sorted by (codimension, type string).
 
-    Each stratum's type is the canonical barcode of its levels, computed once,
-    in enumeration order, by the one column-reduction kernel.
+    Member ids are positions in `strata`. Each stratum's type is that of
+    barcode_of_stratum, found without reducing all of K per stratum: the
+    strata are visited in order of their block tuples, so those sharing a
+    prefix of blocks (and the flag variants of one partition) are adjacent,
+    and one _PrefixReduction pops the blocks the next stratum does not share
+    and reduces only its new ones. A leaf's bars, in block indices, shift by
+    the flags to its level barcode, and each distinct (bars, flags, block
+    count) is canonicalized once. Every pushed block is checked as
+    stratum_levels would: disjoint from the placed blocks, inside the ids of
+    K, holding its faces with them, and the leaf covers every id; a failure
+    raises stratum_levels' DomainError.
     """
+    strata = list(strata)
+    full = (1 << len(K)) - 1
+    reduction = _PrefixReduction(K, field)
+    stack: tuple[int, ...] = ()  # blocks in place, each checked
+    placed = [0]  # union of the first k blocks in place, per k
+    bars = None
+    types: dict[tuple, CombinatorialBarcode] = {}
     groups: dict[CombinatorialBarcode, list[int]] = {}
-    for i, st in enumerate(strata):
-        groups.setdefault(barcode_of_stratum(K, st, field), []).append(i)
+    for i in sorted(range(len(strata)), key=lambda i: strata[i].blocks):
+        st = strata[i]
+        blocks = st.blocks
+        if blocks != stack:
+            k = 0
+            while k < len(stack) and k < len(blocks) and stack[k] == blocks[k]:
+                k += 1
+            for _ in range(len(stack) - k):
+                reduction.pop()
+                placed.pop()
+            for S in blocks[k:]:
+                before = placed[-1]
+                ids = mask_ids(S)
+                if S & (before | ~full) or any(
+                    K.face_masks[j] & ~(before | S) for j in ids
+                ):
+                    _reject(K, st)
+                reduction.push(ids)
+                placed.append(before | S)
+            if placed[-1] != full:
+                _reject(K, st)
+            stack = blocks
+            bars = reduction.bars()
+        key = (bars, st.at_zero, st.at_one, len(blocks))
+        T = types.get(key)
+        if T is None:
+            shift = 0 if st.at_zero else 1
+            levels = tuple(
+                tuple((b + shift, d + shift) for b, d in deg) for deg in bars
+            )
+            T = types[key] = canonicalize_barcode(levels, st.interior_dim + 1)
+        groups.setdefault(T, []).append(i)
     records = [
         BarcodeStratumRecord(
             barcode_type=T,
-            member_ids=tuple(ids),
+            member_ids=tuple(sorted(ids)),
             codim=len(K) - T.dim,
             bounded_deficit=bounded_deficit(K, T),
         )
@@ -256,3 +315,12 @@ def group_strata_by_barcode(
     ]
     records.sort(key=lambda r: (r.codim, format_barcode_type(r.barcode_type)))
     return tuple(records)
+
+
+def _reject(K: SimplicialComplex, stratum: FilterStratum) -> None:
+    """Raise stratum_levels' DomainError for a stratum that failed a block check."""
+    stratum_levels(K, stratum)
+    raise InvariantError(
+        f"stratum {serialize_stratum(stratum, K)} failed a block check "
+        "that stratum_levels passes"
+    )

@@ -1,8 +1,9 @@
 """Golden CLI output: every recorded invocation prints the recorded bytes.
 
 Each case runs `phfiber.cli.main` in process on `demos/complexes/interval.json`,
-`demos/complexes/triangle.json` or, for one large fiber, `demos/complexes/path5.json`,
-and compares the sha256 of stdout and of stderr, and the exit code, with
+`demos/complexes/triangle.json`, for one large fiber `demos/complexes/path5.json`,
+or, for the image of a larger complex, `demos/complexes/square.json`, and
+compares the sha256 of stdout and of stderr, and the exit code, with
 `tests/golden_cli.json`. A refactor that is meant to leave results alone proves
 it by passing this test unchanged.
 
@@ -26,6 +27,8 @@ COMPLEXES = ("demos/complexes/interval.json", "demos/complexes/triangle.json")
 # path5's fiber JSON over this type is 2,986,801 bytes, the largest output recorded.
 PATH5 = "demos/complexes/path5.json"
 PATH5_TYPE = "0:(zero,inf),(1,2)"
+# The square's image has 83,911 strata in all mode.
+SQUARE = "demos/complexes/square.json"
 
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(GOLDEN.parent)]
@@ -61,6 +64,9 @@ def cases() -> list[list[str]]:
         out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--mode", mode])
     out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--emit-dot"])
     out.append(["homology", PATH5, "--barcode", PATH5_TYPE])
+    for mode in ("all", "interior", "lower-star"):
+        for field in ("2", "3"):
+            out.append(["image", SQUARE, "--mode", mode, "--field", field])
     return out
 
 
@@ -70,7 +76,7 @@ def _digest(text: str) -> str:
 
 def replay(argv: list[str]) -> dict:
     """Run one case in process; complex paths resolve against the repo root."""
-    args = [str(ROOT / a) if a in (*COMPLEXES, PATH5) else a for a in argv]
+    args = [str(ROOT / a) if a in (*COMPLEXES, PATH5, SQUARE) else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)

@@ -1,6 +1,7 @@
 """Filter strata: enumeration, representatives, closure order, grouping."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,56 @@ def test_group_strata_by_barcode(triangle, triangle_records):
         (r.codim, ph.format_barcode_type(r.barcode_type)) for r in triangle_records
     ]
     assert keys == sorted(keys)
+
+
+def test_grouping_follows_input_order_and_rejects_bad_strata(triangle, triangle_records):
+    """Grouping visits strata in block order; member ids stay input positions,
+    and every stratum is checked as barcode_of_stratum checks it."""
+    strata = list(ph.enumerate_filter_strata(triangle, "interior_only"))
+    shuffled = strata[:]
+    random.Random(0).shuffle(shuffled)
+    records = ph.group_strata_by_barcode(triangle, shuffled)
+    assert [r.barcode_type for r in records] == [r.barcode_type for r in triangle_records]
+    for rec, ref in zip(records, triangle_records):
+        assert list(rec.member_ids) == sorted(rec.member_ids)
+        assert {shuffled[i] for i in rec.member_ids} == {strata[i] for i in ref.member_ids}
+    a, b, c, ab, ac, bc = triangle.simplices
+    bad = [
+        FilterStratum(block_masks(triangle, [a, b, c], [a, ab, ac, bc])),  # overlap
+        FilterStratum(block_masks(triangle, [a, b, c], [ab, ac])),  # missing id
+        FilterStratum(block_masks(triangle, [a, b, c], [ab, ac, bc]) + (1 << 6,)),
+        FilterStratum(block_masks(triangle, [a, ab], [b, c, ac, bc])),  # ab before b
+    ]
+    for st in bad:
+        with pytest.raises(DomainError) as expected:
+            ph.barcode_of_stratum(triangle, st)
+        mixed = shuffled[:200] + [st] + shuffled[200:]
+        with pytest.raises(DomainError) as err:
+            ph.group_strata_by_barcode(triangle, mixed)
+        assert str(err.value) == str(expected.value)
+    assert str(expected.value) == "not a filter: face {1} has larger value than {0,1}"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "maximal, mode",
+    [
+        ([[0, 1], [1, 2], [2, 3]], "all"),
+        ([[0, 1], [1, 2], [2, 3], [0, 3]], "interior_only"),
+    ],
+    ids=["path4_all", "square_interior"],
+)
+def test_grouping_matches_barcode_of_stratum_on_every_stratum(maximal, mode, p):
+    """Oracle for the prefix-shared reduction of group_strata_by_barcode: each
+    stratum's type is barcode_of_stratum's, which reduces all of K at once."""
+    K = ph.build_complex(maximal)
+    field = ph.FieldSpec(p)
+    strata = ph.enumerate_filter_strata(K, mode)
+    records = ph.group_strata_by_barcode(K, strata, field)
+    assigned = {i: rec.barcode_type for rec in records for i in rec.member_ids}
+    assert sum(len(rec.member_ids) for rec in records) == len(assigned) == len(strata)
+    for i, st in enumerate(strata):
+        assert assigned[i] == ph.barcode_of_stratum(K, st, field), serialize_stratum(st, K)
 
 
 def test_grouping_members_have_the_grouped_barcode(triangle, triangle_records):
