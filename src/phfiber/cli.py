@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 1 when the input is outside the mathematical domain
 (including unparsable barcode types and complex files), 2 on usage errors.
 Output goes to stdout, diagnostics to stderr. Every command runs in one
-thread: each barcode, Betti number and removability test is one exact sparse
-column reduction (persistence.level_barcode), so output bytes depend only
-on the arguments.
+thread: every barcode, Betti number and removability test comes from the one
+exact sparse column reduction (persistence._PrefixReduction, through
+level_barcode or image grouping), so output bytes depend only on the
+arguments.
 """
 from __future__ import annotations
 

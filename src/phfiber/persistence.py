@@ -5,13 +5,15 @@ no larger than their cofaces. Its total barcode is a tuple, indexed by
 homology degree 0..dim K, of sorted bar tuples (birth, death); deaths are
 either a value or INF. Zero-length bars are suppressed.
 
-The column reduction in level_barcode reads only the order of the values, so
-the package feeds it integer levels (stratum block positions, rank vectors,
-0/1 for removability, all 0 for Betti numbers); Filter's Fraction values are
-for the API. It serves single filters: a fiber's recheck, removability,
-Betti numbers. Grouping many strata by type runs the same reduction block by
-block instead (_PrefixReduction), so strata sharing a prefix of blocks share
-its reduction; level_barcode is the reference the tests compare it with.
+One column reduction (Edelsbrunner, Letscher and Zomorodian 2002) computes
+every barcode in the package: _PrefixReduction, which places the columns of
+a filtration block by block and can pop the last block again. level_barcode
+is one push of it over a whole filtration; it reads only the order of the
+values, so the package feeds it integer levels (stratum block positions,
+rank vectors, 0/1 for removability, all 0 for Betti numbers), while Filter's
+Fraction values are for the API. Grouping many strata by type pushes and
+pops their blocks instead, so strata sharing a prefix of blocks share its
+reduction.
 """
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ TotalBarcode = tuple  # one tuple of bars per degree 0..dim K
 
 
 def _as_unit_fraction(v) -> Fraction:
+    if isinstance(v, bool):
+        raise DomainError(f"not a filter: bool value {v!r}, use Fraction")
     try:
         f = Fraction(v)
     except (TypeError, ValueError) as exc:
@@ -54,7 +58,10 @@ class Filter:
         check_monotone(K, self.values)
 
     def __getitem__(self, s: Simplex) -> Fraction:
-        return self.values[self.complex.index[s]]
+        i = self.complex.index.get(s)
+        if i is None:
+            raise DomainError(f"simplex {s} is not in the filter's complex")
+        return self.values[i]
 
     def value_set(self) -> tuple[Fraction, ...]:
         return tuple(sorted(set(self.values)))
@@ -73,6 +80,9 @@ def check_monotone(K: SimplicialComplex, values: Sequence) -> None:
 
 def make_filter(K: SimplicialComplex, values: Mapping[Simplex, object]) -> Filter:
     """Build a Filter from a simplex-keyed mapping, validating everything."""
+    unknown = [s for s in values if s not in K]
+    if unknown:
+        raise DomainError(f"not a filter: value given for simplex {unknown[0]} not in K")
     missing = [s for s in K.simplices if s not in values]
     if missing:
         raise DomainError(f"not a filter: no value for simplex {missing[0]}")
@@ -91,95 +101,58 @@ def level_barcode(
 
     values, in canonical simplex order, are any comparable values monotone
     on K, unchecked (see check_monotone); bar endpoints are these values.
-    Columns are processed in filtration order with ties broken by the
-    canonical simplex order; a column reducing to zero creates a class, a
-    surviving column kills the class created at its pivot row.
+    The whole filtration is one push of _PrefixReduction, in filtration
+    order with ties broken by the canonical simplex order.
     """
-    p = field.characteristic
-    n = len(K)
     # Canonical ids are already sorted by dimension then lex, so (value, id)
     # is a valid filtration order (faces never come after cofaces).
-    order = sorted(range(n), key=lambda i: (values[i], i))
-    pos = {idx: j for j, idx in enumerate(order)}
-
-    reduced: dict[int, dict[int, int]] = {}  # pivot row -> its reduced column
-    killed: set[int] = set()
-    creators: set[int] = set()
-    bars: list[list[Bar]] = [[] for _ in range(K.dim + 1)]
-
-    for j, idx in enumerate(order):
-        col: dict[int, int] = {}
-        for i, facet in enumerate(K.facet_ids[idx]):
-            col[pos[facet]] = (-1) ** i % p
-        while col:
-            low = max(col)
-            if low not in reduced:
-                break
-            other = reduced[low]
-            factor = col[low] * pow(other[low], -1, p) % p
-            for r, c in other.items():
-                v = (col.get(r, 0) - factor * c) % p
-                if v:
-                    col[r] = v
-                else:
-                    col.pop(r, None)
-        if col:
-            low = max(col)
-            reduced[low] = col
-            killed.add(low)
-            creator = K.simplices[order[low]]
-            birth = values[order[low]]
-            death = values[idx]
-            if birth < death:
-                bars[creator.dim].append((birth, death))
-        else:
-            creators.add(j)
-
-    for j in sorted(creators - killed):
-        s = K.simplices[order[j]]
-        bars[s.dim].append((values[order[j]], INF))
-
-    return tuple(tuple(sorted(b)) for b in bars)
+    order = sorted(range(len(K)), key=lambda i: (values[i], i))
+    reduction = _PrefixReduction(K, field)
+    reduction.push(order, [values[i] for i in order])
+    return reduction.bars()
 
 
 class _PrefixReduction:
-    """The column reduction of level_barcode, built one block at a time.
+    """The column reduction of a filtration, built one block at a time.
 
-    push(ids) appends a block: its columns are reduced in canonical id order
-    against the pivots in place. Filtration order puts every face first, and
-    a column is reduced only against earlier columns, so the reduction of a
-    prefix of blocks is the same whatever blocks follow; pop() undoes the
-    last block's columns and pivots. The caller checks that each block is
-    disjoint from the placed ones and holds all its faces with them.
+    push(ids, levels) appends a block: its columns are reduced in the given
+    order against the pivots in place, a column reducing to zero creating a
+    class and a surviving column killing the class created at its pivot row.
+    Filtration order puts every face first, and a column is reduced only
+    against earlier columns, so the reduction of a prefix of blocks is the
+    same whatever blocks follow; pop() undoes the last block's columns and
+    pivots. The caller checks that each block is disjoint from the placed
+    ones and holds all its faces with them.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec = F2) -> None:
+        self.K = K
         self.p = field.characteristic
-        self.facet_ids = K.facet_ids
-        self.dims = [s.dim for s in K.simplices]
-        self.top = K.dim
         self.pos = [0] * len(K)  # position of each placed id
         self.order: list[int] = []  # id at each position
-        self.level: list[int] = []  # block index at each position
+        self.level: list = []  # level of each position, its bar value
         self.lows: list = []  # pivot row of each position's column, None if zero
         self.pivots: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
         self.starts: list[int] = []  # first position of each pushed block
 
-    def push(self, ids: Iterable[int]) -> None:
-        p, pos, pivots = self.p, self.pos, self.pivots
-        block = len(self.starts)
-        self.starts.append(len(self.order))
-        for idx in ids:
-            j = len(self.order)
+    def push(self, ids: Sequence[int], levels: Iterable) -> None:
+        """Place the columns of ids, in this order, one level each."""
+        p, pos, pivots, facet_ids = self.p, self.pos, self.pivots, self.K.facet_ids
+        lows = self.lows
+        start = len(self.order)
+        self.starts.append(start)
+        self.order += ids
+        self.level += levels
+        for j, idx in enumerate(ids, start):
             pos[idx] = j
-            self.order.append(idx)
-            self.level.append(block)
-            col = {pos[f]: (-1) ** i % p for i, f in enumerate(self.facet_ids[idx])}
+            col: dict[int, int] = {}
+            for i, facet in enumerate(facet_ids[idx]):
+                col[pos[facet]] = (-1) ** i % p
             while col:
                 low = max(col)
-                other = pivots.get(low)
-                if other is None:
+                if low not in pivots:
                     break
+                other = pivots[low]
                 factor = col[low] * pow(other[low], -1, p) % p
                 for r, c in other.items():
                     v = (col.get(r, 0) - factor * c) % p
@@ -190,9 +163,9 @@ class _PrefixReduction:
             if col:
                 low = max(col)
                 pivots[low] = col
-                self.lows.append(low)
+                lows.append(low)
             else:
-                self.lows.append(None)
+                lows.append(None)
 
     def pop(self) -> None:
         start = self.starts.pop()
@@ -202,21 +175,23 @@ class _PrefixReduction:
         del self.order[start:], self.level[start:], self.lows[start:]
 
     def bars(self) -> TotalBarcode:
-        """The barcode of the placed blocks, with block indices as values.
+        """The barcode of the placed columns, with their levels as values.
 
-        level_barcode of the same blocks at levels (block index + c) returns
-        these bars shifted by c.
+        Zero-length bars are suppressed; bars are sorted within each degree.
         """
-        order, level, dims = self.order, self.level, self.dims
-        bars: list[list[Bar]] = [[] for _ in range(self.top + 1)]
+        order, level, dims = self.order, self.level, self.K.dims
+        bars: list[list[Bar]] = [[] for _ in range(self.K.dim + 1)]
         killed = set()
+        creators = []
         for j, low in enumerate(self.lows):
-            if low is not None:
+            if low is None:
+                creators.append(j)
+            else:
                 killed.add(low)
                 if level[low] < level[j]:
                     bars[dims[order[low]]].append((level[low], level[j]))
-        for j, low in enumerate(self.lows):
-            if low is None and j not in killed:
+        for j in creators:
+            if j not in killed:
                 bars[dims[order[j]]].append((level[j], INF))
         return tuple(tuple(sorted(b)) for b in bars)
 

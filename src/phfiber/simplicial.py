@@ -6,6 +6,7 @@ immutable once built and every simplex has a stable integer id.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -75,7 +76,12 @@ class FieldSpec:
         p = self.characteristic
         if not isinstance(p, int) or p < 2:
             raise DomainError(f"field characteristic must be a prime >= 2, got {p!r}")
-        if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= 2 ** 31:  # keeps the trial division below fast
+            raise DomainError(
+                "field characteristic must be below 2**31, "
+                f"got a {p.bit_length()}-bit integer"
+            )
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise DomainError(f"field characteristic {p} is not prime")
 
 
@@ -92,7 +98,8 @@ class SimplicialComplex:
     def __init__(self, simplices: tuple[Simplex, ...]):
         self.simplices = simplices
         self.index = {s: i for i, s in enumerate(simplices)}
-        self.dim = max(s.dim for s in simplices)
+        self.dims = tuple(s.dim for s in simplices)  # per canonical id
+        self.dim = max(self.dims)
         self.vertex_ids = tuple(sorted({v for s in simplices for v in s.vertices}))
         # Canonical ids of each simplex's facets, in Simplex.facets() order, so
         # facet i carries the boundary sign (-1) ** i.

@@ -16,10 +16,12 @@ JSON documents (io.stratum_doc, io.parse_stratum_doc).
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels, barcode_of_stratum);
 representative_filter, the same levels over m + 1 as Fractions, is for the
-API. group_strata_by_barcode types many strata at once: it visits them in
-order of their blocks and carries one column reduction down the shared
-block prefixes (persistence._PrefixReduction), so each block is reduced once
-per distinct prefix instead of all of K once per stratum.
+API. Both run the package's one column reduction, persistence._PrefixReduction:
+barcode_of_stratum as one push of all of K (level_barcode), and
+group_strata_by_barcode, which types many strata at once, block by block: it
+visits the strata in order of their blocks and carries the reduction down
+the shared block prefixes, so each block is reduced once per distinct prefix
+instead of all of K once per stratum.
 """
 from __future__ import annotations
 
@@ -256,8 +258,9 @@ def group_strata_by_barcode(
     barcode_of_stratum, found without reducing all of K per stratum: the
     strata are visited in order of their block tuples, so those sharing a
     prefix of blocks (and the flag variants of one partition) are adjacent,
-    and one _PrefixReduction pops the blocks the next stratum does not share
-    and reduces only its new ones. A leaf's bars, in block indices, shift by
+    and one _PrefixReduction, the reduction level_barcode runs in one push,
+    pops the blocks the next stratum does not share and pushes only its new
+    ones, each at its block index. A leaf's bars, in block indices, shift by
     the flags to its level barcode, and each distinct (bars, flags, block
     count) is canonicalized once. Every pushed block is checked as
     stratum_levels would: disjoint from the placed blocks, inside the ids of
@@ -282,14 +285,14 @@ def group_strata_by_barcode(
             for _ in range(len(stack) - k):
                 reduction.pop()
                 placed.pop()
-            for S in blocks[k:]:
+            for level, S in enumerate(blocks[k:], k):
                 before = placed[-1]
                 ids = mask_ids(S)
                 if S & (before | ~full) or any(
                     K.face_masks[j] & ~(before | S) for j in ids
                 ):
                     _reject(K, st)
-                reduction.push(ids)
+                reduction.push(ids, [level] * len(ids))
                 placed.append(before | S)
             if placed[-1] != full:
                 _reject(K, st)

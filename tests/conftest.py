@@ -119,6 +119,25 @@ def block_simplices(K, mask):
     return [s for i, s in enumerate(K.simplices) if mask >> i & 1]
 
 
+def rank_mod_p(rows, p):
+    """Rank over F_p of a dense matrix given as a list of int rows."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 COMPLEX_POOL = [
     [[0, 1]],
     [[0, 1], [1, 2]],

@@ -199,6 +199,13 @@ def test_nonprime_field_exits_one(capsys, triangle_file):
     assert "prime" in err
 
 
+def test_huge_field_exits_one(capsys, triangle_file):
+    code, out, err = run(capsys, "essential", triangle_file, "--field", "1" + "0" * 400)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "2**31" in err
+
+
 def test_usage_error_exits_two(capsys, triangle_file):
     assert run(capsys, "no-such-command", triangle_file)[0] == 2
     assert run(capsys)[0] == 2

@@ -2,7 +2,8 @@
 
 Each case runs `phfiber.cli.main` in process on `demos/complexes/interval.json`,
 `demos/complexes/triangle.json`, for one large fiber `demos/complexes/path5.json`,
-or, for the image of a larger complex, `demos/complexes/square.json`, and
+for the image of a larger complex `demos/complexes/square.json`, or, for an
+answer that depends on the boundary signs mod p, `demos/complexes/rp2.json`, and
 compares the sha256 of stdout and of stderr, and the exit code, with
 `tests/golden_cli.json`. A refactor that is meant to leave results alone proves
 it by passing this test unchanged.
@@ -29,6 +30,9 @@ PATH5 = "demos/complexes/path5.json"
 PATH5_TYPE = "0:(zero,inf),(1,2)"
 # The square's image has 83,911 strata in all mode.
 SQUARE = "demos/complexes/square.json"
+# Minimal RP^2 is essential over F2 but not over F3 (H_1 = Z/2); the F2 run
+# takes about 16 s, so only F3 is recorded.
+RP2 = "demos/complexes/rp2.json"
 
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(GOLDEN.parent)]
@@ -67,6 +71,7 @@ def cases() -> list[list[str]]:
     for mode in ("all", "interior", "lower-star"):
         for field in ("2", "3"):
             out.append(["image", SQUARE, "--mode", mode, "--field", field])
+    out.append(["essential", RP2, "--field", "3"])
     return out
 
 
@@ -76,7 +81,7 @@ def _digest(text: str) -> str:
 
 def replay(argv: list[str]) -> dict:
     """Run one case in process; complex paths resolve against the repo root."""
-    args = [str(ROOT / a) if a in (*COMPLEXES, PATH5, SQUARE) else a for a in argv]
+    args = [str(ROOT / a) if a in (*COMPLEXES, PATH5, SQUARE, RP2) else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)

@@ -1,11 +1,16 @@
 """Filters and sublevel persistence barcodes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import phfiber as ph
 from phfiber import INF, DomainError
+from phfiber.persistence import level_barcode
+from phfiber.strata import stratum_levels
+
+from conftest import rank_mod_p
 
 
 def F(n, d=1):
@@ -27,6 +32,23 @@ def test_make_filter_rejects_floats_and_out_of_range(interval):
         ph.make_filter(interval, {**base, ab: F(3, 2)})
     with pytest.raises(DomainError, match="not rational"):
         ph.make_filter(interval, {**base, ab: "x"})
+
+
+def test_make_filter_rejects_foreign_simplices_and_bools(interval):
+    a, b, ab = interval.simplices
+    base = {a: F(0), b: F(0), ab: F(1)}
+    with pytest.raises(DomainError, match=r"simplex \{7\} not in K"):
+        ph.make_filter(interval, {**base, ph.simplex([7]): F(1, 2)})
+    with pytest.raises(DomainError, match="bool"):
+        ph.make_filter(interval, {**base, ab: True})
+    with pytest.raises(DomainError, match="bool"):
+        ph.filter_from_values(interval, [F(0), False, F(1)])
+
+
+def test_filter_lookup_outside_the_complex(interval):
+    f = ph.constant_filter(interval, F(0))
+    with pytest.raises(DomainError, match="not in the filter's complex"):
+        f[ph.simplex([0, 2])]
 
 
 def test_filter_must_be_monotone(interval):
@@ -102,3 +124,87 @@ def test_betti_numbers_of_standard_complexes(rp2):
 def test_filter_from_values_checks_length(interval):
     with pytest.raises(DomainError, match="value count"):
         ph.filter_from_values(interval, [F(0), F(1)])
+
+
+def _boundary_rank(K, cols, rows, p):
+    """Rank over F_p of the boundary of the simplices cols, on the rows given."""
+    row_of = {r: k for k, r in enumerate(rows)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for c, j in enumerate(cols):
+        for i, f in enumerate(K.facet_ids[j]):
+            if f in row_of:
+                matrix[row_of[f]][c] = (-1) ** i
+    return rank_mod_p(matrix, p)
+
+
+def _rank_oracle_barcode(K, levels, p):
+    """The barcode of the sublevel filtration of levels, from persistent Betti
+    numbers (Edelsbrunner and Harer, Computational Topology, VII), with no
+    column reduction.
+
+    With K_i the simplices at the i-th smallest level or below, the rank of
+    H_q(K_i) -> H_q(K_j) is
+        (n_q(i) - rk d_q|K_i) - (rk d_{q+1}|K_j - rk P_i d_{q+1}|K_j),
+    where P_i keeps the rows of the q-simplices outside K_i: cycles of K_i
+    minus those that bound in K_j. The bar [v_i, v_j) then has multiplicity
+    b(i, j-1) - b(i, j) - b(i-1, j-1) + b(i-1, j), with b = 0 at i = 0 and
+    at j = m + 1, the infinite death.
+    """
+    values = sorted(set(levels))
+    m = len(values)
+    sub = [[s for s in range(len(K)) if levels[s] <= v] for v in values]
+    memo = {}
+
+    def of_dim(ids, q):
+        return [s for s in ids if K.simplices[s].dim == q]
+
+    def beta(q, i, j):
+        if i == 0 or j > m:
+            return 0
+        if (q, i, j) not in memo:
+            Ki, Kj = sub[i - 1], sub[j - 1]
+            chains = of_dim(Ki, q)
+            cycles = len(chains) - _boundary_rank(K, chains, of_dim(Ki, q - 1), p)
+            up, rows = of_dim(Kj, q + 1), of_dim(Kj, q)
+            outside = [s for s in rows if levels[s] > values[i - 1]]
+            bounding = (_boundary_rank(K, up, rows, p)
+                        - _boundary_rank(K, up, outside, p))
+            memo[q, i, j] = cycles - bounding
+        return memo[q, i, j]
+
+    barcode = []
+    for q in range(K.dim + 1):
+        bars = []
+        for i in range(1, m + 1):
+            for j in range(i + 1, m + 2):
+                mult = (beta(q, i, j - 1) - beta(q, i, j)
+                        - beta(q, i - 1, j - 1) + beta(q, i - 1, j))
+                assert mult >= 0, (levels, q, i, j)
+                bars += [(values[i - 1], values[j - 1] if j <= m else INF)] * mult
+        barcode.append(tuple(sorted(bars)))
+    return tuple(barcode)
+
+
+def _random_levels(K, rng, top=5):
+    """Random monotone integer levels: raw levels pushed up to the max over faces."""
+    levels = []
+    for facets in K.facet_ids:  # faces come before their cofaces
+        levels.append(max([rng.randrange(top + 1)] + [levels[f] for f in facets]))
+    return levels
+
+
+def test_level_barcode_matches_the_rank_oracle(triangle, rp2):
+    """The column reduction against persistent Betti numbers from boundary
+    ranks, on every all-mode triangle stratum and on random level vectors of
+    RP^2 and the square, whose F3 barcodes need the right boundary signs."""
+    square = ph.build_complex([[0, 1], [1, 2], [2, 3], [0, 3]])
+    cases = [
+        (triangle, stratum_levels(triangle, st))
+        for st in ph.enumerate_filter_strata(triangle, "all")
+    ]
+    rng = random.Random(0)
+    cases += [(K, _random_levels(K, rng)) for K in (rp2, square) for _ in range(40)]
+    for K, levels in cases:
+        for p in (2, 3):
+            expected = _rank_oracle_barcode(K, levels, p)
+            assert level_barcode(K, levels, ph.FieldSpec(p)) == expected, (levels, p)

@@ -55,6 +55,7 @@ def test_facet_ids_follow_the_facet_order():
     for s, ids in zip(K.simplices, K.facet_ids):
         assert ids == tuple(K.index[f] for f in s.facets())
         assert all(i < K.index[s] for i in ids)
+        assert K.dims[K.index[s]] == s.dim
     assert K.facet_ids[K.index[ph.simplex([0])]] == ()
 
 
@@ -76,6 +77,16 @@ def test_field_spec_requires_prime():
     for bad in (0, 1, 4, 9):
         with pytest.raises(DomainError, match="prime|characteristic"):
             ph.FieldSpec(bad)
+
+
+def test_field_spec_rejects_huge_characteristics():
+    """Characteristics from 2**31 up are rejected before trial division, which
+    would run for minutes near 10**18 and cannot take a float square root
+    past about 308 digits."""
+    assert ph.FieldSpec(2 ** 31 - 1).characteristic == 2 ** 31 - 1
+    for huge in (2 ** 31, 10 ** 18 + 9, 10 ** 400):
+        with pytest.raises(DomainError, match="below 2"):
+            ph.FieldSpec(huge)
 
 
 def test_triangle_automorphisms(triangle):

@@ -14,7 +14,7 @@ from phfiber.structure import (
     is_removable,
 )
 
-from conftest import TYPE_STRINGS, block_masks, block_simplices
+from conftest import TYPE_STRINGS, block_masks, block_simplices, rank_mod_p
 
 
 def test_interval_top_pair_is_removable(interval):
@@ -93,25 +93,6 @@ def test_removability_agrees_across_fields(interval):
         assert is_removable(interval, [b, ab], ph.FieldSpec(p)).removable
 
 
-def _rank_mod_p(rows, p):
-    """Rank over F_p of a dense matrix given as a list of int rows."""
-    rows = [[x % p for x in row] for row in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                factor = rows[r][c]
-                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _relative_betti(K, removed, p):
     """Betti numbers of H(K, K minus removed) from the relative chain complex.
 
@@ -128,7 +109,7 @@ def _relative_betti(K, removed, p):
             for i, f in enumerate(K.facet_ids[j]):
                 if f in row_of:
                     matrix[row_of[f]][c] = (-1) ** i
-        ranks.append(_rank_mod_p(matrix, p))
+        ranks.append(rank_mod_p(matrix, p))
     return [len(by_dim[q]) - ranks[q] - ranks[q + 1] for q in range(K.dim + 1)]
 
 
