@@ -2,7 +2,7 @@
 
 Each case runs `phfiber.cli.main` in process on `demos/complexes/interval.json`,
 `demos/complexes/triangle.json`, for one large fiber `demos/complexes/path5.json`,
-for the image of a larger complex `demos/complexes/square.json`, or, for an
+for the image and one fiber of a larger complex `demos/complexes/square.json`, or, for an
 answer that depends on the boundary signs mod p, `demos/complexes/rp2.json`, and
 compares the sha256 of stdout and of stderr, and the exit code, with
 `tests/golden_cli.json`. A refactor that is meant to leave results alone proves
@@ -30,6 +30,8 @@ PATH5 = "demos/complexes/path5.json"
 PATH5_TYPE = "0:(zero,inf),(1,2)"
 # The square's image has 83,911 strata in all mode.
 SQUARE = "demos/complexes/square.json"
+# A square fiber whose Euler-count candidates are mostly not cells.
+SQUARE_TYPE = "0:(1,inf),(2,3);1:(4,inf)"
 # Minimal RP^2 is essential over F2 but not over F3 (H_1 = Z/2); the F2 run
 # takes about 16 s, so only F3 is recorded.
 RP2 = "demos/complexes/rp2.json"
@@ -68,6 +70,9 @@ def cases() -> list[list[str]]:
         out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--mode", mode])
     out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--emit-dot"])
     out.append(["homology", PATH5, "--barcode", PATH5_TYPE])
+    out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--field", "3"])
+    for field in ("2", "3"):
+        out.append(["fiber", SQUARE, "--barcode", SQUARE_TYPE, "--field", field])
     for mode in ("all", "interior", "lower-star"):
         for field in ("2", "3"):
             out.append(["image", SQUARE, "--mode", mode, "--field", field])
