@@ -8,15 +8,18 @@ the gaps, and a gap with k free blocks contributes a k-simplex factor. The
 face relation is stratum coarsening, so the whole complex is combinatorial;
 no coordinates beyond symbol rank vectors are ever needed.
 
-Candidates come from the strata walker (strata._walk_partitions) with an
-Euler-count step: a partial partition is pruned as soon as a block's Euler
-count differs from the birth/death balance of the symbol it takes (0 when the
-block is free). A surviving leaf's block masks are its stratum's blocks, so
-cells, their facets and the monodromy images are all built on masks. They are
-rechecked on the barcode of their integer levels (strata.stratum_levels), and
-one pass over a survivor's block levels builds its cell: a block is pinned
-when its level is 0, the top level or an endpoint, and free otherwise. A
-0-cell's levels are its symbols, so its rank vector is its levels.
+The cells are found by one depth-first walk over the monotone partitions
+(_fiber_strata) that carries one column reduction, persistence._PrefixReduction:
+each block is pushed on entering a branch and popped on leaving it. The
+reduction of a block prefix is final, so the bars that die in a block and the
+classes born in it that outlive it are known as soon as it is pushed, and a
+branch survives only while they equal T's events at the symbol the block
+takes (none when the block is free). A cheap Euler-count test on each block
+comes first. The leaves are exactly the strata of type T, with no recheck, and
+each cell is built from the symbols the walk assigned: a block is pinned when
+it takes a symbol and free otherwise, and a 0-cell's rank vector gives each
+simplex its block's symbol. Block masks are the strata's blocks, so cells,
+their facets and the monodromy images are all built on masks.
 
 The face relation is built locally. The codimension-1 coarsenings of a
 stratum are the merges of two adjacent blocks (the OR of their masks) and the
@@ -32,17 +35,17 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .barcodes import ZERO, CombinatorialBarcode, canonicalize_barcode, format_barcode_type
+from .barcodes import ZERO, CombinatorialBarcode, format_barcode_type
 from .errors import DomainError, InvariantError
-from .persistence import Filter, TotalBarcode, betti_numbers, level_barcode
+from .persistence import Filter, _PrefixReduction, betti_numbers
 from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
 from .strata import (
     FilterStratum,
-    _walk_partitions,
+    _closed_subsets,
     bounded_deficit,
     is_lower_star_stratum,
+    mask_ids,
     serialize_stratum,
-    stratum_levels,
 )
 
 FIBER_MODES = ("all", "lower_star")
@@ -102,88 +105,138 @@ class FiberComplex:
         return tuple(sorted(i for i in closure if self.cells[i].dim == 0))
 
 
-def _symbol_events(T: CombinatorialBarcode) -> tuple[dict[int, int], set[int]]:
-    """Per finite symbol: Euler count of births minus deaths, and presence."""
-    chi: dict[int, int] = {s: 0 for s in range(ZERO, T.one + 1)}
-    present: set[int] = set()
-    for p, deg in enumerate(T.degrees):
-        sign = (-1) ** p
+def _symbol_events(T: CombinatorialBarcode) -> dict[int, tuple[tuple, tuple]]:
+    """Per finite symbol of T: the degrees of the bars born there, and the
+    (degree, birth symbol) of the bars dying there, both sorted.
+
+    These are the events _PrefixReduction.events reports for a block that
+    takes the symbol, with block levels read as symbols.
+    """
+    births: dict[int, list] = {s: [] for s in range(ZERO, T.one + 1)}
+    deaths: dict[int, list] = {s: [] for s in births}
+    for q, deg in enumerate(T.degrees):
         for b, d in deg:
-            chi[b] += sign
-            present.add(b)
+            births[b].append(q)
             if d != T.inf:
-                chi[d] -= sign
-                present.add(d)
-    return chi, present
+                deaths[d].append((q, b))
+    return {s: (tuple(sorted(births[s])), tuple(sorted(deaths[s]))) for s in births}
 
 
-def _candidate_strata(K: SimplicialComplex, T: CombinatorialBarcode) -> list[FilterStratum]:
-    """Monotone partitions that could map to T, by Euler-count pruning.
+def _euler_count(events: tuple[tuple, tuple]) -> int:
+    """The change of the sublevel Euler characteristic at a symbol's events."""
+    births, deaths = events
+    return sum((-1) ** q for q in births) - sum((-1) ** q for q, _ in deaths)
 
-    Every block entering at a pinned symbol must change the sublevel Euler
-    characteristic by that symbol's birth/death balance, and blocks at free
-    values must not change it at all. These conditions are necessary, so the
-    survivors are rechecked against the exact barcode by the caller.
 
-    The walk's state is (at_zero, next symbol to pin, at_one). The first block
-    is pinned at 0 exactly when ZERO is present, since it holds a vertex; a
-    last block pinned at 1 may carry no events, when its births and deaths
-    cancel.
+def _fiber_strata(
+    K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec
+) -> list[tuple[FilterStratum, tuple]]:
+    """The strata of type T, each with the symbol each of its blocks takes.
+
+    A depth-first walk over the monotone partitions (strata._closed_subsets)
+    carries one _PrefixReduction: a block is pushed at its block index on
+    entering a branch and popped on leaving it. The reduction of a prefix is
+    final, so the block's events (_PrefixReduction.events) are bars of
+    every stratum below the branch, and the branch survives only if they
+    equal T's events at the symbol the block takes (_symbol_events); a free
+    block, None, takes no symbol and must have none. The leaves are then
+    exactly the strata whose barcode is T: every symbol with events is taken
+    by one block, so the births and deaths of each symbol match T's, and so
+    do the bars. Before the push, the block's Euler count must equal the
+    symbol's (0 when free), which prunes most branches cheaply.
+
+    The first block is pinned at 0 exactly when ZERO has events, since it
+    holds a vertex; the ranks 1..m are taken in order; the last block may be
+    pinned at 1 with no events when ONE has none.
     """
     m, one = T.dim, T.one
-    chi, present = _symbol_events(T)
+    table = _symbol_events(T)
+    chi = {s: _euler_count(ev) for s, ev in table.items()}
+    quiet = ((), ())
+    one_optional = table[one] == quiet
     odd = sum(1 << i for i, s in enumerate(K.simplices) if s.dim % 2)
     full = (1 << len(K)) - 1
+    reduction = _PrefixReduction(K, field)
+    blocks: list[int] = []
+    symbols: list = []  # per placed block, its symbol or None when free
+    leaves: list[tuple[FilterStratum, tuple]] = []
+    # Per union of placed blocks: each closed next block, its Euler count, its ids.
+    children: dict[int, list[tuple[int, int, list[int]]]] = {}
 
-    def step(state, placed, S):
-        at_zero, rank, _ = state
-        c = (S & ~odd).bit_count() - (S & odd).bit_count()
-        if rank == ZERO:
-            moves = [(True, 1, False)] if c == chi[ZERO] else []
-        else:
-            moves = [(at_zero, rank, False)] if c == 0 else []
-            if rank <= m and c == chi[rank]:
-                moves.append((at_zero, rank + 1, False))
-        if placed | S != full:
-            return moves
-        # The last block: all ranks are placed, and a present ONE is pinned.
-        if rank > m and c == chi[one]:
-            moves.append((at_zero, rank, True))
-        return [st for st in moves if st[1] > m and (st[2] or one not in present)]
+    def walk(placed: int, rank: int) -> None:
+        k = len(blocks)
+        if placed not in children:
+            children[placed] = [
+                (S, (S & ~odd).bit_count() - (S & odd).bit_count(), mask_ids(S))
+                for S in _closed_subsets(K, full & ~placed, placed)
+            ]
+        for S, c, ids in children[placed]:
+            moves = []  # (symbol taken, next rank to pin)
+            if rank == ZERO:
+                if c == chi[ZERO]:
+                    moves.append((ZERO, 1))
+            else:
+                if c == 0:
+                    moves.append((None, rank))
+                if rank <= m and c == chi[rank]:
+                    moves.append((rank, rank + 1))
+            last = placed | S == full
+            if last:
+                # Every rank is placed, and ONE is pinned unless it has no events.
+                if rank > m and c == chi[one]:
+                    moves.append((one, rank))
+                moves = [(s, r) for s, r in moves if r > m and (s == one or one_optional)]
+            if not moves:
+                continue
+            reduction.push(ids, [k] * len(ids))
+            births, deaths = reduction.events()
+            events = (births, tuple([(q, symbols[b]) for q, b in deaths]))
+            blocks.append(S)
+            for sym, nxt in moves:
+                if events != (quiet if sym is None else table[sym]):
+                    continue
+                symbols.append(sym)
+                if last:
+                    stratum = FilterStratum(tuple(blocks), symbols[0] == ZERO, sym == one)
+                    leaves.append((stratum, tuple(symbols)))
+                else:
+                    walk(placed | S, nxt)
+                symbols.pop()
+            blocks.pop()
+            reduction.pop()
 
-    start = (False, ZERO if ZERO in present else 1, False)
-    leaves = {(b, z, o) for b, (z, _, o) in _walk_partitions(K, step, start)}
-    return [FilterStratum(b, z, o) for b, z, o in leaves]
+    walk(0, ZERO if table[ZERO] != quiet else 1)
+    return leaves
 
 
 def _fiber_cell(
-    stratum: FilterStratum, levels: tuple[int, ...], raw: TotalBarcode, T: CombinatorialBarcode
+    K: SimplicialComplex, stratum: FilterStratum, symbols: tuple, T: CombinatorialBarcode
 ) -> FiberCell:
-    """The cell of a stratum over T, read off its block levels in one pass.
+    """The cell of a stratum over T, read off the symbols its blocks take.
 
-    Level 0 is pinned at ZERO and level m + 1 at ONE, for the interior
-    dimension m. An interior level that is an endpoint of the level barcode
-    raw takes the next rank; any other level is free, in the gap after the
-    last rank taken. A 0-cell's levels are its rank vector.
+    A pinned block is labelled with its symbol. A free block lies in the gap
+    after the last rank pinned before it. A 0-cell has no free block, and its
+    rank vector gives each simplex the symbol of its block, which is its level.
     """
-    endpoints = {e for deg in raw for bar in deg for e in bar}
-    top = stratum.interior_dim + 1
-    first = 0 if stratum.at_zero else 1
     shape = [0] * (T.dim + 1)
     labels = []
-    rank = 0
-    for level in range(first, first + len(stratum.blocks)):
-        if level == 0:
-            labels.append(("pin", ZERO))
-        elif level == top:
-            labels.append(("pin", T.one))
-        elif level in endpoints:
-            rank += 1
-            labels.append(("pin", rank))
+    gap = 0
+    for sym in symbols:
+        if sym is None:
+            labels.append(("free", gap))
+            shape[gap] += 1
         else:
-            labels.append(("free", rank))
-            shape[rank] += 1
-    return FiberCell(stratum, tuple(shape), None if any(shape) else levels, tuple(labels))
+            labels.append(("pin", sym))
+            if sym <= T.dim:
+                gap = sym
+    rank_vector = None
+    if not any(shape):
+        levels = [0] * len(K)
+        for sym, block in zip(symbols, stratum.blocks):
+            for i in mask_ids(block):
+                levels[i] = sym
+        rank_vector = tuple(levels)
+    return FiberCell(stratum, tuple(shape), rank_vector, tuple(labels))
 
 
 def _facet_strata(stratum: FilterStratum) -> Iterator[FilterStratum]:
@@ -239,14 +292,11 @@ def fiber_complex(
     """
     if mode not in FIBER_MODES:
         raise DomainError(f"unknown fiber mode {mode!r}, expected one of {FIBER_MODES}")
-    cells = []
-    for st in _candidate_strata(K, T):
-        if mode == "lower_star" and not is_lower_star_stratum(K, st):
-            continue
-        levels = stratum_levels(K, st)
-        raw = level_barcode(K, levels, field)
-        if canonicalize_barcode(raw, st.interior_dim + 1) == T:
-            cells.append(_fiber_cell(st, levels, raw, T))
+    cells = [
+        _fiber_cell(K, st, symbols, T)
+        for st, symbols in _fiber_strata(K, T, field)
+        if mode == "all" or is_lower_star_stratum(K, st)
+    ]
     if not cells:
         raise DomainError("empty fiber")
     cells.sort(key=lambda c: (c.dim, serialize_stratum(c.stratum, K)))

@@ -167,6 +167,33 @@ class _PrefixReduction:
             else:
                 lows.append(None)
 
+    def events(self) -> tuple[tuple[int, ...], tuple[tuple[int, object], ...]]:
+        """The last block's events, read off the pivots push recorded for it.
+
+        For a block pushed at one level: births holds the degree of each class
+        born in the block that outlives it, deaths the (degree, birth level) of
+        each class of an earlier block that it kills, both sorted. A class
+        born and killed inside the block is neither, as its bar has length 0.
+        The reduction of a prefix is final, so these are the bars of every
+        filtration that starts with the placed blocks: a bar dies in the block
+        exactly when it is in deaths, and is born in it when it is in births.
+        """
+        start = self.starts[-1]
+        order, level, dims, lows = self.order, self.level, self.K.dims, self.lows
+        births: list[int] = []
+        deaths: list[tuple[int, object]] = []
+        for j in range(start, len(lows)):
+            low = lows[j]
+            if low is None:
+                births.append(dims[order[j]])
+            elif low < start:
+                deaths.append((dims[order[low]], level[low]))
+            else:  # one class of this degree is born and killed in the block
+                births.remove(dims[order[low]])
+        births.sort()
+        deaths.sort()
+        return tuple(births), tuple(deaths)
+
     def pop(self) -> None:
         start = self.starts.pop()
         for low in self.lows[start:]:

@@ -8,9 +8,10 @@ whether the last sits at 1. The unflagged blocks carry the stratum's interior
 dimension, one free value each.
 
 A block is a bitmask over the complex's canonical simplex ids (bit i set when
-simplex i lies in the block). Strata are enumerated by one walker over these
-masks, which the fiber's candidate search also runs with a pruning step, and
-every consumer reads the masks directly; Simplex objects appear only in the
+simplex i lies in the block). Strata are enumerated by a walker over these
+masks whose next blocks come from _closed_subsets, which the fiber's pruned
+walk (fiber._fiber_strata) also reads, and every consumer reads the masks
+directly; Simplex objects appear only in the
 JSON documents (io.stratum_doc, io.parse_stratum_doc).
 
 A stratum's barcode type depends only on its block order, so it is read off
@@ -100,25 +101,17 @@ def _closed_subsets(K: SimplicialComplex, remaining: int, placed: int) -> list[i
     return subsets[1:]
 
 
-def _walk_partitions(
-    K: SimplicialComplex, step=lambda state, placed, S: (state,), state=None
-) -> Iterator[tuple[tuple[int, ...], object]]:
-    """Ordered set partitions of K compatible with the face order, as block masks.
-
-    step(state, placed, S) gives the states reached by appending the closed
-    block S after the blocks whose union is `placed`; a branch with no state
-    is pruned. Yields each complete partition with the state it ended in.
-    """
+def _walk_partitions(K: SimplicialComplex) -> Iterator[tuple[int, ...]]:
+    """Ordered set partitions of K compatible with the face order, as block masks."""
     full = (1 << len(K)) - 1
-    stack = [(0, (), state)]
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
-        placed, blocks, state = stack.pop()
+        placed, blocks = stack.pop()
         if placed == full:
-            yield blocks, state
+            yield blocks
             continue
         for S in _closed_subsets(K, full & ~placed, placed):
-            for nxt in step(state, placed, S):
-                stack.append((placed | S, blocks + (S,), nxt))
+            stack.append((placed | S, blocks + (S,)))
 
 
 def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
@@ -154,7 +147,7 @@ def enumerate_filter_strata(
         flags += [(True, False), (False, True), (True, True)]
     out = [
         FilterStratum(masks, at_zero, at_one)
-        for masks, _ in _walk_partitions(K)
+        for masks in _walk_partitions(K)
         for at_zero, at_one in flags
         if not (at_zero and at_one and len(masks) == 1)
     ]

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 import phfiber as ph
+from phfiber.barcodes import ZERO
+from phfiber.persistence import level_barcode
+from phfiber.strata import FilterStratum, _closed_subsets, stratum_levels
 
 # Barcode types of the hollow triangle, keyed by the shape of their fiber or
 # the structure of their bars.
@@ -136,6 +139,78 @@ def rank_mod_p(rows, p):
                 rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def euler_recheck_cells(K, T, field=ph.F2):
+    """The fiber's cells over T by Euler-count pruning and a recheck of each leaf.
+
+    The oracle for fiber_complex's exact walk. A partition is pruned as soon
+    as a block's Euler count differs from the birth/death balance of the
+    symbol it takes (0 when free), which is necessary but not sufficient, so
+    each surviving leaf is rechecked on the level barcode of all of K. Its
+    cell is read off its levels: level 0 is pinned at ZERO, the top level at
+    ONE, an interior level that is an endpoint takes the next rank, and any
+    other level is free in the gap after the last rank taken. Returns
+    ({stratum: (gap shape, rank vector, labels)}, number of leaves rechecked).
+    """
+    m, one = T.dim, T.one
+    chi = {s: 0 for s in range(ZERO, one + 1)}
+    present = set()
+    for q, deg in enumerate(T.degrees):
+        for b, d in deg:
+            chi[b] += (-1) ** q
+            present.add(b)
+            if d != T.inf:
+                chi[d] -= (-1) ** q
+                present.add(d)
+    odd = sum(1 << i for i, s in enumerate(K.simplices) if s.dim % 2)
+    full = (1 << len(K)) - 1
+    leaves = set()
+
+    def walk(placed, blocks, at_zero, rank):
+        for S in _closed_subsets(K, full & ~placed, placed):
+            c = (S & ~odd).bit_count() - (S & odd).bit_count()
+            if rank == ZERO:
+                moves = [(True, 1, False)] if c == chi[ZERO] else []
+            else:
+                moves = [(at_zero, rank, False)] if c == 0 else []
+                if rank <= m and c == chi[rank]:
+                    moves.append((at_zero, rank + 1, False))
+            if placed | S != full:
+                for z, r, _ in moves:
+                    walk(placed | S, blocks + (S,), z, r)
+                continue
+            if rank > m and c == chi[one]:
+                moves.append((at_zero, rank, True))
+            for z, r, o in moves:
+                if r > m and (o or one not in present):
+                    leaves.add(FilterStratum(blocks + (S,), z, o))
+
+    walk(0, (), False, ZERO if ZERO in present else 1)
+    cells = {}
+    for st in leaves:
+        levels = stratum_levels(K, st)
+        raw = level_barcode(K, levels, field)
+        if ph.canonicalize_barcode(raw, st.interior_dim + 1) != T:
+            continue
+        endpoints = {e for deg in raw for bar in deg for e in bar}
+        top = st.interior_dim + 1
+        shape = [0] * (m + 1)
+        labels = []
+        rank = 0
+        for level in range(int(not st.at_zero), int(not st.at_zero) + len(st.blocks)):
+            if level == 0:
+                labels.append(("pin", ZERO))
+            elif level == top:
+                labels.append(("pin", one))
+            elif level in endpoints:
+                rank += 1
+                labels.append(("pin", rank))
+            else:
+                labels.append(("free", rank))
+                shape[rank] += 1
+        cells[st] = (tuple(shape), None if any(shape) else levels, tuple(labels))
+    return cells, len(leaves)
 
 
 COMPLEX_POOL = [

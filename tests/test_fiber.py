@@ -3,6 +3,7 @@
 import ast
 import bisect
 import dataclasses
+import json
 import math
 import re
 import sys
@@ -28,7 +29,13 @@ from phfiber.strata import (
     stratum_levels,
 )
 
-from conftest import FIBER_CENSUS, TYPE_STRINGS, block_masks, block_simplices
+from conftest import (
+    FIBER_CENSUS,
+    TYPE_STRINGS,
+    block_masks,
+    block_simplices,
+    euler_recheck_cells,
+)
 
 
 def multinomial(shape):
@@ -453,8 +460,9 @@ def test_triangulation_keeps_the_globally_maximal_chains(triangle, two_intervals
     ids=["interval", "triangle", "filled_triangle", "two_intervals"],
 )
 def test_euler_pruning_keeps_every_member_stratum(maximal):
-    """Oracle for the Euler-pruned candidate search: the cells of the fiber
-    over each all-mode type are exactly the strata grouped under that type."""
+    """Oracle for the walk, Euler-count test and exact pruning together: the
+    cells of the fiber over each all-mode type are exactly the strata grouped
+    under that type."""
     K = ph.build_complex(maximal)
     strata = ph.enumerate_filter_strata(K, "all")
     for p in (2, 3):
@@ -463,6 +471,51 @@ def test_euler_pruning_keeps_every_member_stratum(maximal):
             fc = ph.fiber_complex(K, rec.barcode_type, field, "all")
             assert len(fc.cells) == len(rec.member_ids)
             assert {c.stratum for c in fc.cells} == {strata[i] for i in rec.member_ids}
+
+
+def test_exact_walk_matches_euler_pruning_with_recheck(path5):
+    """The exact walk's cells, with their gap shapes, rank vectors and labels,
+    against Euler pruning plus a level_barcode recheck of every survivor, on
+    path5, the square and every interior type of path4 in perfbench/inputs.json."""
+    path4 = ph.build_complex([[0, 1], [1, 2], [2, 3]])
+    square = ph.build_complex([[0, 1], [1, 2], [2, 3], [0, 3]])
+    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.json"
+    cases = [(path5, "0:(zero,inf),(1,2)"), (square, "0:(1,inf),(2,3);1:(4,inf)")]
+    cases += [(path4, t) for t in json.loads(inputs.read_text())["path4_interior"]]
+    assert len(cases) == 169
+    cells = rechecked = 0
+    for K, text in cases:
+        T = ph.parse_barcode_type(text)
+        for p in (2, 3):
+            field = ph.FieldSpec(p)
+            expected, leaves = euler_recheck_cells(K, T, field)
+            fc = ph.fiber_complex(K, T, field)
+            got = {c.stratum: (c.gap_shape, c.rank_vector, c.labels) for c in fc.cells}
+            assert got == expected, (text, p)
+            cells += len(got)
+            rechecked += leaves
+    # Most Euler survivors fail the recheck, so the pruning is really tested.
+    assert rechecked > 2 * cells
+
+
+def test_exact_walk_compares_births_by_degree():
+    """On the hollow triangle plus an isolated vertex, a block can give birth
+    to a component and a cycle at once, with Euler count 0 and no deaths,
+    just like a free block. Only the births by degree tell them apart, so
+    every type with births in two degrees at one symbol is checked against
+    its image group."""
+    K = ph.build_complex([[0, 1], [1, 2], [0, 2], [3]])
+    strata = ph.enumerate_filter_strata(K, "all")
+    checked = 0
+    for rec in ph.group_strata_by_barcode(K, strata):
+        T = rec.barcode_type
+        born = {(b, q) for q, deg in enumerate(T.degrees) for b, _ in deg}
+        if len(born) == len({b for b, _ in born}):
+            continue
+        fc = ph.fiber_complex(K, T)
+        assert {c.stratum for c in fc.cells} == {strata[i] for i in rec.member_ids}
+        checked += 1
+    assert checked == 139
 
 
 def test_facets_are_the_codimension_one_coarsenings():

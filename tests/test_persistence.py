@@ -1,16 +1,17 @@
 """Filters and sublevel persistence barcodes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import phfiber as ph
 from phfiber import INF, DomainError
-from phfiber.persistence import level_barcode
+from phfiber.persistence import _PrefixReduction, level_barcode
 from phfiber.strata import stratum_levels
 
-from conftest import rank_mod_p
+from conftest import COMPLEX_POOL, rank_mod_p
 
 
 def F(n, d=1):
@@ -208,3 +209,37 @@ def test_level_barcode_matches_the_rank_oracle(triangle, rp2):
         for p in (2, 3):
             expected = _rank_oracle_barcode(K, levels, p)
             assert level_barcode(K, levels, ph.FieldSpec(p)) == expected, (levels, p)
+
+
+def test_block_events_rebuild_the_level_barcode(rp2):
+    """Pushing the simplices of each level as one block, the events of the
+    blocks rebuild level_barcode: a death (q, b) in the block at level L is a
+    bar (b, L) of degree q, and a birth at L that no later block kills is a
+    bar (L, inf). Births count, so wrong births lose or add infinite bars."""
+    rng = random.Random(1)
+    complexes = [ph.build_complex(maximal) for maximal in COMPLEX_POOL] + [rp2]
+    cases = [(K, _random_levels(K, rng)) for K in complexes for _ in range(15)]
+    infinite = 0
+    for K, levels in cases:
+        for p in (2, 3):
+            field = ph.FieldSpec(p)
+            reduction = _PrefixReduction(K, field)
+            bars = [[] for _ in range(K.dim + 1)]
+            alive = Counter()
+            for L in sorted(set(levels)):
+                ids = [i for i in range(len(K)) if levels[i] == L]
+                reduction.push(ids, [L] * len(ids))
+                births, deaths = reduction.events()
+                assert list(births) == sorted(births) and list(deaths) == sorted(deaths)
+                for q, b in deaths:
+                    assert b < L and alive[q, b] > 0, (levels, q, b, L)
+                    alive[q, b] -= 1
+                    bars[q].append((b, L))
+                for q in births:
+                    alive[q, L] += 1
+            for (q, b), n in alive.items():
+                bars[q] += [(b, INF)] * n
+                infinite += n
+            rebuilt = tuple(tuple(sorted(deg)) for deg in bars)
+            assert rebuilt == level_barcode(K, levels, field), (levels, p)
+    assert infinite > len(cases) * 2
