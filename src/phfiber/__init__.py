@@ -43,7 +43,6 @@ from .persistence import (
     TotalBarcode,
     barcode_of_filter,
     betti_numbers,
-    bounded_bar_counts,
     constant_filter,
     filter_from_values,
     infinite_bar_counts,

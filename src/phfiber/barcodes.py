@@ -70,9 +70,6 @@ class CombinatorialBarcode:
             (1 if d == self.inf else 2) for deg in self.degrees for _, d in deg
         )
 
-    def bar_count(self) -> int:
-        return sum(len(deg) for deg in self.degrees)
-
     def __str__(self) -> str:
         return format_barcode_type(self)
 

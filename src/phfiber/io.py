@@ -31,16 +31,6 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    num, sep, den = text.partition("/")
-    try:
-        if not sep:
-            raise ValueError
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed rational {text!r}, expected num/den") from None
-
-
 def complex_from_doc(doc) -> SimplicialComplex:
     """Build a complex from {"maximal_simplices": [[v, ...], ...]}."""
     if not isinstance(doc, dict) or "maximal_simplices" not in doc:
@@ -87,23 +77,42 @@ def stratum_doc(stratum: FilterStratum, K: SimplicialComplex) -> dict:
     }
 
 
-def _block_mask(K: SimplicialComplex, block) -> int:
+def _block_mask(K: SimplicialComplex, block, placed: int) -> int:
+    """The mask of a block's simplices, none of them in `placed` or listed twice."""
     mask = 0
     for vs in block:
         s = simplex(vs)
         if s not in K:
             raise ParseError(f"stratum simplex {s} is not in the complex")
-        mask |= 1 << K.index[s]
+        bit = 1 << K.index[s]
+        if bit & mask:
+            raise ParseError(f"stratum simplex {s} is listed twice in one block")
+        if bit & placed:
+            raise ParseError(f"stratum simplex {s} lies in two blocks")
+        mask |= bit
     return mask
 
 
 def parse_stratum_doc(doc, K: SimplicialComplex) -> FilterStratum:
-    """The stratum of a stratum_doc, with blocks as masks over K's ids."""
+    """The stratum of a stratum_doc, with blocks as masks over K's ids.
+
+    The flags must be JSON booleans, and each simplex may be listed once.
+    """
     try:
-        blocks = tuple(_block_mask(K, block) for block in doc["blocks"])
-        return FilterStratum(blocks, bool(doc["at_zero"]), bool(doc["at_one"]))
+        flags = doc["at_zero"], doc["at_one"]
+        blocks = []
+        placed = 0
+        for block in doc["blocks"]:
+            blocks.append(_block_mask(K, block, placed))
+            placed |= blocks[-1]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed stratum document: {exc}") from exc
+    if not all(isinstance(f, bool) for f in flags):
+        raise ParseError(
+            f"malformed stratum document: at_zero and at_one must be true or false, "
+            f"got {flags}"
+        )
+    return FilterStratum(tuple(blocks), *flags)
 
 
 def strata_doc(K: SimplicialComplex, strata: Iterable[FilterStratum]) -> list:

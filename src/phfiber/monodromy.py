@@ -46,10 +46,6 @@ class MonodromyMap:
         collapsed = set(self.collapsed_cells)
         return tuple(i for i in range(len(self.cell_map)) if i not in collapsed)
 
-    def map_rank_vector(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        phi = self.morphism.representative
-        return tuple(phi(s) for s in vec)
-
 
 def _image_stratum(cell: FiberCell, phi) -> FilterStratum:
     """Push a fiber cell forward along a simplicial endpoint map.

@@ -63,9 +63,6 @@ class Filter:
             raise DomainError(f"simplex {s} is not in the filter's complex")
         return self.values[i]
 
-    def value_set(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(set(self.values)))
-
 
 def check_monotone(K: SimplicialComplex, values: Sequence) -> None:
     """Raise DomainError unless no face has a larger value than a coface."""
@@ -234,10 +231,6 @@ def betti_numbers(K: SimplicialComplex, field: FieldSpec = F2) -> tuple[int, ...
 
 def infinite_bar_counts(barcode: TotalBarcode) -> tuple[int, ...]:
     return tuple(sum(1 for _, d in deg if d == INF) for deg in barcode)
-
-
-def bounded_bar_counts(barcode: TotalBarcode) -> tuple[int, ...]:
-    return tuple(sum(1 for _, d in deg if d != INF) for deg in barcode)
 
 
 def constant_filter(K: SimplicialComplex, value) -> Filter:

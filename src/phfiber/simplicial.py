@@ -124,9 +124,6 @@ class SimplicialComplex:
     def __hash__(self) -> int:
         return hash(self.simplices)
 
-    def p_simplices(self, p: int) -> tuple[Simplex, ...]:
-        return tuple(s for s in self.simplices if s.dim == p)
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** s.dim for s in self.simplices)
 

@@ -20,7 +20,6 @@ from phfiber.io import (
     monodromy_doc,
     morphism_class_doc,
     morphisms_doc,
-    parse_fraction,
     parse_stratum_doc,
     strata_doc,
     stratum_doc,
@@ -39,12 +38,8 @@ def test_dumps_is_valid_json_with_trailing_newline(triangle):
 
 def test_fraction_round_trip():
     for q in (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(5, 7)):
-        assert parse_fraction(fraction_str(q)) == q
+        assert Fraction(fraction_str(q)) == q
     assert fraction_str(Fraction(1, 2)) == "1/2"
-    with pytest.raises(ParseError, match="malformed rational"):
-        parse_fraction("0.5")
-    with pytest.raises(ParseError, match="malformed rational"):
-        parse_fraction("a/b")
 
 
 def test_complex_doc_round_trip(triangle, wedge, two_intervals):
@@ -94,6 +89,26 @@ def test_parse_stratum_doc_rejects_malformed(interval):
     foreign = {"blocks": [[[0], [2]], [[1], [0, 1]]], "at_zero": False, "at_one": False}
     with pytest.raises(ParseError, match=r"stratum simplex \{2\} is not in the complex"):
         parse_stratum_doc(foreign, interval)
+
+
+def test_parse_stratum_doc_rejects_non_boolean_flags(interval):
+    blocks = [[[0], [1]], [[0, 1]]]
+    for flags in (("false", False), (False, 1), (None, False)):
+        doc = {"blocks": blocks, "at_zero": flags[0], "at_one": flags[1]}
+        with pytest.raises(ParseError, match="must be true or false"):
+            parse_stratum_doc(doc, interval)
+
+
+def test_parse_stratum_doc_rejects_a_repeated_simplex(interval):
+    doc = {"blocks": [[[0], [0], [1]], [[0, 1]]], "at_zero": False, "at_one": False}
+    with pytest.raises(ParseError, match=r"simplex \{0\} is listed twice in one block"):
+        parse_stratum_doc(doc, interval)
+
+
+def test_parse_stratum_doc_rejects_overlapping_blocks(interval):
+    doc = {"blocks": [[[0], [1]], [[0], [0, 1]]], "at_zero": False, "at_one": False}
+    with pytest.raises(ParseError, match=r"simplex \{0\} lies in two blocks"):
+        parse_stratum_doc(doc, interval)
 
 
 def test_strata_doc_lists_every_stratum(interval):

@@ -89,8 +89,8 @@ def _collapse_gap(filt, lo, hi):
 
 def _grid_filters(K, type_string):
     """Every monotone grid filter over the type with endpoints ORACLE_PINS."""
-    verts = K.p_simplices(0)
-    edges = K.p_simplices(1)
+    verts = [s for s in K.simplices if s.dim == 0]
+    edges = [s for s in K.simplices if s.dim == 1]
     out = []
     for vv in itertools.product(ORACLE_GRID, repeat=len(verts)):
         values = dict(zip(verts, vv))
@@ -168,7 +168,8 @@ def test_vertex_images_follow_the_endpoint_map(triangle, triangle_fibers, types)
     mm = named_monodromy(triangle, triangle_fibers, types, "circle_shared_death", "mobius")
     for i, j in mm.vertex_map:
         vec = mm.source.cells[i].rank_vector
-        assert mm.target.cells[j].rank_vector == mm.map_rank_vector(vec)
+        phi = mm.morphism.representative
+        assert mm.target.cells[j].rank_vector == tuple(phi(s) for s in vec)
 
 
 def test_identity_monodromy_is_the_identity_permutation(

@@ -63,7 +63,7 @@ def test_filter_lookup_and_value_set(interval):
     f = ph.make_filter(interval, {a: F(0), b: F(1, 2), ab: F(1, 2)})
     assert f[a] == 0
     assert f[ab] == F(1, 2)
-    assert f.value_set() == (F(0), F(1, 2))
+    assert sorted(set(f.values)) == [F(0), F(1, 2)]
 
 
 def test_interval_barcode_suppresses_zero_length_bars(interval):
@@ -100,7 +100,7 @@ def test_bounded_and_infinite_bar_counts(triangle):
     )
     bc = ph.barcode_of_filter(f)
     assert ph.infinite_bar_counts(bc) == (1, 1)
-    assert ph.bounded_bar_counts(bc) == (2, 0)
+    assert tuple(sum(1 for _, d in deg if d != INF) for deg in bc) == (2, 0)
 
 
 def test_barcode_agrees_across_fields(triangle):
