@@ -122,12 +122,6 @@ def _symbol_events(T: CombinatorialBarcode) -> dict[int, tuple[tuple, tuple]]:
     return {s: (tuple(sorted(births[s])), tuple(sorted(deaths[s]))) for s in births}
 
 
-def _euler_count(events: tuple[tuple, tuple]) -> int:
-    """The change of the sublevel Euler characteristic at a symbol's events."""
-    births, deaths = events
-    return sum((-1) ** q for q in births) - sum((-1) ** q for q, _ in deaths)
-
-
 def _fiber_strata(
     K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec
 ) -> list[tuple[FilterStratum, tuple]]:
@@ -151,8 +145,12 @@ def _fiber_strata(
     """
     m, one = T.dim, T.one
     table = _symbol_events(T)
-    chi = {s: _euler_count(ev) for s, ev in table.items()}
-    quiet = ((), ())
+    # The change of the sublevel Euler characteristic at each symbol.
+    chi = {
+        s: sum((-1) ** q for q in births) - sum((-1) ** q for q, _ in deaths)
+        for s, (births, deaths) in table.items()
+    }
+    quiet = ((), ())  # no births, no deaths
     one_optional = table[one] == quiet
     odd = sum(1 << i for i, s in enumerate(K.simplices) if s.dim % 2)
     full = (1 << len(K)) - 1

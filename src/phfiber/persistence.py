@@ -13,7 +13,8 @@ values, so the package feeds it integer levels (stratum block positions,
 rank vectors, 0/1 for removability, all 0 for Betti numbers), while Filter's
 Fraction values are for the API. Grouping many strata by type pushes and
 pops their blocks instead, so strata sharing a prefix of blocks share its
-reduction.
+reduction, and the fiber walk does the same while pruning on the events of
+each pushed block (_PrefixReduction.events).
 """
 from __future__ import annotations
 
@@ -117,9 +118,10 @@ class _PrefixReduction:
     class and a surviving column killing the class created at its pivot row.
     Filtration order puts every face first, and a column is reduced only
     against earlier columns, so the reduction of a prefix of blocks is the
-    same whatever blocks follow; pop() undoes the last block's columns and
-    pivots. The caller checks that each block is disjoint from the placed
-    ones and holds all its faces with them.
+    same whatever blocks follow; events() reads the bars that die in the last
+    block and the classes born in it off its pivots, and pop() undoes its
+    columns and pivots. The caller checks that each block is disjoint from
+    the placed ones and holds all its faces with them.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec = F2) -> None:
@@ -171,9 +173,9 @@ class _PrefixReduction:
         born in the block that outlives it, deaths the (degree, birth level) of
         each class of an earlier block that it kills, both sorted. A class
         born and killed inside the block is neither, as its bar has length 0.
-        The reduction of a prefix is final, so these are the bars of every
-        filtration that starts with the placed blocks: a bar dies in the block
-        exactly when it is in deaths, and is born in it when it is in births.
+        The reduction of a prefix is final, so every filtration that starts
+        with the placed blocks has exactly these bars born and dying in the
+        block, whatever blocks follow.
         """
         start = self.starts[-1]
         order, level, dims, lows = self.order, self.level, self.K.dims, self.lows
