@@ -152,7 +152,6 @@ def _fiber_strata(
     }
     quiet = ((), ())  # no births, no deaths
     one_optional = table[one] == quiet
-    odd = sum(1 << i for i, s in enumerate(K.simplices) if s.dim % 2)
     full = (1 << len(K)) - 1
     reduction = _PrefixReduction(K, field)
     blocks: list[int] = []
@@ -165,7 +164,7 @@ def _fiber_strata(
         k = len(blocks)
         if placed not in children:
             children[placed] = [
-                (S, (S & ~odd).bit_count() - (S & odd).bit_count(), mask_ids(S))
+                (S, K.euler_count(S), mask_ids(S))
                 for S in _closed_subsets(K, full & ~placed, placed)
             ]
         for S, c, ids in children[placed]:

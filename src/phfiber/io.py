@@ -13,11 +13,11 @@ from typing import Iterable, Sequence
 
 from .barcodes import format_barcode_type, symbol_token
 from .category import MorphismClass
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .fiber import FiberComplex, TriangulatedFiber, fiber_dimension
 from .monodromy import MonodromyMap
 from .simplicial import SimplicialComplex, build_complex, simplex
-from .strata import BarcodeStratumRecord, FilterStratum, mask_ids
+from .strata import BarcodeStratumRecord, FilterStratum, mask_ids, stratum_levels
 
 MODE_TOKENS = {"all": "all", "interior_only": "interior", "lower_star": "lower-star"}
 
@@ -96,7 +96,9 @@ def _block_mask(K: SimplicialComplex, block, placed: int) -> int:
 def parse_stratum_doc(doc, K: SimplicialComplex) -> FilterStratum:
     """The stratum of a stratum_doc, with blocks as masks over K's ids.
 
-    The flags must be JSON booleans, and each simplex may be listed once.
+    The flags must be JSON booleans, each simplex must be listed once, and
+    the blocks must be a stratum of K (strata.stratum_levels): they cover K,
+    and no simplex comes before one of its faces.
     """
     try:
         flags = doc["at_zero"], doc["at_one"]
@@ -112,7 +114,12 @@ def parse_stratum_doc(doc, K: SimplicialComplex) -> FilterStratum:
             f"malformed stratum document: at_zero and at_one must be true or false, "
             f"got {flags}"
         )
-    return FilterStratum(tuple(blocks), *flags)
+    try:
+        stratum = FilterStratum(tuple(blocks), *flags)
+        stratum_levels(K, stratum)
+    except DomainError as exc:
+        raise ParseError(f"not a stratum of this complex: {exc}") from exc
+    return stratum
 
 
 def strata_doc(K: SimplicialComplex, strata: Iterable[FilterStratum]) -> list:

@@ -111,6 +111,8 @@ class SimplicialComplex:
         self.face_masks = tuple(
             sum(1 << self.index[f] for f in s.proper_faces()) for s in simplices
         )
+        # The odd-dimensional simplices as a bitmask over canonical ids.
+        self.odd_mask = sum(1 << i for i, d in enumerate(self.dims) if d % 2)
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -124,8 +126,13 @@ class SimplicialComplex:
     def __hash__(self) -> int:
         return hash(self.simplices)
 
+    def euler_count(self, mask: int) -> int:
+        """Sum of (-1) ** dim over the simplices of a mask of canonical ids."""
+        odd = self.odd_mask
+        return (mask & ~odd).bit_count() - (mask & odd).bit_count()
+
     def euler_characteristic(self) -> int:
-        return sum((-1) ** s.dim for s in self.simplices)
+        return self.euler_count((1 << len(self)) - 1)
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.simplices)} simplices, dim {self.dim})"

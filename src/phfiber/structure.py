@@ -44,14 +44,22 @@ class RemovabilityReport:
 def _inclusion_is_iso(K: SimplicialComplex, removed: int, field: FieldSpec) -> bool:
     """True when including the complement of the removed mask is a homology iso.
 
-    Filter K by level 0 on the kept subcomplex and 1 on the removed
-    simplices; is_removable's closedness check is exactly the monotonicity of
-    these levels. Their barcode is the interval decomposition of the map
-    H(sub) -> H(K): a (0, 1) bar is a class of sub that dies in K (the
-    kernel), a (1, inf) bar a class of K not coming from sub (the cokernel),
-    and a (0, inf) bar a class mapped isomorphically. So the inclusion is an
-    isomorphism exactly when every bar is (0, inf).
+    By the long exact sequence of the pair, the inclusion of sub = K minus R
+    is an isomorphism exactly when H(K, sub) = 0. The relative chains have
+    the removed simplices R as a basis, so the alternating sum of the
+    relative Betti numbers is the Euler count of R over every field, and a
+    nonzero count rules the removal out before any column reduction.
+
+    Otherwise filter K by level 0 on sub and 1 on R; is_removable's
+    closedness check is exactly the monotonicity of these levels. Their
+    barcode is the interval decomposition of the map H(sub) -> H(K): a (0, 1)
+    bar is a class of sub that dies in K (the kernel), a (1, inf) bar a class
+    of K not coming from sub (the cokernel), and a (0, inf) bar a class
+    mapped isomorphically. So the inclusion is an isomorphism exactly when
+    every bar is (0, inf).
     """
+    if K.euler_count(removed):
+        return False
     levels = tuple(removed >> i & 1 for i in range(len(K)))
     return all(
         birth == 0 and death == INF
@@ -120,7 +128,11 @@ def find_removable_subset(
     """First nonempty removable subset in (size, mask) order, or None.
 
     Every walked mask is coface-closed, so its complement is a subcomplex
-    and only the homology test remains; removing all of K never counts.
+    and only the homology test remains; removing all of K never counts. A
+    removable subset has Euler count 0, since it is a basis of the relative
+    chains of a pair with no relative homology, so the test reduces only the
+    masks with count 0 (_inclusion_is_iso); the rest are skipped in walk
+    order, which leaves the first witness unchanged.
     """
     full = (1 << len(K)) - 1
     for mask in _upward_closed_masks(K, budget):

@@ -111,6 +111,21 @@ def test_parse_stratum_doc_rejects_overlapping_blocks(interval):
         parse_stratum_doc(doc, interval)
 
 
+def test_parse_stratum_doc_rejects_a_simplex_before_its_face(interval):
+    doc = {"blocks": [[[0, 1]], [[0]]], "at_zero": False, "at_one": False}
+    with pytest.raises(ParseError, match="not a stratum of this complex"):
+        parse_stratum_doc(doc, interval)
+    doc["blocks"].append([[1]])  # every simplex present, still out of order
+    with pytest.raises(ParseError, match=r"has larger value than \{0,1\}"):
+        parse_stratum_doc(doc, interval)
+
+
+def test_parse_stratum_doc_rejects_a_missing_simplex(interval):
+    doc = {"blocks": [[[0], [1]]], "at_zero": True, "at_one": False}
+    with pytest.raises(ParseError, match="does not partition"):
+        parse_stratum_doc(doc, interval)
+
+
 def test_strata_doc_lists_every_stratum(interval):
     strata = ph.enumerate_filter_strata(interval, "interior_only")
     doc = strata_doc(interval, strata)

@@ -1,10 +1,16 @@
 """Simplices, complexes, facet ids, automorphisms."""
 
+from pathlib import Path
+
 import pytest
 
 import phfiber as ph
 from phfiber import DomainError
 from phfiber.simplicial import is_automorphism
+
+DEMO_COMPLEXES = sorted(
+    (Path(__file__).resolve().parent.parent / "demos" / "complexes").glob("*.json")
+)
 
 
 def test_simplex_normalizes_vertex_order():
@@ -48,6 +54,16 @@ def test_euler_characteristic():
     assert ph.build_complex([[0, 1], [1, 2], [0, 2]]).euler_characteristic() == 0
     assert ph.build_complex([[0, 1, 2]]).euler_characteristic() == 1
     assert ph.build_complex([[0, 1], [2, 3]]).euler_characteristic() == 2
+
+
+@pytest.mark.parametrize("path", DEMO_COMPLEXES, ids=[p.stem for p in DEMO_COMPLEXES])
+def test_euler_characteristic_is_read_off_the_odd_mask(path):
+    K = ph.load_complex(str(path))
+    assert K.odd_mask == sum(1 << i for i, s in enumerate(K.simplices) if s.dim % 2)
+    full = (1 << len(K)) - 1
+    chi = sum((-1) ** s.dim for s in K.simplices)
+    assert K.euler_characteristic() == K.euler_count(full) == chi
+    assert (full & ~K.odd_mask).bit_count() - K.odd_mask.bit_count() == chi
 
 
 def test_facet_ids_follow_the_facet_order():
