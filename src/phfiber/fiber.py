@@ -9,25 +9,25 @@ face relation is stratum coarsening, so the whole complex is combinatorial;
 no coordinates beyond symbol rank vectors are ever needed.
 
 The cells are found by one depth-first walk over the monotone partitions
-(_fiber_strata) that carries one column reduction, persistence._PrefixReduction:
-each block is pushed on entering a branch and popped on leaving it. The
-reduction of a block prefix is final, so the bars that die in a block and the
-classes born in it that outlive it are known as soon as it is pushed, and a
-branch survives only while they equal T's events at the symbol the block
-takes (none when the block is free). A cheap Euler-count test on each block
-comes first. The leaves are exactly the strata of type T, with no recheck, and
-each cell is built from the symbols the walk assigned: a block is pinned when
-it takes a symbol and free otherwise, and a 0-cell's rank vector gives each
-simplex its block's symbol. Block masks are the strata's blocks, so cells,
-their facets and the monodromy images are all built on masks.
+(_fiber_strata, on strata._next_blocks) that carries one column reduction,
+persistence._PrefixReduction: each block is pushed on entering a branch and
+popped on leaving it. The reduction of a block prefix is final, so the bars
+that die in a block and the classes born in it that outlive it are known as
+soon as it is pushed, and a branch survives only while they equal T's events
+at the symbol the block takes (none when the block is free). A cheap
+Euler-count test on each block comes first. The leaves are exactly the strata
+of type T, with no recheck, and each cell is built from the symbols the walk
+assigned: a block is pinned when it takes a symbol and free otherwise, and a
+0-cell's rank vector gives each simplex its block's symbol. Block masks are
+the strata's blocks, so cells, their facets and monodromy images use masks.
 
 The face relation is built locally. The codimension-1 coarsenings of a
 stratum are the merges of two adjacent blocks (the OR of their masks) and the
 pinning of the first block at 0 or of the last block at 1; those that are
-cells of the fiber are the cell's facets. Cells are sorted by dimension, so one pass in that order
-collects every cell's faces as its facets together with their faces. The
-triangulation takes its maximal simplices from the cells that are no other
-cell's face.
+cells of the fiber are the cell's facets. The cells come in (dimension,
+serialize_stratum) order, so one pass in that order collects every cell's
+faces as its facets together with their faces. The triangulation takes its
+maximal simplices from the cells that are no other cell's face.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .persistence import Filter, _PrefixReduction, betti_numbers
 from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
 from .strata import (
     FilterStratum,
-    _closed_subsets,
+    _next_blocks,
     bounded_deficit,
     is_lower_star_stratum,
     mask_ids,
@@ -127,17 +127,17 @@ def _fiber_strata(
 ) -> list[tuple[FilterStratum, tuple]]:
     """The strata of type T, each with the symbol each of its blocks takes.
 
-    A depth-first walk over the monotone partitions (strata._closed_subsets)
-    carries one _PrefixReduction: a block is pushed at its block index on
-    entering a branch and popped on leaving it. The reduction of a prefix is
-    final, so the block's events (_PrefixReduction.events) are bars of
-    every stratum below the branch, and the branch survives only if they
-    equal T's events at the symbol the block takes (_symbol_events); a free
-    block, None, takes no symbol and must have none. The leaves are then
-    exactly the strata whose barcode is T: every symbol with events is taken
-    by one block, so the births and deaths of each symbol match T's, and so
-    do the bars. Before the push, the block's Euler count must equal the
-    symbol's (0 when free), which prunes most branches cheaply.
+    A depth-first walk over the monotone partitions, in the serialize_stratum
+    order of strata._next_blocks, carries one _PrefixReduction: a block is
+    pushed at its block index on entering a branch and popped on leaving it.
+    The reduction of a prefix is final, so the block's events
+    (_PrefixReduction.events) are bars of every stratum below the branch, and
+    the branch survives only if they equal T's events at the symbol the block
+    takes (_symbol_events); a free block, None, takes no symbol and must have
+    none. The leaves are then exactly the strata whose barcode is T: every
+    symbol with events is taken by one block, so the births and deaths of each
+    symbol match T's, and so do the bars. Before the push, the block's Euler
+    count must equal the symbol's (0 when free), which prunes most branches.
 
     The first block is pinned at 0 exactly when ZERO has events, since it
     holds a vertex; the ranks 1..m are taken in order; the last block may be
@@ -157,17 +157,11 @@ def _fiber_strata(
     blocks: list[int] = []
     symbols: list = []  # per placed block, its symbol or None when free
     leaves: list[tuple[FilterStratum, tuple]] = []
-    # Per union of placed blocks: each closed next block, its Euler count, its ids.
-    children: dict[int, list[tuple[int, int, list[int]]]] = {}
+    memo: dict = {}
 
     def walk(placed: int, rank: int) -> None:
         k = len(blocks)
-        if placed not in children:
-            children[placed] = [
-                (S, K.euler_count(S), mask_ids(S))
-                for S in _closed_subsets(K, full & ~placed, placed)
-            ]
-        for S, c, ids in children[placed]:
+        for S, c, ids in _next_blocks(K, placed, memo):
             moves = []  # (symbol taken, next rank to pin)
             if rank == ZERO:
                 if c == chi[ZERO]:
@@ -296,7 +290,13 @@ def fiber_complex(
     ]
     if not cells:
         raise DomainError("empty fiber")
-    cells.sort(key=lambda c: (c.dim, serialize_stratum(c.stratum, K)))
+    # The walk meets the strata in text order, so a stable sort by dimension
+    # gives (dim, serialize_stratum) order. No stratum comes twice: at a
+    # non-last block at most one symbol passes the event test (a free block
+    # needs no events, every rank 1..m has some); at the last block, free and
+    # pinned at ONE both pass only when ONE has no events, in the order "t",
+    # "t+o"; at_zero is fixed for the whole walk.
+    cells.sort(key=lambda c: c.dim)
 
     cell_ids = {c.stratum: i for i, c in enumerate(cells)}
     faces = _face_sets(K, cells, cell_ids)

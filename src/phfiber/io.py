@@ -57,11 +57,13 @@ def complex_doc(K: SimplicialComplex) -> dict:
 
 
 def load_complex(path: str) -> SimplicialComplex:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"complex file {path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"complex file {path} is not UTF-8 text: {exc}") from exc
     return complex_from_doc(doc)
 
 

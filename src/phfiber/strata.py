@@ -8,11 +8,10 @@ whether the last sits at 1. The unflagged blocks carry the stratum's interior
 dimension, one free value each.
 
 A block is a bitmask over the complex's canonical simplex ids (bit i set when
-simplex i lies in the block). Strata are enumerated by a walker over these
-masks whose next blocks come from _closed_subsets, which the fiber's pruned
-walk (fiber._fiber_strata) also reads, and every consumer reads the masks
-directly; Simplex objects appear only in the
-JSON documents (io.stratum_doc, io.parse_stratum_doc).
+simplex i lies in the block). The enumeration here and the fiber's pruned
+walk (fiber._fiber_strata) read one table of next blocks, _next_blocks, whose
+order makes both meet the strata in serialize_stratum order. Every consumer
+reads the masks; Simplex objects appear only in the JSON documents.
 
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels, barcode_of_stratum);
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError, InvariantError
@@ -101,17 +100,21 @@ def _closed_subsets(K: SimplicialComplex, remaining: int, placed: int) -> list[i
     return subsets[1:]
 
 
-def _walk_partitions(K: SimplicialComplex) -> Iterator[tuple[int, ...]]:
-    """Ordered set partitions of K compatible with the face order, as block masks."""
-    full = (1 << len(K)) - 1
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        placed, blocks = stack.pop()
-        if placed == full:
-            yield blocks
-            continue
-        for S in _closed_subsets(K, full & ~placed, placed):
-            stack.append((placed | S, blocks + (S,)))
+def _next_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
+    """Each closed block after `placed` as (mask, Euler count, ids), memoized.
+
+    Sorted by id text, plus "|" unless the block is the last one. These keys
+    are prefix-free and a stratum's text is its blocks' keys, then its flags,
+    so a depth-first walk in this order meets strata in serialize_stratum order.
+    """
+    if placed not in memo:
+        full = (1 << len(K)) - 1
+        subsets = _closed_subsets(K, full & ~placed, placed)
+        memo[placed] = sorted(
+            [(S, K.euler_count(S), mask_ids(S)) for S in subsets],
+            key=lambda e: ".".join(map(str, e[2])) + "|" * (placed | e[0] != full),
+        )
+    return memo[placed]
 
 
 def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
@@ -135,7 +138,7 @@ def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
 def enumerate_filter_strata(
     K: SimplicialComplex, mode: str = "all"
 ) -> tuple[FilterStratum, ...]:
-    """All filter strata of K, in a deterministic canonical order.
+    """All filter strata of K in serialize_stratum order: a walk over _next_blocks.
 
     mode "interior_only" keeps both end flags off; "lower_star" keeps the
     flagless strata of lower-star filters; "all" is everything.
@@ -143,26 +146,22 @@ def enumerate_filter_strata(
     if mode not in MODES:
         raise DomainError(f"unknown stratum mode {mode!r}, expected one of {MODES}")
     flags = [(False, False)]
-    if mode == "all":
-        flags += [(True, False), (False, True), (True, True)]
-    out = [
-        FilterStratum(masks, at_zero, at_one)
-        for masks in _walk_partitions(K)
-        for at_zero, at_one in flags
-        if not (at_zero and at_one and len(masks) == 1)
-    ]
+    if mode == "all":  # in text order: "", "+o", "+z", "+z+o"
+        flags += [(False, True), (True, False), (True, True)]
+    full = (1 << len(K)) - 1
+    memo: dict = {}
+    out: list[FilterStratum] = []
+
+    def walk(placed: int, blocks: tuple[int, ...]) -> None:
+        if placed == full:  # one block cannot be pinned at both ends
+            out.extend(FilterStratum(blocks, *f) for f in flags if sum(f) <= len(blocks))
+            return
+        for S, _, _ in _next_blocks(K, placed, memo):
+            walk(placed | S, blocks + (S,))
+
+    walk(0, ())
     if mode == "lower_star":
         out = [st for st in out if is_lower_star_stratum(K, st)]
-    texts: dict[int, str] = {}  # each distinct block's id text, built once
-
-    def key(st: FilterStratum) -> str:  # serialize_stratum(st, K)
-        for b in st.blocks:
-            if b not in texts:
-                texts[b] = ".".join(map(str, mask_ids(b)))
-        text = "|".join([texts[b] for b in st.blocks])
-        return text + "+z" * st.at_zero + "+o" * st.at_one
-
-    out.sort(key=key)
     return tuple(out)
 
 

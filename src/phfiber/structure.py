@@ -132,8 +132,11 @@ def find_removable_subset(
     removable subset has Euler count 0, since it is a basis of the relative
     chains of a pair with no relative homology, so the test reduces only the
     masks with count 0 (_inclusion_is_iso); the rest are skipped in walk
-    order, which leaves the first witness unchanged.
+    order, which leaves the first witness unchanged. A budget below 1 is a
+    DomainError.
     """
+    if budget < 1:
+        raise DomainError(f"essentiality budget must be at least 1, got {budget}")
     full = (1 << len(K)) - 1
     for mask in _upward_closed_masks(K, budget):
         if mask != full and _inclusion_is_iso(K, mask, field):

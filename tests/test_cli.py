@@ -169,6 +169,15 @@ def test_essential_interval_reports_witness(capsys, interval_file):
     }
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_essential_rejects_budget_below_one(capsys, interval_file, budget):
+    code, out, err = run(capsys, "essential", interval_file, "--budget", budget)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"got {budget}" in err
+    assert "too large" not in err
+
+
 def test_symmetries_document(capsys, triangle_file):
     code, out, _ = run(
         capsys, "symmetries", triangle_file, "--barcode", TYPE_STRINGS["two_circles"]
@@ -190,6 +199,16 @@ def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "image", "/nonexistent/k.json")
     assert code == 1
     assert "error:" in err
+
+
+def test_non_utf8_complex_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe[[0, 1]]")
+    code, out, err = run(capsys, "strata", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+    assert "Traceback" not in err
 
 
 def test_nonprime_field_exits_one(capsys, triangle_file):

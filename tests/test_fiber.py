@@ -25,6 +25,7 @@ from phfiber.fiber import (
 from phfiber.strata import (
     FilterStratum,
     is_lower_star_stratum,
+    serialize_stratum,
     stratum_closure_leq,
     stratum_levels,
 )
@@ -476,13 +477,22 @@ def test_euler_pruning_keeps_every_member_stratum(maximal):
 def test_exact_walk_matches_euler_pruning_with_recheck(path5):
     """The exact walk's cells, with their gap shapes, rank vectors and labels,
     against Euler pruning plus a level_barcode recheck of every survivor, on
-    path5, the square and every interior type of path4 in perfbench/inputs.json."""
+    path5, the square, two triangles (11 simplices, so ids of two digits) and
+    every interior type of path4 in perfbench/inputs.json. The cells must come
+    in (dim, serialize_stratum) order, which fiber_complex gets from the walk
+    order and a sort by dimension alone."""
     path4 = ph.build_complex([[0, 1], [1, 2], [2, 3]])
     square = ph.build_complex([[0, 1], [1, 2], [2, 3], [0, 3]])
+    triangles = ph.build_complex([[0, 1, 2], [1, 2, 3]])
     inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.json"
     cases = [(path5, "0:(zero,inf),(1,2)"), (square, "0:(1,inf),(2,3);1:(4,inf)")]
+    cases += [
+        (triangles, "0:(1,2),(1,3),(1,inf);1:(4,one)"),
+        (triangles, "0:(zero,1),(zero,1),(zero,inf);1:(1,4),(2,3)"),
+        (triangles, "0:(1,2),(1,2),(1,3),(1,inf)"),
+    ]
     cases += [(path4, t) for t in json.loads(inputs.read_text())["path4_interior"]]
-    assert len(cases) == 169
+    assert len(cases) == 172
     cells = rechecked = 0
     for K, text in cases:
         T = ph.parse_barcode_type(text)
@@ -492,6 +502,8 @@ def test_exact_walk_matches_euler_pruning_with_recheck(path5):
             fc = ph.fiber_complex(K, T, field)
             got = {c.stratum: (c.gap_shape, c.rank_vector, c.labels) for c in fc.cells}
             assert got == expected, (text, p)
+            order = [(c.dim, serialize_stratum(c.stratum, K)) for c in fc.cells]
+            assert order == sorted(order), (text, p)
             cells += len(got)
             rechecked += leaves
     # Most Euler survivors fail the recheck, so the pruning is really tested.

@@ -9,7 +9,9 @@ import pytest
 import phfiber as ph
 from phfiber import DomainError
 from phfiber.strata import (
+    MODES,
     FilterStratum,
+    _next_blocks,
     is_lower_star_stratum,
     serialize_stratum,
     stratum_closure_leq,
@@ -81,11 +83,45 @@ def test_unknown_mode_rejected(triangle):
         ph.enumerate_filter_strata(triangle, "everything")
 
 
-def test_strata_are_deterministically_ordered(triangle):
-    strata = ph.enumerate_filter_strata(triangle, "interior_only")
-    keys = [serialize_stratum(st, triangle) for st in strata]
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "maximal",
+    [[[0, 1]], [[0, 1], [1, 2], [0, 2]], [[0, 1], [2, 3]], [[0, 1, 2]]],
+    ids=["interval", "triangle", "two_intervals", "filled_triangle"],
+)
+def test_strata_are_deterministically_ordered(maximal, mode):
+    K = ph.build_complex(maximal)
+    keys = [serialize_stratum(st, K) for st in ph.enumerate_filter_strata(K, mode)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name", ["two_triangles", "path6", "rp2"])
+def test_next_blocks_walk_is_in_text_order_past_id_ten(name, rp2):
+    """With 11 or more simplices, ids of two digits sort as text ("10" before
+    "2"); the depth-first walk over _next_blocks must still meet the
+    partitions in strictly increasing serialize_stratum text. A full
+    enumeration is out of reach (two triangles have 1,444,860 interior
+    strata, path6 20,393,790), so the first 20,000 leaves are checked."""
+    K = {
+        "two_triangles": ph.build_complex([[0, 1, 2], [1, 2, 3]]),
+        "path6": ph.build_complex([[i, i + 1] for i in range(5)]),
+        "rp2": rp2,
+    }[name]
+    assert len(K) > 10
+    full = (1 << len(K)) - 1
+    memo: dict = {}
+
+    def leaves(placed, blocks):
+        if placed == full:
+            yield FilterStratum(blocks)
+            return
+        for S, _, _ in _next_blocks(K, placed, memo):
+            yield from leaves(placed | S, blocks + (S,))
+
+    texts = [serialize_stratum(st, K) for st in itertools.islice(leaves(0, ()), 20000)]
+    assert len(texts) == 20000
+    assert all(a < b for a, b in zip(texts, texts[1:]))
 
 
 def test_interior_dim_counts_blocks_minus_flags(interval):
