@@ -101,7 +101,7 @@ def _closed_subsets(K: SimplicialComplex, remaining: int, placed: int) -> list[i
 
 
 def _next_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
-    """Each closed block after `placed` as (mask, Euler count, ids), memoized.
+    """Each closed block after `placed` as (mask, Euler count, ids), in memo[placed].
 
     Sorted by id text, plus "|" unless the block is the last one. These keys
     are prefix-free and a stratum's text is its blocks' keys, then its flags,
