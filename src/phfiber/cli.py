@@ -5,7 +5,7 @@ Exit codes: 0 on success, 1 when the input is outside the mathematical domain
 Output goes to stdout, diagnostics to stderr. Every command runs in one
 thread: every barcode, Betti number and removability test comes from the one
 exact sparse column reduction (persistence._PrefixReduction, through
-level_barcode or image grouping), so output bytes depend only on the
+level_barcode or the fiber walk), so output bytes depend only on the
 arguments.
 """
 from __future__ import annotations

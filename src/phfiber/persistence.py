@@ -11,10 +11,11 @@ a filtration block by block and can pop the last block again. level_barcode
 is one push of it over a whole filtration; it reads only the order of the
 values, so the package feeds it integer levels (stratum block positions,
 rank vectors, 0/1 for removability, all 0 for Betti numbers), while Filter's
-Fraction values are for the API. Grouping many strata by type pushes and
-pops their blocks instead, so strata sharing a prefix of blocks share its
-reduction, and the fiber walk does the same while pruning on the events of
-each pushed block (_PrefixReduction.events).
+Fraction values are for the API. The fiber walk pushes and pops stratum
+blocks, pruning on the events of each pushed block (_PrefixReduction.events).
+_inclusion_rank reads the rank of H(A) -> H(B) for nested subcomplexes off
+one level_barcode; grouping strata by type types them from a table of these
+ranks.
 """
 from __future__ import annotations
 
@@ -108,6 +109,20 @@ def level_barcode(
     reduction = _PrefixReduction(K, field)
     reduction.push(order, [values[i] for i in order])
     return reduction.bars()
+
+
+def _inclusion_rank(
+    K: SimplicialComplex, A: int, B: int, field: FieldSpec = F2
+) -> tuple[int, ...]:
+    """Per degree, the rank of H(A) -> H(B) for closed masks A within B.
+
+    The filtration with level 0 on A, 1 on B minus A and 2 on the rest of K
+    has one bar born at 0 that outlives 1 per basis element of that image.
+    """
+    levels = [0 if A >> i & 1 else 1 if B >> i & 1 else 2 for i in range(len(K))]
+    return tuple(
+        sum(1 for b, d in deg if b == 0 and d > 1) for deg in level_barcode(K, levels, field)
+    )
 
 
 class _PrefixReduction:

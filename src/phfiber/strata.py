@@ -16,12 +16,13 @@ reads the masks; Simplex objects appear only in the JSON documents.
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels, barcode_of_stratum);
 representative_filter, the same levels over m + 1 as Fractions, is for the
-API. Both run the package's one column reduction, persistence._PrefixReduction:
-barcode_of_stratum as one push of all of K (level_barcode), and
-group_strata_by_barcode, which types many strata at once, block by block: it
-visits the strata in order of their blocks and carries the reduction down
-the shared block prefixes, so each block is reduced once per distinct prefix
-instead of all of K once per stratum.
+API. barcode_of_stratum runs the package's one column reduction over all of
+K (level_barcode). group_strata_by_barcode, which types many strata at once,
+runs it far less often: a stratum's type is fixed by its flags and the ranks
+of H(P_i) -> H(P_j) between the unions P_i of its first blocks, so it reads
+those ranks from one table per call (persistence._inclusion_rank, one
+level_barcode per nested pair) and runs barcode_of_stratum once per distinct
+(rank rows, flags).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Iterable
 
 from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError, InvariantError
-from .persistence import Filter, _PrefixReduction, check_monotone, level_barcode
+from .persistence import Filter, _inclusion_rank, check_monotone, level_barcode
 from .simplicial import F2, FieldSpec, SimplicialComplex
 
 MODES = ("all", "interior_only", "lower_star")
@@ -106,14 +107,19 @@ def _next_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
     Sorted by id text, plus "|" unless the block is the last one. These keys
     are prefix-free and a stratum's text is its blocks' keys, then its flags,
     so a depth-first walk in this order meets strata in serialize_stratum order.
+    A block's entry and id text depend on the block alone, so memo[None] keeps
+    them, built once per walk.
     """
     if placed not in memo:
         full = (1 << len(K)) - 1
+        known = memo.setdefault(None, {})  # block -> (its entry, its id text)
         subsets = _closed_subsets(K, full & ~placed, placed)
-        memo[placed] = sorted(
-            [(S, K.euler_count(S), mask_ids(S)) for S in subsets],
-            key=lambda e: ".".join(map(str, e[2])) + "|" * (placed | e[0] != full),
-        )
+        for S in subsets:
+            if S not in known:
+                ids = mask_ids(S)
+                known[S] = (S, K.euler_count(S), ids), ".".join(map(str, ids))
+        subsets.sort(key=lambda S: known[S][1] + "|" * (placed | S != full))
+        memo[placed] = [known[S][0] for S in subsets]
     return memo[placed]
 
 
@@ -247,62 +253,59 @@ def group_strata_by_barcode(
     """Group strata by barcode type, sorted by (codimension, type string).
 
     Member ids are positions in `strata`. Each stratum's type is that of
-    barcode_of_stratum, found without reducing all of K per stratum: the
-    strata are visited in order of their block tuples, so those sharing a
-    prefix of blocks (and the flag variants of one partition) are adjacent,
-    and one _PrefixReduction, the reduction level_barcode runs in one push,
-    pops the blocks the next stratum does not share and pushes only its new
-    ones, each at its block index. A leaf's bars, in block indices, shift by
-    the flags to its level barcode, and each distinct (bars, flags, block
-    count) is canonicalized once. Every pushed block is checked as
-    stratum_levels would: disjoint from the placed blocks, inside the ids of
-    K, holding its faces with them, and the leaf covers every id; a failure
-    raises stratum_levels' DomainError.
+    barcode_of_stratum, computed once per class of strata that must share it.
+    A filtration P_1 < ... < P_k = K has its barcode, in block indices, fixed
+    by the ranks of H(P_i) -> H(P_j) (persistent Betti numbers), and its type
+    by that barcode and the flags. So each block prefix gets an id interned
+    from its parent's id and its row (rank(P_1, P_k), ..., rank(P_k, P_k)),
+    each rank computed once per call (persistence._inclusion_rank) into a
+    table keyed by the pair of unions, and strata with the same prefix id and
+    flags take the type of the first of them. A stratum reuses the prefix ids
+    of the blocks it shares with the one before it, so strata in walk order
+    (as enumerate_filter_strata gives them) get one row per block prefix.
+    Each new block is checked as stratum_levels would: inside the ids of K
+    and disjoint from the placed blocks, then holding its faces with them,
+    and the last block must cover every id; a failure raises stratum_levels'
+    DomainError.
     """
-    strata = list(strata)
     full = (1 << len(K)) - 1
-    reduction = _PrefixReduction(K, field)
-    stack: tuple[int, ...] = ()  # blocks in place, each checked
-    placed = [0]  # union of the first k blocks in place, per k
-    bars = None
+    ranks: dict[int, dict] = {}  # B -> A -> ranks of H(A) -> H(B), per degree
+    interned: dict[tuple, int] = {}  # (parent prefix id, row) -> prefix id
+    blocks: list[int] = []  # the previous stratum's blocks, each checked
+    unions: list[int] = []  # the union of its first k blocks, per k
+    pids: list[int] = [-1]  # the id of its first k blocks, per k from 0
     types: dict[tuple, CombinatorialBarcode] = {}
     groups: dict[CombinatorialBarcode, list[int]] = {}
-    for i in sorted(range(len(strata)), key=lambda i: strata[i].blocks):
-        st = strata[i]
-        blocks = st.blocks
-        if blocks != stack:
-            k = 0
-            while k < len(stack) and k < len(blocks) and stack[k] == blocks[k]:
-                k += 1
-            for _ in range(len(stack) - k):
-                reduction.pop()
-                placed.pop()
-            for level, S in enumerate(blocks[k:], k):
-                before = placed[-1]
-                ids = mask_ids(S)
-                if S & (before | ~full) or any(
-                    K.face_masks[j] & ~(before | S) for j in ids
-                ):
-                    _reject(K, st)
-                reduction.push(ids, [level] * len(ids))
-                placed.append(before | S)
-            if placed[-1] != full:
+    for i, st in enumerate(strata):
+        new, k = st.blocks, 0
+        for old, S in zip(blocks, new):
+            if old != S:
+                break
+            k += 1
+        del blocks[k:], unions[k:], pids[k + 1 :]
+        for S in new[k:]:
+            before = unions[-1] if unions else 0
+            B = before | S
+            if S & (before | ~full) or any(K.face_masks[j] & ~B for j in mask_ids(S)):
                 _reject(K, st)
-            stack = blocks
-            bars = reduction.bars()
-        key = (bars, st.at_zero, st.at_one, len(blocks))
-        T = types.get(key)
-        if T is None:
-            shift = 0 if st.at_zero else 1
-            levels = tuple(
-                tuple((b + shift, d + shift) for b, d in deg) for deg in bars
-            )
-            T = types[key] = canonicalize_barcode(levels, st.interior_dim + 1)
-        groups.setdefault(T, []).append(i)
+            blocks.append(S)
+            unions.append(B)
+            into = ranks.setdefault(B, {})
+            for A in unions:
+                if A not in into:
+                    into[A] = _inclusion_rank(K, A, B, field)
+            row = tuple([into[A] for A in unions])
+            pids.append(interned.setdefault((pids[-1], row), len(interned)))
+        if unions[-1] != full:
+            _reject(K, st)
+        key = (pids[-1], st.at_zero, st.at_one)
+        if key not in types:
+            types[key] = barcode_of_stratum(K, st, field)
+        groups.setdefault(types[key], []).append(i)
     records = [
         BarcodeStratumRecord(
             barcode_type=T,
-            member_ids=tuple(sorted(ids)),
+            member_ids=tuple(ids),
             codim=len(K) - T.dim,
             bounded_deficit=bounded_deficit(K, T),
         )

@@ -8,8 +8,8 @@ import pytest
 
 import phfiber as ph
 from phfiber import INF, DomainError
-from phfiber.persistence import _PrefixReduction, level_barcode
-from phfiber.strata import stratum_levels
+from phfiber.persistence import _inclusion_rank, _PrefixReduction, level_barcode
+from phfiber.strata import _closed_subsets, mask_ids, stratum_levels
 
 from conftest import COMPLEX_POOL, rank_mod_p
 
@@ -184,6 +184,38 @@ def _rank_oracle_barcode(K, levels, p):
                 bars += [(values[i - 1], values[j - 1] if j <= m else INF)] * mult
         barcode.append(tuple(sorted(bars)))
     return tuple(barcode)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "maximal", [[[0, 1, 2]], [[0, 1], [1, 2], [2, 3], [0, 3]]], ids=["filled_triangle", "square"]
+)
+def test_inclusion_rank_matches_boundary_ranks(maximal, p):
+    """Each entry of image grouping's rank table, for every nested pair A
+    within B of subcomplexes (the empty one too): the rank of H_q(A) -> H_q(B)
+    is the q-cycles of A minus those that bound in B, from boundary ranks."""
+    K = ph.build_complex(maximal)
+    subcomplexes = [0] + _closed_subsets(K, (1 << len(K)) - 1, 0)
+
+    def of_dim(mask, q):
+        return [s for s in mask_ids(mask) if K.dims[s] == q]
+
+    pairs = 0
+    for B in subcomplexes:
+        for A in subcomplexes:
+            if A & ~B:
+                continue
+            expected = []
+            for q in range(K.dim + 1):
+                chains = of_dim(A, q)
+                cycles = len(chains) - _boundary_rank(K, chains, of_dim(A, q - 1), p)
+                up, rows = of_dim(B, q + 1), of_dim(B, q)
+                outside = [s for s in rows if not A >> s & 1]
+                bounding = _boundary_rank(K, up, rows, p) - _boundary_rank(K, up, outside, p)
+                expected.append(cycles - bounding)
+            assert _inclusion_rank(K, A, B, ph.FieldSpec(p)) == tuple(expected), (A, B)
+            pairs += 1
+    assert pairs > len(subcomplexes) * 2
 
 
 def _random_levels(K, rng, top=5):

@@ -283,8 +283,9 @@ def test_group_strata_by_barcode(triangle, triangle_records):
 
 
 def test_grouping_follows_input_order_and_rejects_bad_strata(triangle, triangle_records):
-    """Grouping visits strata in block order; member ids stay input positions,
-    and every stratum is checked as barcode_of_stratum checks it."""
+    """Shuffled strata, which share few block prefixes with the stratum before
+    them, get the same types; member ids stay input positions, and every
+    stratum is checked as barcode_of_stratum checks it."""
     strata = list(ph.enumerate_filter_strata(triangle, "interior_only"))
     shuffled = strata[:]
     random.Random(0).shuffle(shuffled)
@@ -316,12 +317,16 @@ def test_grouping_follows_input_order_and_rejects_bad_strata(triangle, triangle_
     [
         ([[0, 1], [1, 2], [2, 3]], "all"),
         ([[0, 1], [1, 2], [2, 3], [0, 3]], "interior_only"),
+        ([[0, 1, 2]], "all"),
+        ([[0, 1], [2, 3]], "all"),
     ],
-    ids=["path4_all", "square_interior"],
+    ids=["path4_all", "square_interior", "filled_triangle_all", "two_intervals_all"],
 )
 def test_grouping_matches_barcode_of_stratum_on_every_stratum(maximal, mode, p):
-    """Oracle for the prefix-shared reduction of group_strata_by_barcode: each
-    stratum's type is barcode_of_stratum's, which reduces all of K at once."""
+    """Oracle for the rank-table typing of group_strata_by_barcode: each
+    stratum's type is barcode_of_stratum's, which reduces all of K at once.
+    The filled triangle has degree-1 classes killed by a 2-simplex, and the
+    two intervals an H0 of rank 2."""
     K = ph.build_complex(maximal)
     field = ph.FieldSpec(p)
     strata = ph.enumerate_filter_strata(K, mode)
