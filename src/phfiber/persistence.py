@@ -14,8 +14,9 @@ rank vectors, 0/1 for removability, all 0 for Betti numbers), while Filter's
 Fraction values are for the API. The fiber walk pushes and pops stratum
 blocks, pruning on the events of each pushed block (_PrefixReduction.events).
 _inclusion_rank reads the rank of H(A) -> H(B) for nested subcomplexes off
-one level_barcode; grouping strata by type types them from a table of these
-ranks.
+one level_barcode, and _rank_barcode reads the barcode of a chain of
+subcomplexes off these ranks by inclusion-exclusion, with no reduction of its
+own; grouping strata by type types them from a table of these ranks.
 """
 from __future__ import annotations
 
@@ -123,6 +124,30 @@ def _inclusion_rank(
     return tuple(
         sum(1 for b, d in deg if b == 0 and d > 1) for deg in level_barcode(K, levels, field)
     )
+
+
+def _rank_barcode(rows: Sequence[Sequence[Sequence[int]]]) -> TotalBarcode:
+    """The barcode of P_1 < ... < P_k = K in block indices 1..k, from its ranks.
+
+    rows[j - 1][i - 1] is, per degree, the rank r(i, j) of H(P_i) -> H(P_j)
+    (an _inclusion_rank), for i <= j. With r(0, j) = 0, the bar [i, j) has
+    multiplicity r(i, j-1) - r(i, j) - r(i-1, j-1) + r(i-1, j) and the bar
+    [i, inf) has r(i, k) - r(i-1, k) (persistent Betti numbers: Edelsbrunner
+    and Harer, Computational Topology, VII). Bars come sorted, as in bars().
+    """
+    k = len(rows)
+    barcode = []
+    for q in range(len(rows[0][0])):
+        r = [[0] * (k + 1)]  # r[i][j] = r(i, j) in degree q, for i <= j
+        r += [[0] * i + [row[i - 1][q] for row in rows[i - 1 :]] for i in range(1, k + 1)]
+        bars: list[Bar] = []
+        for i in range(1, k + 1):
+            ri, rh = r[i], r[i - 1]
+            for j in range(i + 1, k + 1):
+                bars += [(i, j)] * (ri[j - 1] - ri[j] - rh[j - 1] + rh[j])
+            bars += [(i, INF)] * (ri[k] - rh[k])
+        barcode.append(tuple(bars))
+    return tuple(barcode)
 
 
 class _PrefixReduction:

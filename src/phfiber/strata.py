@@ -21,8 +21,9 @@ K (level_barcode). group_strata_by_barcode, which types many strata at once,
 runs it far less often: a stratum's type is fixed by its flags and the ranks
 of H(P_i) -> H(P_j) between the unions P_i of its first blocks, so it reads
 those ranks from one table per call (persistence._inclusion_rank, one
-level_barcode per nested pair) and runs barcode_of_stratum once per distinct
-(rank rows, flags).
+level_barcode per nested pair) and reads each distinct (rank rows, flags)
+type off them by inclusion-exclusion (persistence._rank_barcode), with no
+barcode_of_stratum.
 """
 from __future__ import annotations
 
@@ -32,7 +33,13 @@ from typing import Iterable
 
 from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError, InvariantError
-from .persistence import Filter, _inclusion_rank, check_monotone, level_barcode
+from .persistence import (
+    Filter,
+    _inclusion_rank,
+    _rank_barcode,
+    check_monotone,
+    level_barcode,
+)
 from .simplicial import F2, FieldSpec, SimplicialComplex
 
 MODES = ("all", "interior_only", "lower_star")
@@ -130,14 +137,21 @@ def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
     the same block as its last vertex, i.e. all its vertices are placed by
     its own block and at least one of them lies in it.
     """
-    vertices = (1 << len(K.vertex_ids)) - 1  # vertices come first in id order
     placed = 0
     for block in stratum.blocks:
+        if not _is_lower_star_block(K, placed, block):
+            return False
         placed |= block
-        for i in mask_ids(block & ~vertices):
-            own = K.face_masks[i] & vertices
-            if own & ~placed or not own & block:
-                return False
+    return True
+
+
+def _is_lower_star_block(K: SimplicialComplex, placed: int, block: int) -> bool:
+    """is_lower_star_stratum's test of one block placed after the ids of `placed`."""
+    vertices = (1 << len(K.vertex_ids)) - 1  # vertices come first in id order
+    for i in mask_ids(block & ~vertices):
+        own = K.face_masks[i] & vertices
+        if own & ~(placed | block) or not own & block:
+            return False
     return True
 
 
@@ -147,7 +161,8 @@ def enumerate_filter_strata(
     """All filter strata of K in serialize_stratum order: a walk over _next_blocks.
 
     mode "interior_only" keeps both end flags off; "lower_star" keeps the
-    flagless strata of lower-star filters; "all" is everything.
+    flagless strata of lower-star filters, cutting each branch at its first
+    block that fails is_lower_star_stratum's test; "all" is everything.
     """
     if mode not in MODES:
         raise DomainError(f"unknown stratum mode {mode!r}, expected one of {MODES}")
@@ -157,17 +172,27 @@ def enumerate_filter_strata(
     full = (1 << len(K)) - 1
     memo: dict = {}
     out: list[FilterStratum] = []
+    children = _next_blocks
+    if mode == "lower_star":
+        kept: dict[int, list] = {}  # placed -> its children that pass the test
+
+        def children(K: SimplicialComplex, placed: int, memo: dict) -> list:
+            if placed not in kept:
+                kept[placed] = [
+                    entry
+                    for entry in _next_blocks(K, placed, memo)
+                    if _is_lower_star_block(K, placed, entry[0])
+                ]
+            return kept[placed]
 
     def walk(placed: int, blocks: tuple[int, ...]) -> None:
         if placed == full:  # one block cannot be pinned at both ends
             out.extend(FilterStratum(blocks, *f) for f in flags if sum(f) <= len(blocks))
             return
-        for S, _, _ in _next_blocks(K, placed, memo):
+        for S, _, _ in children(K, placed, memo):
             walk(placed | S, blocks + (S,))
 
     walk(0, ())
-    if mode == "lower_star":
-        out = [st for st in out if is_lower_star_stratum(K, st)]
     return tuple(out)
 
 
@@ -253,55 +278,82 @@ def group_strata_by_barcode(
     """Group strata by barcode type, sorted by (codimension, type string).
 
     Member ids are positions in `strata`. Each stratum's type is that of
-    barcode_of_stratum, computed once per class of strata that must share it.
+    barcode_of_stratum, read off ranks instead of a reduction of all of K.
     A filtration P_1 < ... < P_k = K has its barcode, in block indices, fixed
     by the ranks of H(P_i) -> H(P_j) (persistent Betti numbers), and its type
     by that barcode and the flags. So each block prefix gets an id interned
     from its parent's id and its row (rank(P_1, P_k), ..., rank(P_k, P_k)),
     each rank computed once per call (persistence._inclusion_rank) into a
-    table keyed by the pair of unions, and strata with the same prefix id and
-    flags take the type of the first of them. A stratum reuses the prefix ids
-    of the blocks it shares with the one before it, so strata in walk order
-    (as enumerate_filter_strata gives them) get one row per block prefix.
+    table keyed by the pair of unions and interned to a small int. Strata with
+    the same prefix id and flags share one type, which persistence._rank_barcode
+    reads off the prefix's rows and the flags shift to levels as
+    stratum_levels does. A stratum reuses the prefix ids of the blocks it
+    shares with the one before it, so strata in walk order (as
+    enumerate_filter_strata gives them) get one row per block prefix.
     Each new block is checked as stratum_levels would: inside the ids of K
     and disjoint from the placed blocks, then holding its faces with them,
     and the last block must cover every id; a failure raises stratum_levels'
     DomainError.
     """
     full = (1 << len(K)) - 1
-    ranks: dict[int, dict] = {}  # B -> A -> ranks of H(A) -> H(B), per degree
+    ranks: dict[int, dict[int, int]] = {}  # B -> A -> rank id of H(A) -> H(B)
+    rank_ids: dict[tuple, int] = {}  # ranks per degree -> rank id
+    vectors: list[tuple] = []  # rank id -> ranks per degree
+    closures: dict[int, int] = {}  # block -> the union of its ids' face masks
     interned: dict[tuple, int] = {}  # (parent prefix id, row) -> prefix id
-    blocks: list[int] = []  # the previous stratum's blocks, each checked
+    prev: tuple[int, ...] = ()  # the previous stratum's blocks, each checked
     unions: list[int] = []  # the union of its first k blocks, per k
+    rows: list[tuple] = []  # the row of rank ids of its first k blocks, per k
     pids: list[int] = [-1]  # the id of its first k blocks, per k from 0
-    types: dict[tuple, CombinatorialBarcode] = {}
+    members: dict[tuple, list[int]] = {}  # (prefix id, flags) -> its type's group
     groups: dict[CombinatorialBarcode, list[int]] = {}
     for i, st in enumerate(strata):
-        new, k = st.blocks, 0
-        for old, S in zip(blocks, new):
-            if old != S:
-                break
-            k += 1
-        del blocks[k:], unions[k:], pids[k + 1 :]
-        for S in new[k:]:
-            before = unions[-1] if unions else 0
-            B = before | S
-            if S & (before | ~full) or any(K.face_masks[j] & ~B for j in mask_ids(S)):
+        new = st.blocks
+        if new != prev:
+            k = 0
+            for old, S in zip(prev, new):
+                if old != S:
+                    break
+                k += 1
+            del unions[k:], rows[k:], pids[k + 1 :]
+            for S in new[k:]:
+                before = unions[-1] if unions else 0
+                B = before | S
+                if S & (before | ~full):
+                    _reject(K, st)
+                faces = closures.get(S)
+                if faces is None:
+                    faces = 0
+                    for j in mask_ids(S):
+                        faces |= K.face_masks[j]
+                    closures[S] = faces
+                if faces & ~B:
+                    _reject(K, st)
+                unions.append(B)
+                into = ranks.setdefault(B, {})
+                try:
+                    row = tuple([into[A] for A in unions])
+                except KeyError:  # the first time some pair comes up
+                    for A in unions:
+                        if A not in into:
+                            vector = _inclusion_rank(K, A, B, field)
+                            if vector not in rank_ids:
+                                rank_ids[vector] = len(vectors)
+                                vectors.append(vector)
+                            into[A] = rank_ids[vector]
+                    row = tuple([into[A] for A in unions])
+                rows.append(row)
+                pids.append(interned.setdefault((pids[-1], row), len(interned)))
+            if unions[-1] != full:
                 _reject(K, st)
-            blocks.append(S)
-            unions.append(B)
-            into = ranks.setdefault(B, {})
-            for A in unions:
-                if A not in into:
-                    into[A] = _inclusion_rank(K, A, B, field)
-            row = tuple([into[A] for A in unions])
-            pids.append(interned.setdefault((pids[-1], row), len(interned)))
-        if unions[-1] != full:
-            _reject(K, st)
+            prev = new
         key = (pids[-1], st.at_zero, st.at_one)
-        if key not in types:
-            types[key] = barcode_of_stratum(K, st, field)
-        groups.setdefault(types[key], []).append(i)
+        group = members.get(key)
+        if group is None:
+            rank_rows = [[vectors[r] for r in row] for row in rows]
+            T = _type_of_rank_rows(rank_rows, st.at_zero, st.at_one)
+            group = members[key] = groups.setdefault(T, [])
+        group.append(i)
     records = [
         BarcodeStratumRecord(
             barcode_type=T,
@@ -313,6 +365,20 @@ def group_strata_by_barcode(
     ]
     records.sort(key=lambda r: (r.codim, format_barcode_type(r.barcode_type)))
     return tuple(records)
+
+
+def _type_of_rank_rows(rows: list, at_zero: bool, at_one: bool) -> CombinatorialBarcode:
+    """barcode_of_stratum for the stratum whose block unions have these rows.
+
+    rows are persistence._rank_barcode's: rows[j - 1][i - 1] holds the ranks
+    of H(P_i) -> H(P_j) per degree. The bars they give in block indices are
+    shifted to levels as stratum_levels does: block 1 is level 0 when pinned
+    at 0, else 1.
+    """
+    z = at_zero
+    bars = _rank_barcode(rows)
+    levels = tuple(tuple((b - z, d - z) for b, d in deg) for deg in bars)
+    return canonicalize_barcode(levels, len(rows) - z - at_one + 1)
 
 
 def _reject(K: SimplicialComplex, stratum: FilterStratum) -> None:

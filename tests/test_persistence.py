@@ -8,8 +8,14 @@ import pytest
 
 import phfiber as ph
 from phfiber import INF, DomainError
-from phfiber.persistence import _inclusion_rank, _PrefixReduction, level_barcode
-from phfiber.strata import _closed_subsets, mask_ids, stratum_levels
+from phfiber.barcodes import canonicalize_barcode
+from phfiber.persistence import (
+    _inclusion_rank,
+    _PrefixReduction,
+    _rank_barcode,
+    level_barcode,
+)
+from phfiber.strata import _closed_subsets, _type_of_rank_rows, mask_ids, stratum_levels
 
 from conftest import COMPLEX_POOL, rank_mod_p
 
@@ -275,3 +281,42 @@ def test_block_events_rebuild_the_level_barcode(rp2):
             rebuilt = tuple(tuple(sorted(deg)) for deg in bars)
             assert rebuilt == level_barcode(K, levels, field), (levels, p)
     assert infinite > len(cases) * 2
+
+
+def test_rank_rows_rebuild_the_barcode_and_the_stratum_type(rp2):
+    """Image grouping's typing against level_barcode on random block
+    filtrations P_1 < ... < P_k = K: _rank_barcode reads the bars in block
+    indices off the rows of inclusion ranks rank(P_i, P_j), and with each
+    pair of end flags _type_of_rank_rows gives the type of the shifted
+    levels. RP^2 has a degree-2 bar over F2 but not over F3."""
+    rng = random.Random(2)
+    complexes = [ph.build_complex(maximal) for maximal in COMPLEX_POOL] + [rp2]
+    cases = [(K, _random_levels(K, rng)) for K in complexes for _ in range(8)]
+    flags = [(False, False), (False, True), (True, False), (True, True)]
+    counts = Counter()
+    for K, levels in cases:
+        values = sorted(set(levels))
+        k = len(values)
+        block = [values.index(v) + 1 for v in levels]  # each id's block index
+        unions = [sum(1 << s for s in range(len(K)) if block[s] <= j) for j in range(1, k + 1)]
+        for p in (2, 3):
+            field = ph.FieldSpec(p)
+            rows = [[_inclusion_rank(K, A, B, field) for A in unions[:j]]
+                    for j, B in enumerate(unions, 1)]
+            bars = _rank_barcode(rows)
+            assert bars == level_barcode(K, block, field), (levels, p)
+            for q, deg in enumerate(bars):
+                counts[K is rp2, p, q, "inf"] += sum(1 for _, d in deg if d == INF)
+                counts[K is rp2, p, q, "finite"] += sum(1 for _, d in deg if d != INF)
+            for at_zero, at_one in flags:
+                if k == 1 and at_zero and at_one:
+                    continue
+                shifted = [b - at_zero for b in block]
+                expected = canonicalize_barcode(
+                    level_barcode(K, shifted, field), k - at_zero - at_one + 1
+                )
+                assert _type_of_rank_rows(rows, at_zero, at_one) == expected, (levels, p)
+    for q in (0, 1):
+        for p in (2, 3):
+            assert counts[True, p, q, "finite"] and counts[False, p, q, "finite"], (p, q)
+    assert counts[True, 2, 2, "inf"] and not counts[True, 3, 2, "inf"]

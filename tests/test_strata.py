@@ -225,6 +225,27 @@ def test_lower_star_mode_counts(triangle, interval):
     assert len(ph.enumerate_filter_strata(interval, "lower_star")) == 3
 
 
+@pytest.mark.parametrize(
+    "maximal",
+    [
+        [[0, 1], [1, 2], [2, 3], [0, 3]],
+        [[0, 1, 2]],
+        [[0, 1], [1, 2], [2, 3]],
+        [[0, 1], [1, 2], [2, 3], [3, 4]],
+    ],
+    ids=["square", "filled_triangle", "path4", "path5"],
+)
+def test_lower_star_walk_equals_filtering_every_stratum(maximal):
+    """The lower-star walk cuts each branch at its first failing block; it
+    must keep exactly the flagless strata that pass is_lower_star_stratum
+    after a full walk, in the same order."""
+    K = ph.build_complex(maximal)
+    every = ph.enumerate_filter_strata(K, "interior_only")
+    filtered = [st for st in every if is_lower_star_stratum(K, st)]
+    assert len(every) > len(filtered) > 1
+    assert list(ph.enumerate_filter_strata(K, "lower_star")) == filtered
+
+
 def test_closure_order_is_reflexive_and_antisymmetric(interval):
     strata = ph.enumerate_filter_strata(interval, "all")
     for st in strata:
@@ -335,6 +356,39 @@ def test_grouping_matches_barcode_of_stratum_on_every_stratum(maximal, mode, p):
     assert sum(len(rec.member_ids) for rec in records) == len(assigned) == len(strata)
     for i, st in enumerate(strata):
         assert assigned[i] == ph.barcode_of_stratum(K, st, field), serialize_stratum(st, K)
+
+
+@pytest.mark.parametrize(
+    "maximal, mode, p, types, reductions",
+    [
+        ([[0, 1], [1, 2], [2, 3], [0, 3]], "interior_only", 2, 334, 603),
+        ([[0, 1], [1, 2], [2, 3]], "all", 3, 667, 319),
+    ],
+    ids=["square_interior", "path4_all"],
+)
+def test_grouping_reduces_only_for_its_rank_table(
+    monkeypatch, maximal, mode, p, types, reductions
+):
+    """Grouping types every stratum off its table of inclusion ranks: it never
+    calls barcode_of_stratum, and it runs level_barcode once per nested pair
+    of block unions that its strata meet."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grouping called barcode_of_stratum")
+
+    calls = []
+    reduce = ph.persistence.level_barcode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(ph.strata, "barcode_of_stratum", refuse)
+    monkeypatch.setattr(ph.persistence, "level_barcode", counted)
+    K = ph.build_complex(maximal)
+    records = ph.group_strata_by_barcode(K, ph.enumerate_filter_strata(K, mode), ph.FieldSpec(p))
+    assert len(records) == types
+    assert len(calls) == reductions
 
 
 def test_grouping_members_have_the_grouped_barcode(triangle, triangle_records):
