@@ -42,6 +42,7 @@ from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
 from .strata import (
     FilterStratum,
     _next_blocks,
+    _trusted_stratum,
     bounded_deficit,
     is_lower_star_stratum,
     mask_ids,
@@ -188,7 +189,7 @@ def _fiber_strata(
                     continue
                 symbols.append(sym)
                 if last:
-                    stratum = FilterStratum(tuple(blocks), symbols[0] == ZERO, sym == one)
+                    stratum = _trusted_stratum(tuple(blocks), symbols[0] == ZERO, sym == one)
                     leaves.append((stratum, tuple(symbols)))
                 else:
                     walk(placed | S, nxt)
@@ -240,11 +241,11 @@ def _facet_strata(stratum: FilterStratum) -> Iterator[FilterStratum]:
     if not (n == 2 and z and o):
         for i in range(n - 1):
             merged = blocks[:i] + (blocks[i] | blocks[i + 1],) + blocks[i + 2 :]
-            yield FilterStratum(merged, z, o)
+            yield _trusted_stratum(merged, z, o)
     if not z and not (n == 1 and o):
-        yield FilterStratum(blocks, True, o)
+        yield _trusted_stratum(blocks, True, o)
     if not o and not (n == 1 and z):
-        yield FilterStratum(blocks, z, True)
+        yield _trusted_stratum(blocks, z, True)
 
 
 def _face_sets(

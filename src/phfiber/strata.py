@@ -45,11 +45,13 @@ from .simplicial import F2, FieldSpec, SimplicialComplex
 MODES = ("all", "interior_only", "lower_star")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterStratum:
     """An ordered monotone set partition of the simplices, with end flags.
 
     Each block is a positive int, the bitmask of its canonical simplex ids.
+    The constructor checks that; the walks build their strata, valid by
+    construction, with _trusted_stratum.
     """
 
     blocks: tuple[int, ...]
@@ -75,6 +77,26 @@ class FilterStratum:
         for b in self.blocks:
             mask |= b
         return mask
+
+
+_set_blocks = FilterStratum.blocks.__set__
+_set_at_zero = FilterStratum.at_zero.__set__
+_set_at_one = FilterStratum.at_one.__set__
+
+
+def _trusted_stratum(blocks: tuple[int, ...], at_zero: bool, at_one: bool) -> FilterStratum:
+    """FilterStratum(blocks, at_zero, at_one) without its checks.
+
+    For the walks' own strata only: each block is a nonempty mask they took
+    from _next_blocks or merged from two such, and they never pin a lone
+    block at both ends. Writing the slots directly skips the frozen
+    dataclass's __init__ and __post_init__.
+    """
+    st = object.__new__(FilterStratum)
+    _set_blocks(st, blocks)
+    _set_at_zero(st, at_zero)
+    _set_at_one(st, at_one)
+    return st
 
 
 def mask_ids(mask: int) -> list[int]:
@@ -169,6 +191,7 @@ def enumerate_filter_strata(
     flags = [(False, False)]
     if mode == "all":  # in text order: "", "+o", "+z", "+z+o"
         flags += [(False, True), (True, False), (True, True)]
+    lone = [f for f in flags if f != (True, True)]  # one block cannot be pinned at both ends
     full = (1 << len(K)) - 1
     memo: dict = {}
     out: list[FilterStratum] = []
@@ -186,8 +209,9 @@ def enumerate_filter_strata(
             return kept[placed]
 
     def walk(placed: int, blocks: tuple[int, ...]) -> None:
-        if placed == full:  # one block cannot be pinned at both ends
-            out.extend(FilterStratum(blocks, *f) for f in flags if sum(f) <= len(blocks))
+        if placed == full:  # one record per flag pair, all sharing blocks
+            for z, o in flags if len(blocks) > 1 else lone:
+                out.append(_trusted_stratum(blocks, z, o))
             return
         for S, _, _ in children(K, placed, memo):
             walk(placed | S, blocks + (S,))
@@ -289,7 +313,9 @@ def group_strata_by_barcode(
     reads off the prefix's rows and the flags shift to levels as
     stratum_levels does. A stratum reuses the prefix ids of the blocks it
     shares with the one before it, so strata in walk order (as
-    enumerate_filter_strata gives them) get one row per block prefix.
+    enumerate_filter_strata gives them) get one row per block prefix; one
+    whose blocks are the same tuple object as the previous stratum's (the
+    walk's flag variants) skips even the scan for the shared blocks.
     Each new block is checked as stratum_levels would: inside the ids of K
     and disjoint from the placed blocks, then holding its faces with them,
     and the last block must cover every id; a failure raises stratum_levels'
@@ -309,15 +335,16 @@ def group_strata_by_barcode(
     groups: dict[CombinatorialBarcode, list[int]] = {}
     for i, st in enumerate(strata):
         new = st.blocks
-        if new != prev:
+        if new is not prev:  # flag variants share their blocks' tuple
             k = 0
             for old, S in zip(prev, new):
                 if old != S:
                     break
                 k += 1
             del unions[k:], rows[k:], pids[k + 1 :]
+            pid = pids[k]
+            before = unions[k - 1] if k else 0
             for S in new[k:]:
-                before = unions[-1] if unions else 0
                 B = before | S
                 if S & (before | ~full):
                     _reject(K, st)
@@ -330,21 +357,26 @@ def group_strata_by_barcode(
                 if faces & ~B:
                     _reject(K, st)
                 unions.append(B)
-                into = ranks.setdefault(B, {})
-                try:
-                    row = tuple([into[A] for A in unions])
-                except KeyError:  # the first time some pair comes up
-                    for A in unions:
-                        if A not in into:
-                            vector = _inclusion_rank(K, A, B, field)
-                            if vector not in rank_ids:
-                                rank_ids[vector] = len(vectors)
-                                vectors.append(vector)
-                            into[A] = rank_ids[vector]
-                    row = tuple([into[A] for A in unions])
+                into = ranks.get(B)
+                if into is None:
+                    into = ranks[B] = {}
+                row = []
+                for A in unions:
+                    r = into.get(A)
+                    if r is None:  # the first time this pair comes up
+                        vector = _inclusion_rank(K, A, B, field)
+                        r = rank_ids.get(vector)
+                        if r is None:
+                            r = rank_ids[vector] = len(vectors)
+                            vectors.append(vector)
+                        into[A] = r
+                    row.append(r)
+                row = tuple(row)
                 rows.append(row)
-                pids.append(interned.setdefault((pids[-1], row), len(interned)))
-            if unions[-1] != full:
+                pid = interned.setdefault((pid, row), len(interned))
+                pids.append(pid)
+                before = B
+            if before != full:
                 _reject(K, st)
             prev = new
         key = (pids[-1], st.at_zero, st.at_one)

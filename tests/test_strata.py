@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import phfiber as ph
-from phfiber import DomainError
+from phfiber import DomainError, io
+from phfiber.fiber import _facet_strata
 from phfiber.strata import (
     MODES,
     FilterStratum,
@@ -246,6 +247,48 @@ def test_lower_star_walk_equals_filtering_every_stratum(maximal):
     assert list(ph.enumerate_filter_strata(K, "lower_star")) == filtered
 
 
+def _walk_built_strata():
+    """Every stratum the walks build without FilterStratum's checks, per case."""
+    square = [[0, 1], [1, 2], [2, 3], [0, 3]]
+    path4 = [[0, 1], [1, 2], [2, 3]]
+    for name, maximal in (("square", square), ("path4", path4), ("filled_triangle", [[0, 1, 2]])):
+        K = ph.build_complex(maximal)
+        for mode in MODES:
+            yield f"{name}/{mode}", list(ph.enumerate_filter_strata(K, mode))
+    path5 = ph.build_complex(path4 + [[3, 4]])
+    yield "path5/lower_star", list(ph.enumerate_filter_strata(path5, "lower_star"))
+    K = ph.build_complex(path4)
+    cells, facets = [], []
+    for rec in ph.group_strata_by_barcode(K, ph.enumerate_filter_strata(K, "interior_only")):
+        for cell in ph.fiber_complex(K, rec.barcode_type).cells:
+            cells.append(cell.stratum)
+            facets += _facet_strata(cell.stratum)
+    yield "path4/fiber_cells", cells
+    yield "path4/fiber_facets", facets
+
+
+def test_walk_built_strata_equal_checked_ones():
+    """The walks build their strata with strata._trusted_stratum, which skips
+    FilterStratum's checks. Each must be the record the checked constructor
+    gives: equal, with the same hash, and slotted (no __dict__). A lone block
+    pinned at both ends would make the checked constructor raise."""
+    counts = {}
+    for case, strata in _walk_built_strata():
+        for st in strata:
+            checked = FilterStratum(st.blocks, st.at_zero, st.at_one)
+            assert st == checked and hash(st) == hash(checked), case
+            assert not hasattr(st, "__dict__"), case
+        counts[case] = len(strata)
+    assert counts["square/interior_only"] == 20978
+    assert counts["path4/all"] == 14471
+    assert counts["path5/lower_star"] == 541
+    assert counts["path4/fiber_facets"] > counts["path4/fiber_cells"] == 3844
+    with pytest.raises(DomainError, match="cannot be pinned at both 0 and 1"):
+        FilterStratum((1,), True, True)
+    with pytest.raises(DomainError, match="bitmasks over canonical simplex ids"):
+        FilterStratum(())
+
+
 def test_closure_order_is_reflexive_and_antisymmetric(interval):
     strata = ph.enumerate_filter_strata(interval, "all")
     for st in strata:
@@ -330,6 +373,31 @@ def test_grouping_follows_input_order_and_rejects_bad_strata(triangle, triangle_
             ph.group_strata_by_barcode(triangle, mixed)
         assert str(err.value) == str(expected.value)
     assert str(expected.value) == "not a filter: face {1} has larger value than {0,1}"
+
+
+@pytest.mark.parametrize(
+    "maximal, mode, p",
+    [
+        ([[0, 1], [1, 2], [2, 3], [0, 3]], "interior_only", 2),
+        ([[0, 1], [1, 2], [2, 3]], "all", 3),
+    ],
+    ids=["square_interior_F2", "path4_all_F3"],
+)
+def test_grouping_does_not_depend_on_shared_block_tuples(maximal, mode, p):
+    """The walk gives a stratum's flag variants one blocks tuple, and grouping
+    skips its prefix scan when a stratum's blocks are the previous stratum's
+    object. The same strata rebuilt with fresh tuples must print the same
+    image document."""
+    K = ph.build_complex(maximal)
+    field = ph.FieldSpec(p)
+    walked = ph.enumerate_filter_strata(K, mode)
+    fresh = [FilterStratum(tuple([*st.blocks]), st.at_zero, st.at_one) for st in walked]
+    assert fresh == list(walked)
+    shared = sum(a.blocks is b.blocks for a, b in zip(walked, walked[1:]))
+    assert shared == (len(walked) - len({st.blocks for st in walked}))
+    assert not any(a.blocks is b.blocks for a, b in zip(fresh, fresh[1:]))
+    image = io.dumps(io.image_doc(ph.group_strata_by_barcode(K, walked, field)))
+    assert io.dumps(io.image_doc(ph.group_strata_by_barcode(K, fresh, field))) == image
 
 
 @pytest.mark.parametrize("p", [2, 3])
