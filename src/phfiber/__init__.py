@@ -68,7 +68,6 @@ from .strata import (
     is_lower_star_stratum,
     representative_filter,
     serialize_stratum,
-    stratum_closure_leq,
 )
 from .structure import (
     RemovabilityReport,

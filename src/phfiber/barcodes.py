@@ -123,7 +123,7 @@ def _parse_symbol(token: str) -> object:
     token = token.strip()
     if token in ("zero", "one", "inf"):
         return token
-    if token.isdigit() and int(token) > 0:
+    if re.fullmatch("[0-9]+", token) and int(token) > 0:  # ASCII digits only
         return int(token)
     raise ParseError(f"unknown barcode token {token!r}")
 
@@ -132,7 +132,8 @@ def parse_barcode_type(text: str) -> CombinatorialBarcode:
     """Parse the degree-prefixed bar list syntax used on the command line.
 
     Example: "0:(zero,inf),(1,2);1:(3,inf)". Tokens are zero, one, inf, or a
-    positive integer rank; the ranks present must be exactly 1..m.
+    positive integer rank; the ranks present must be exactly 1..m. Ranks and
+    degrees are written in ASCII digits.
     """
     text = text.strip()
     if not text:
@@ -142,12 +143,12 @@ def parse_barcode_type(text: str) -> CombinatorialBarcode:
         if ":" not in chunk:
             raise ParseError(f"unknown barcode token {chunk!r} (expected degree prefix)")
         head, _, body = chunk.partition(":")
-        try:
-            degree = int(head.strip())
-        except ValueError:
-            raise ParseError(f"unknown barcode token {head.strip()!r}") from None
-        if degree < 0 or degree in raw:
-            raise ParseError(f"unknown barcode token {head.strip()!r} (bad degree)")
+        head = head.strip()
+        if not re.fullmatch("[0-9]+", head):  # int() also takes "1_0" and non-ASCII digits
+            raise ParseError(f"unknown barcode token {head!r}")
+        degree = int(head)
+        if degree in raw:
+            raise ParseError(f"unknown barcode token {head!r} (bad degree)")
         bars = []
         body = body.strip()
         if not re.fullmatch(r"\s*\([^()]*\)(\s*,\s*\([^()]*\))*\s*", body):

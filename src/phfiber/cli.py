@@ -3,10 +3,10 @@
 Exit codes: 0 on success, 1 when the input is outside the mathematical domain
 (including unparsable barcode types and complex files), 2 on usage errors.
 Output goes to stdout, diagnostics to stderr. Every command runs in one
-thread: every barcode, Betti number and removability test comes from the one
-exact sparse column reduction (persistence._PrefixReduction, through
-level_barcode or the fiber walk), so output bytes depend only on the
-arguments.
+thread: every barcode, Betti number, inclusion rank and removability test
+comes from the one exact sparse column reduction, persistence.level_barcode,
+and image grouping and the fiber walk both type strata by one table of
+inclusion ranks, so output bytes depend only on the arguments.
 """
 from __future__ import annotations
 
@@ -75,6 +75,7 @@ def _cmd_homology(args) -> str:
 
 def _cmd_morphisms(args) -> str:
     io.load_complex(args.complex)
+    _field(args)
     classes = enumerate_morphism_classes(
         parse_barcode_type(args.source), parse_barcode_type(args.target)
     )

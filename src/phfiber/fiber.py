@@ -9,17 +9,16 @@ face relation is stratum coarsening, so the whole complex is combinatorial;
 no coordinates beyond symbol rank vectors are ever needed.
 
 The cells are found by one depth-first walk over the monotone partitions
-(_fiber_strata, on strata._next_blocks) that carries one column reduction,
-persistence._PrefixReduction: each block is pushed on entering a branch and
-popped on leaving it. The reduction of a block prefix is final, so the bars
-that die in a block and the classes born in it that outlive it are known as
-soon as it is pushed, and a branch survives only while they equal T's events
-at the symbol the block takes (none when the block is free). A cheap
-Euler-count test on each block comes first. The leaves are exactly the strata
-of type T, with no recheck, and each cell is built from the symbols the walk
-assigned: a block is pinned when it takes a symbol and free otherwise, and a
-0-cell's rank vector gives each simplex its block's symbol. Block masks are
-the strata's blocks, so cells, their facets and monodromy images use masks.
+(_fiber_strata, on strata._next_blocks). A cheap Euler-count test on each
+block comes first; then a branch survives only while the block's row of
+inclusion ranks, read from the complex's one rank table
+(persistence._rank_table), equals the row T predicts for the symbol the
+block takes, or for its gap when it is free. Those ranks fix the bars born and
+dying at the block, so the leaves are exactly the strata of type T, with no
+recheck, and each cell is built from the symbols the walk assigned: a block
+is pinned when it takes a symbol and free otherwise, and a 0-cell's rank
+vector gives each simplex its block's symbol. Block masks are the strata's
+blocks, so cells, their facets and monodromy images use masks.
 
 The face relation is built locally. The codimension-1 coarsenings of a
 stratum are the merges of two adjacent blocks (the OR of their masks) and the
@@ -37,7 +36,7 @@ from typing import Iterable, Iterator
 
 from .barcodes import ZERO, CombinatorialBarcode, format_barcode_type
 from .errors import DomainError, InvariantError
-from .persistence import Filter, _PrefixReduction, betti_numbers
+from .persistence import Filter, _rank_table, betti_numbers
 from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
 from .strata import (
     FilterStratum,
@@ -106,63 +105,57 @@ class FiberComplex:
         return tuple(sorted(i for i in closure if self.cells[i].dim == 0))
 
 
-def _symbol_events(T: CombinatorialBarcode) -> dict[int, tuple[tuple, tuple]]:
-    """Per finite symbol of T: the degrees of the bars born there, and the
-    (degree, birth symbol) of the bars dying there, both sorted.
-
-    These are the events _PrefixReduction.events reports for a block that
-    takes the symbol, with block levels read as symbols.
-    """
-    births: dict[int, list] = {s: [] for s in range(ZERO, T.one + 1)}
-    deaths: dict[int, list] = {s: [] for s in births}
-    for q, deg in enumerate(T.degrees):
-        for b, d in deg:
-            births[b].append(q)
-            if d != T.inf:
-                deaths[d].append((q, b))
-    return {s: (tuple(sorted(births[s])), tuple(sorted(deaths[s]))) for s in births}
-
-
 def _fiber_strata(
     K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec
 ) -> list[tuple[FilterStratum, tuple]]:
     """The strata of type T, each with the symbol each of its blocks takes.
 
     A depth-first walk over the monotone partitions, in the serialize_stratum
-    order of strata._next_blocks, carries one _PrefixReduction: a block is
-    pushed at its block index on entering a branch and popped on leaving it.
-    The reduction of a prefix is final, so the block's events
-    (_PrefixReduction.events) are bars of every stratum below the branch, and
-    the branch survives only if they equal T's events at the symbol the block
-    takes (_symbol_events); a free block, None, takes no symbol and must have
-    none. The leaves are then exactly the strata whose barcode is T: every
-    symbol with events is taken by one block, so the births and deaths of each
-    symbol match T's, and so do the bars. Before the push, the block's Euler
-    count must equal the symbol's (0 when free), which prunes most branches.
+    order of strata._next_blocks. A block takes a symbol, or None when it is
+    free, and its place is that symbol, or its gap g when free: it then lies
+    strictly between the symbols g and g + 1. A branch at block j survives
+    only while its row of inclusion ranks, rank(H(P_i) -> H(P_j)) per degree
+    for the unions P_i of the first i <= j blocks (K's rank table,
+    persistence._rank_table), equals the row T predicts: the number of T's
+    bars born at or before block i's place and dying after block j's place.
+    Rows j - 1 and j fix the bars born and dying at block j, so the leaves
+    are exactly the strata whose barcode is T (the persistent Betti numbers
+    fix the bars). Before the row, the block's Euler count must equal the
+    symbol's (0 when free), which prunes most branches.
 
-    The first block is pinned at 0 exactly when ZERO has events, since it
-    holds a vertex; the ranks 1..m are taken in order; the last block may be
-    pinned at 1 with no events when ONE has none.
+    The first block is pinned at 0 exactly when ZERO is an endpoint of T,
+    since it holds a vertex; the ranks 1..m are taken in order; the last
+    block may be pinned at 1 when ONE is not an endpoint.
     """
     m, one = T.dim, T.one
-    table = _symbol_events(T)
+    endpoints = {e for deg in T.degrees for bar in deg for e in bar}
     # The change of the sublevel Euler characteristic at each symbol.
-    chi = {
-        s: sum((-1) ** q for q in births) - sum((-1) ** q for q, _ in deaths)
-        for s, (births, deaths) in table.items()
-    }
-    quiet = ((), ())  # no births, no deaths
-    one_optional = table[one] == quiet
+    chi = [0] * (one + 1)
+    for q, deg in enumerate(T.degrees):
+        for b, d in deg:
+            chi[b] += (-1) ** q
+            if d != T.inf:
+                chi[d] -= (-1) ** q
+    # expect[s][t]: per degree of K, T's bars born at or before s, dying after t.
+    degrees = T.degrees + ((),) * (K.dim + 1 - len(T.degrees))
+    expect = [
+        [tuple(sum(1 for b, d in deg if b <= s and d > t) for deg in degrees)
+         for t in range(one + 1)]
+        for s in range(one + 1)
+    ]
+    one_optional = one not in endpoints
     full = (1 << len(K)) - 1
-    reduction = _PrefixReduction(K, field)
+    table = _rank_table(K, field)
+    vectors = table.vectors
     blocks: list[int] = []
+    unions: list[int] = []  # per placed block, the union of the blocks up to it
+    places: list[int] = []  # per placed block, its symbol, or its gap when free
     symbols: list = []  # per placed block, its symbol or None when free
     leaves: list[tuple[FilterStratum, tuple]] = []
     memo: dict = {}
 
     def walk(placed: int, rank: int) -> None:
-        k = len(blocks)
-        for S, c, ids in _next_blocks(K, placed, memo):
+        for S, c in _next_blocks(K, placed, memo):
             moves = []  # (symbol taken, next rank to pin)
             if rank == ZERO:
                 if c == chi[ZERO]:
@@ -174,30 +167,32 @@ def _fiber_strata(
                     moves.append((rank, rank + 1))
             last = placed | S == full
             if last:
-                # Every rank is placed, and ONE is pinned unless it has no events.
+                # Every rank is placed, and ONE is pinned if it is an endpoint.
                 if rank > m and c == chi[one]:
                     moves.append((one, rank))
                 moves = [(s, r) for s, r in moves if r > m and (s == one or one_optional)]
             if not moves:
                 continue
-            reduction.push(ids, [k] * len(ids))
-            births, deaths = reduction.events()
-            events = (births, tuple([(q, symbols[b]) for q, b in deaths]))
+            unions.append(placed | S)
+            row = [vectors[r] for r in table.row(unions)]
             blocks.append(S)
             for sym, nxt in moves:
-                if events != (quiet if sym is None else table[sym]):
-                    continue
-                symbols.append(sym)
-                if last:
-                    stratum = _trusted_stratum(tuple(blocks), symbols[0] == ZERO, sym == one)
-                    leaves.append((stratum, tuple(symbols)))
-                else:
-                    walk(placed | S, nxt)
-                symbols.pop()
+                place = rank - 1 if sym is None else sym
+                places.append(place)
+                if [expect[s][place] for s in places] == row:
+                    symbols.append(sym)
+                    if last:
+                        at_zero = symbols[0] == ZERO
+                        stratum = _trusted_stratum(tuple(blocks), at_zero, sym == one)
+                        leaves.append((stratum, tuple(symbols)))
+                    else:
+                        walk(placed | S, nxt)
+                    symbols.pop()
+                places.pop()
             blocks.pop()
-            reduction.pop()
+            unions.pop()
 
-    walk(0, ZERO if table[ZERO] != quiet else 1)
+    walk(0, ZERO if ZERO in endpoints else 1)
     return leaves
 
 
@@ -293,10 +288,10 @@ def fiber_complex(
         raise DomainError("empty fiber")
     # The walk meets the strata in text order, so a stable sort by dimension
     # gives (dim, serialize_stratum) order. No stratum comes twice: at a
-    # non-last block at most one symbol passes the event test (a free block
-    # needs no events, every rank 1..m has some); at the last block, free and
-    # pinned at ONE both pass only when ONE has no events, in the order "t",
-    # "t+o"; at_zero is fixed for the whole walk.
+    # non-last block at most one symbol passes the row test (a free block
+    # has no births or deaths, every rank 1..m has some); at the last block,
+    # free and pinned at ONE both pass only when ONE is no endpoint, in the
+    # order "t", "t+o"; at_zero is fixed for the whole walk.
     cells.sort(key=lambda c: c.dim)
 
     cell_ids = {c.stratum: i for i, c in enumerate(cells)}

@@ -5,18 +5,18 @@ no larger than their cofaces. Its total barcode is a tuple, indexed by
 homology degree 0..dim K, of sorted bar tuples (birth, death); deaths are
 either a value or INF. Zero-length bars are suppressed.
 
-One column reduction (Edelsbrunner, Letscher and Zomorodian 2002) computes
-every barcode in the package: _PrefixReduction, which places the columns of
-a filtration block by block and can pop the last block again. level_barcode
-is one push of it over a whole filtration; it reads only the order of the
-values, so the package feeds it integer levels (stratum block positions,
-rank vectors, 0/1 for removability, all 0 for Betti numbers), while Filter's
-Fraction values are for the API. The fiber walk pushes and pops stratum
-blocks, pruning on the events of each pushed block (_PrefixReduction.events).
-_inclusion_rank reads the rank of H(A) -> H(B) for nested subcomplexes off
-one level_barcode, and _rank_barcode reads the barcode of a chain of
-subcomplexes off these ranks by inclusion-exclusion, with no reduction of its
-own; grouping strata by type types them from a table of these ranks.
+One column reduction (Edelsbrunner, Letscher and Zomorodian 2002),
+level_barcode, computes every barcode in the package. It reads only the
+order of the values, so the package feeds it integer levels (stratum block
+positions, rank vectors, 0/1 for removability, all 0 for Betti numbers),
+while Filter's Fraction values are for the API. _inclusion_rank reads the
+rank of H(A) -> H(B) for nested subcomplexes off one level_barcode, and each
+complex keeps one table of these ranks per field (_rank_table), shared by
+every call on it. A block filtration's bars are fixed by the ranks between
+its unions (persistent Betti numbers), so that table is the package's one
+typing rule: image grouping reads each type off it by inclusion-exclusion
+(_rank_barcode, with no reduction of its own), and the fiber walk prunes a
+branch as soon as a row of it differs from the row the type predicts.
 """
 from __future__ import annotations
 
@@ -101,15 +101,49 @@ def level_barcode(
 
     values, in canonical simplex order, are any comparable values monotone
     on K, unchecked (see check_monotone); bar endpoints are these values.
-    The whole filtration is one push of _PrefixReduction, in filtration
-    order with ties broken by the canonical simplex order.
+    Zero-length bars are suppressed; bars are sorted within each degree.
     """
     # Canonical ids are already sorted by dimension then lex, so (value, id)
     # is a valid filtration order (faces never come after cofaces).
     order = sorted(range(len(K)), key=lambda i: (values[i], i))
-    reduction = _PrefixReduction(K, field)
-    reduction.push(order, [values[i] for i in order])
-    return reduction.bars()
+    p, facet_ids, dims = field.characteristic, K.facet_ids, K.dims
+    pos = [0] * len(K)  # position of each id in the order
+    pivots: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
+    lows: list = []  # pivot row of each position's column, None if zero
+    # Each column is reduced against the earlier ones: a column reducing to
+    # zero creates a class, a surviving one kills the class at its pivot row.
+    for j, idx in enumerate(order):
+        pos[idx] = j
+        col: dict[int, int] = {}
+        for i, facet in enumerate(facet_ids[idx]):
+            col[pos[facet]] = (-1) ** i % p
+        while col:
+            low = max(col)
+            if low not in pivots:
+                break
+            other = pivots[low]
+            factor = col[low] * pow(other[low], -1, p) % p
+            for r, c in other.items():
+                v = (col.get(r, 0) - factor * c) % p
+                if v:
+                    col[r] = v
+                else:
+                    col.pop(r, None)
+        if col:
+            low = max(col)
+            pivots[low] = col
+            lows.append(low)
+        else:
+            lows.append(None)
+    level = [values[i] for i in order]
+    bars: list[list[Bar]] = [[] for _ in range(K.dim + 1)]
+    for j, low in enumerate(lows):
+        if low is not None and level[low] < level[j]:
+            bars[dims[order[low]]].append((level[low], level[j]))
+    for j, low in enumerate(lows):
+        if low is None and j not in pivots:  # a class that nothing kills
+            bars[dims[order[j]]].append((level[j], INF))
+    return tuple(tuple(sorted(b)) for b in bars)
 
 
 def _inclusion_rank(
@@ -126,6 +160,54 @@ def _inclusion_rank(
     )
 
 
+class _RankTable:
+    """The inclusion ranks of one complex over one field, each computed once.
+
+    into[B][A] is the id of the rank vector of H(A) -> H(B), per degree, for
+    closed masks A within B, and vectors[id] is that vector. Equal vectors
+    share one small id, so rows of ids compare and hash as int tuples. A
+    caller that finds into[B] but no entry for A fills it with add(A, B).
+    """
+
+    __slots__ = ("K", "field", "into", "vectors", "ids")
+
+    def __init__(self, K: SimplicialComplex, field: FieldSpec) -> None:
+        self.K = K
+        self.field = field
+        self.into: dict[int, dict[int, int]] = {}
+        self.vectors: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+
+    def add(self, A: int, B: int) -> int:
+        """Compute the missing entry into[B][A], store it and return it."""
+        vector = _inclusion_rank(self.K, A, B, self.field)
+        r = self.ids.setdefault(vector, len(self.vectors))
+        if r == len(self.vectors):
+            self.vectors.append(vector)
+        self.into[B][A] = r
+        return r
+
+    def row(self, unions: Sequence[int]) -> list[int]:
+        """The rank ids of H(A) -> H(B) for each A in unions, B the last one."""
+        B = unions[-1]
+        into = self.into.get(B)
+        if into is None:
+            into = self.into[B] = {}
+        row = []
+        for A in unions:
+            r = into.get(A)
+            row.append(self.add(A, B) if r is None else r)
+        return row
+
+
+def _rank_table(K: SimplicialComplex, field: FieldSpec) -> _RankTable:
+    """K's table of inclusion ranks over field, kept on K like its face masks."""
+    table = K.rank_tables.get(field.characteristic)
+    if table is None:
+        table = K.rank_tables[field.characteristic] = _RankTable(K, field)
+    return table
+
+
 def _rank_barcode(rows: Sequence[Sequence[Sequence[int]]]) -> TotalBarcode:
     """The barcode of P_1 < ... < P_k = K in block indices 1..k, from its ranks.
 
@@ -133,7 +215,7 @@ def _rank_barcode(rows: Sequence[Sequence[Sequence[int]]]) -> TotalBarcode:
     (an _inclusion_rank), for i <= j. With r(0, j) = 0, the bar [i, j) has
     multiplicity r(i, j-1) - r(i, j) - r(i-1, j-1) + r(i-1, j) and the bar
     [i, inf) has r(i, k) - r(i-1, k) (persistent Betti numbers: Edelsbrunner
-    and Harer, Computational Topology, VII). Bars come sorted, as in bars().
+    and Harer, Computational Topology, VII). Bars come sorted, as in level_barcode.
     """
     k = len(rows)
     barcode = []
@@ -148,118 +230,6 @@ def _rank_barcode(rows: Sequence[Sequence[Sequence[int]]]) -> TotalBarcode:
             bars += [(i, INF)] * (ri[k] - rh[k])
         barcode.append(tuple(bars))
     return tuple(barcode)
-
-
-class _PrefixReduction:
-    """The column reduction of a filtration, built one block at a time.
-
-    push(ids, levels) appends a block: its columns are reduced in the given
-    order against the pivots in place, a column reducing to zero creating a
-    class and a surviving column killing the class created at its pivot row.
-    Filtration order puts every face first, and a column is reduced only
-    against earlier columns, so the reduction of a prefix of blocks is the
-    same whatever blocks follow; events() reads the bars that die in the last
-    block and the classes born in it off its pivots, and pop() undoes its
-    columns and pivots. The caller checks that each block is disjoint from
-    the placed ones and holds all its faces with them.
-    """
-
-    def __init__(self, K: SimplicialComplex, field: FieldSpec = F2) -> None:
-        self.K = K
-        self.p = field.characteristic
-        self.pos = [0] * len(K)  # position of each placed id
-        self.order: list[int] = []  # id at each position
-        self.level: list = []  # level of each position, its bar value
-        self.lows: list = []  # pivot row of each position's column, None if zero
-        self.pivots: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
-        self.starts: list[int] = []  # first position of each pushed block
-
-    def push(self, ids: Sequence[int], levels: Iterable) -> None:
-        """Place the columns of ids, in this order, one level each."""
-        p, pos, pivots, facet_ids = self.p, self.pos, self.pivots, self.K.facet_ids
-        lows = self.lows
-        start = len(self.order)
-        self.starts.append(start)
-        self.order += ids
-        self.level += levels
-        for j, idx in enumerate(ids, start):
-            pos[idx] = j
-            col: dict[int, int] = {}
-            for i, facet in enumerate(facet_ids[idx]):
-                col[pos[facet]] = (-1) ** i % p
-            while col:
-                low = max(col)
-                if low not in pivots:
-                    break
-                other = pivots[low]
-                factor = col[low] * pow(other[low], -1, p) % p
-                for r, c in other.items():
-                    v = (col.get(r, 0) - factor * c) % p
-                    if v:
-                        col[r] = v
-                    else:
-                        col.pop(r, None)
-            if col:
-                low = max(col)
-                pivots[low] = col
-                lows.append(low)
-            else:
-                lows.append(None)
-
-    def events(self) -> tuple[tuple[int, ...], tuple[tuple[int, object], ...]]:
-        """The last block's events, read off the pivots push recorded for it.
-
-        For a block pushed at one level: births holds the degree of each class
-        born in the block that outlives it, deaths the (degree, birth level) of
-        each class of an earlier block that it kills, both sorted. A class
-        born and killed inside the block is neither, as its bar has length 0.
-        The reduction of a prefix is final, so every filtration that starts
-        with the placed blocks has exactly these bars born and dying in the
-        block, whatever blocks follow.
-        """
-        start = self.starts[-1]
-        order, level, dims, lows = self.order, self.level, self.K.dims, self.lows
-        births: list[int] = []
-        deaths: list[tuple[int, object]] = []
-        for j in range(start, len(lows)):
-            low = lows[j]
-            if low is None:
-                births.append(dims[order[j]])
-            elif low < start:
-                deaths.append((dims[order[low]], level[low]))
-            else:  # one class of this degree is born and killed in the block
-                births.remove(dims[order[low]])
-        births.sort()
-        deaths.sort()
-        return tuple(births), tuple(deaths)
-
-    def pop(self) -> None:
-        start = self.starts.pop()
-        for low in self.lows[start:]:
-            if low is not None:
-                del self.pivots[low]
-        del self.order[start:], self.level[start:], self.lows[start:]
-
-    def bars(self) -> TotalBarcode:
-        """The barcode of the placed columns, with their levels as values.
-
-        Zero-length bars are suppressed; bars are sorted within each degree.
-        """
-        order, level, dims = self.order, self.level, self.K.dims
-        bars: list[list[Bar]] = [[] for _ in range(self.K.dim + 1)]
-        killed = set()
-        creators = []
-        for j, low in enumerate(self.lows):
-            if low is None:
-                creators.append(j)
-            else:
-                killed.add(low)
-                if level[low] < level[j]:
-                    bars[dims[order[low]]].append((level[low], level[j]))
-        for j in creators:
-            if j not in killed:
-                bars[dims[order[j]]].append((level[j], INF))
-        return tuple(tuple(sorted(b)) for b in bars)
 
 
 def betti_numbers(K: SimplicialComplex, field: FieldSpec = F2) -> tuple[int, ...]:

@@ -113,6 +113,9 @@ class SimplicialComplex:
         )
         # The odd-dimensional simplices as a bitmask over canonical ids.
         self.odd_mask = sum(1 << i for i, d in enumerate(self.dims) if d % 2)
+        # Per field characteristic, persistence's table of inclusion ranks
+        # between subcomplexes, filled as the ranks are asked for.
+        self.rank_tables: dict = {}
 
     def __len__(self) -> int:
         return len(self.simplices)

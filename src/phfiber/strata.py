@@ -16,14 +16,12 @@ reads the masks; Simplex objects appear only in the JSON documents.
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels, barcode_of_stratum);
 representative_filter, the same levels over m + 1 as Fractions, is for the
-API. barcode_of_stratum runs the package's one column reduction over all of
-K (level_barcode). group_strata_by_barcode, which types many strata at once,
-runs it far less often: a stratum's type is fixed by its flags and the ranks
-of H(P_i) -> H(P_j) between the unions P_i of its first blocks, so it reads
-those ranks from one table per call (persistence._inclusion_rank, one
-level_barcode per nested pair) and reads each distinct (rank rows, flags)
-type off them by inclusion-exclusion (persistence._rank_barcode), with no
-barcode_of_stratum.
+API. group_strata_by_barcode, which types many strata at once, reads each
+type off K's table of inclusion ranks (persistence._rank_table): a stratum's
+type is fixed by its flags and the ranks of H(P_i) -> H(P_j) between the
+unions P_i of its first blocks (persistent Betti numbers), read by
+inclusion-exclusion (persistence._rank_barcode). The fiber walk prunes on
+the same table.
 """
 from __future__ import annotations
 
@@ -35,8 +33,8 @@ from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode
 from .errors import DomainError, InvariantError
 from .persistence import (
     Filter,
-    _inclusion_rank,
     _rank_barcode,
+    _rank_table,
     check_monotone,
     level_barcode,
 )
@@ -131,7 +129,7 @@ def _closed_subsets(K: SimplicialComplex, remaining: int, placed: int) -> list[i
 
 
 def _next_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
-    """Each closed block after `placed` as (mask, Euler count, ids), in memo[placed].
+    """Each closed block after `placed` as (mask, Euler count), in memo[placed].
 
     Sorted by id text, plus "|" unless the block is the last one. These keys
     are prefix-free and a stratum's text is its blocks' keys, then its flags,
@@ -145,8 +143,7 @@ def _next_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
         subsets = _closed_subsets(K, full & ~placed, placed)
         for S in subsets:
             if S not in known:
-                ids = mask_ids(S)
-                known[S] = (S, K.euler_count(S), ids), ".".join(map(str, ids))
+                known[S] = (S, K.euler_count(S)), ".".join(map(str, mask_ids(S)))
         subsets.sort(key=lambda S: known[S][1] + "|" * (placed | S != full))
         memo[placed] = [known[S][0] for S in subsets]
     return memo[placed]
@@ -213,7 +210,7 @@ def enumerate_filter_strata(
             for z, o in flags if len(blocks) > 1 else lone:
                 out.append(_trusted_stratum(blocks, z, o))
             return
-        for S, _, _ in children(K, placed, memo):
+        for S, _ in children(K, placed, memo):
             walk(placed | S, blocks + (S,))
 
     walk(0, ())
@@ -253,32 +250,6 @@ def barcode_of_stratum(
     return canonicalize_barcode(level_barcode(K, levels, field), stratum.interior_dim + 1)
 
 
-def stratum_closure_leq(low: FilterStratum, high: FilterStratum) -> bool:
-    """True when `low` lies in the closure of `high`.
-
-    Closure passes to coarser strata: merge runs of consecutive blocks, where
-    merging into the leading block may pin it at 0 and merging into the
-    trailing block may pin it at 1. Pinned ends can never come unpinned.
-    """
-    if low.support() != high.support():
-        raise DomainError("strata live over different complexes")
-    if high.at_zero and not low.at_zero:
-        return False
-    if high.at_one and not low.at_one:
-        return False
-    # Each block of high lies inside one block of low, at nondecreasing
-    # positions t; low's blocks are disjoint, so a forward scan finds it.
-    # With equal supports the first and last blocks of high then land in
-    # the first and last blocks of low, so pinned ends stay pinned.
-    lows, t = low.blocks, 0
-    for h in high.blocks:
-        while h & ~lows[t]:
-            t += 1
-            if t == len(lows):
-                return False
-    return True
-
-
 def bounded_deficit(K: SimplicialComplex, T: CombinatorialBarcode) -> Fraction:
     """Half the simplices not accounted for by a finite endpoint of T."""
     return Fraction(len(K) - T.finite_endpoint_count(), 2)
@@ -306,25 +277,25 @@ def group_strata_by_barcode(
     A filtration P_1 < ... < P_k = K has its barcode, in block indices, fixed
     by the ranks of H(P_i) -> H(P_j) (persistent Betti numbers), and its type
     by that barcode and the flags. So each block prefix gets an id interned
-    from its parent's id and its row (rank(P_1, P_k), ..., rank(P_k, P_k)),
-    each rank computed once per call (persistence._inclusion_rank) into a
-    table keyed by the pair of unions and interned to a small int. Strata with
-    the same prefix id and flags share one type, which persistence._rank_barcode
-    reads off the prefix's rows and the flags shift to levels as
-    stratum_levels does. A stratum reuses the prefix ids of the blocks it
-    shares with the one before it, so strata in walk order (as
-    enumerate_filter_strata gives them) get one row per block prefix; one
-    whose blocks are the same tuple object as the previous stratum's (the
-    walk's flag variants) skips even the scan for the shared blocks.
+    from its parent's id and its row of rank ids (rank(P_1, P_k), ...,
+    rank(P_k, P_k)), read from K's rank table (persistence._rank_table),
+    where each rank is computed once per complex and field and equal rank
+    vectors share one small id. Strata with the same prefix id and flags
+    share one type, which persistence._rank_barcode reads off the prefix's
+    rows and the flags shift to levels as stratum_levels does. A stratum
+    reuses the prefix ids of the blocks it shares with the one before it, so
+    strata in walk order (as enumerate_filter_strata gives them) get one row
+    per block prefix; one whose blocks are the same tuple object as the
+    previous stratum's (the walk's flag variants) skips even the scan for
+    the shared blocks.
     Each new block is checked as stratum_levels would: inside the ids of K
     and disjoint from the placed blocks, then holding its faces with them,
     and the last block must cover every id; a failure raises stratum_levels'
     DomainError.
     """
     full = (1 << len(K)) - 1
-    ranks: dict[int, dict[int, int]] = {}  # B -> A -> rank id of H(A) -> H(B)
-    rank_ids: dict[tuple, int] = {}  # ranks per degree -> rank id
-    vectors: list[tuple] = []  # rank id -> ranks per degree
+    table = _rank_table(K, field)
+    vectors = table.vectors  # rank id -> ranks per degree
     closures: dict[int, int] = {}  # block -> the union of its ids' face masks
     interned: dict[tuple, int] = {}  # (parent prefix id, row) -> prefix id
     prev: tuple[int, ...] = ()  # the previous stratum's blocks, each checked
@@ -357,20 +328,13 @@ def group_strata_by_barcode(
                 if faces & ~B:
                     _reject(K, st)
                 unions.append(B)
-                into = ranks.get(B)
+                into = table.into.get(B)  # table.row, inlined in this hot loop
                 if into is None:
-                    into = ranks[B] = {}
+                    into = table.into[B] = {}
                 row = []
                 for A in unions:
                     r = into.get(A)
-                    if r is None:  # the first time this pair comes up
-                        vector = _inclusion_rank(K, A, B, field)
-                        r = rank_ids.get(vector)
-                        if r is None:
-                            r = rank_ids[vector] = len(vectors)
-                            vectors.append(vector)
-                        into[A] = r
-                    row.append(r)
+                    row.append(table.add(A, B) if r is None else r)
                 row = tuple(row)
                 rows.append(row)
                 pid = interned.setdefault((pid, row), len(interned))

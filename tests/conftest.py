@@ -141,7 +141,33 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def euler_recheck_cells(K, T, field=ph.F2):
+def stratum_closure_leq(low, high):
+    """True when `low` lies in the closure of `high`: the face-poset oracle.
+
+    Closure passes to coarser strata: merge runs of consecutive blocks, where
+    merging into the leading block may pin it at 0 and merging into the
+    trailing block may pin it at 1. Pinned ends can never come unpinned.
+    """
+    if low.support() != high.support():
+        raise ph.DomainError("strata live over different complexes")
+    if high.at_zero and not low.at_zero:
+        return False
+    if high.at_one and not low.at_one:
+        return False
+    # Each block of high lies inside one block of low, at nondecreasing
+    # positions t; low's blocks are disjoint, so a forward scan finds it.
+    # With equal supports the first and last blocks of high then land in
+    # the first and last blocks of low, so pinned ends stay pinned.
+    lows, t = low.blocks, 0
+    for h in high.blocks:
+        while h & ~lows[t]:
+            t += 1
+            if t == len(lows):
+                return False
+    return True
+
+
+def euler_recheck_cells(K, T, field=ph.F2, memo=None):
     """The fiber's cells over T by Euler-count pruning and a recheck of each leaf.
 
     The oracle for fiber_complex's exact walk. A partition is pruned as soon
@@ -152,6 +178,8 @@ def euler_recheck_cells(K, T, field=ph.F2):
     ONE, an interior level that is an endpoint takes the next rank, and any
     other level is free in the gap after the last rank taken. Returns
     ({stratum: (gap shape, rank vector, labels)}, number of leaves rechecked).
+    Next blocks and leaf barcodes depend on K alone, so calls on one K may
+    share a memo dict.
     """
     m, one = T.dim, T.one
     chi = {s: 0 for s in range(ZERO, one + 1)}
@@ -166,9 +194,14 @@ def euler_recheck_cells(K, T, field=ph.F2):
     odd = sum(1 << i for i, s in enumerate(K.simplices) if s.dim % 2)
     full = (1 << len(K)) - 1
     leaves = set()
+    memo = {} if memo is None else memo
+    closed = memo.setdefault("closed", {})  # placed -> its closed next blocks
+    rechecked = memo.setdefault("rechecked", {})  # (stratum, field) -> levels, bars
 
     def walk(placed, blocks, at_zero, rank):
-        for S in _closed_subsets(K, full & ~placed, placed):
+        if placed not in closed:
+            closed[placed] = _closed_subsets(K, full & ~placed, placed)
+        for S in closed[placed]:
             c = (S & ~odd).bit_count() - (S & odd).bit_count()
             if rank == ZERO:
                 moves = [(True, 1, False)] if c == chi[ZERO] else []
@@ -189,8 +222,10 @@ def euler_recheck_cells(K, T, field=ph.F2):
     walk(0, (), False, ZERO if ZERO in present else 1)
     cells = {}
     for st in leaves:
-        levels = stratum_levels(K, st)
-        raw = level_barcode(K, levels, field)
+        if (st, field) not in rechecked:
+            levels = stratum_levels(K, st)
+            rechecked[st, field] = levels, level_barcode(K, levels, field)
+        levels, raw = rechecked[st, field]
         if ph.canonicalize_barcode(raw, st.interior_dim + 1) != T:
             continue
         endpoints = {e for deg in raw for bar in deg for e in bar}

@@ -15,7 +15,7 @@ import phfiber as ph
 from phfiber import INF
 from phfiber.fiber import boundary_circuits, check_dimension_bound, fiber_dimension
 from phfiber.monodromy import monodromy_map
-from phfiber.strata import FilterStratum, stratum_closure_leq
+from phfiber.strata import FilterStratum
 
 from conftest import (
     COMPLEX_POOL,
@@ -23,6 +23,7 @@ from conftest import (
     block_masks,
     block_simplices,
     random_monotone_filter,
+    stratum_closure_leq,
 )
 
 

@@ -61,6 +61,31 @@ def test_parse_rejects_malformed_text():
             ph.parse_barcode_type(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0:(1,\u00b2)",  # superscript two: str.isdigit() but not int()
+        "0:(\u0661,inf)",  # Arabic-Indic one: int() reads it as 1
+        "0:(1_0,inf)",
+        "0:(+1,inf)",
+        "1_0:(1,inf)",
+        "\u0660:(1,inf)",
+        "-1:(1,inf)",
+        "\u00b2:(1,inf)",
+    ],
+)
+def test_parse_accepts_only_ascii_digits(text):
+    with pytest.raises(ParseError, match="unknown barcode token"):
+        ph.parse_barcode_type(text)
+
+
+def test_parse_reads_ascii_ranks_and_degrees():
+    T = ph.parse_barcode_type(" 1 :(zero,inf);0:( 01 ,10),(2,3),(4,5),(6,7),(8,9)")
+    assert T.dim == 10
+    assert T.degrees[0][0] == (1, 10)
+    assert T.degrees[1] == ((ZERO, T.inf),)
+
+
 def test_type_validation_requires_all_ranks_used():
     with pytest.raises(ParseError, match="rank never used"):
         ph.parse_barcode_type("0:(1,inf),(3,4)")

@@ -218,6 +218,23 @@ def test_nonprime_field_exits_one(capsys, triangle_file):
     assert "prime" in err
 
 
+def test_morphisms_nonprime_field_exits_one(capsys, triangle_file):
+    code, out, err = run(capsys, "morphisms", triangle_file, "--from",
+                         TYPE_STRINGS["mobius"], "--to", TYPE_STRINGS["point"],
+                         "--field", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not prime" in err
+
+
+def test_non_ascii_rank_exits_one(capsys, triangle_file):
+    code, out, err = run(capsys, "fiber", triangle_file, "--barcode", "0:(1,\u00b2)")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "unknown barcode token" in err
+    assert "Traceback" not in err
+
+
 def test_huge_field_exits_one(capsys, triangle_file):
     code, out, err = run(capsys, "essential", triangle_file, "--field", "1" + "0" * 400)
     assert code == 1

@@ -18,6 +18,7 @@ from phfiber import INF, DomainError, InvariantError
 from phfiber.fiber import (
     _face_sets,
     _facet_strata,
+    _fiber_strata,
     boundary_circuits,
     check_dimension_bound,
     fiber_dimension,
@@ -26,7 +27,6 @@ from phfiber.strata import (
     FilterStratum,
     is_lower_star_stratum,
     serialize_stratum,
-    stratum_closure_leq,
     stratum_levels,
 )
 
@@ -36,6 +36,7 @@ from conftest import (
     block_masks,
     block_simplices,
     euler_recheck_cells,
+    stratum_closure_leq,
 )
 
 
@@ -474,13 +475,15 @@ def test_euler_pruning_keeps_every_member_stratum(maximal):
             assert {c.stratum for c in fc.cells} == {strata[i] for i in rec.member_ids}
 
 
-def test_exact_walk_matches_euler_pruning_with_recheck(path5):
+def test_exact_walk_matches_euler_pruning_with_recheck(path5, triangle, interval):
     """The exact walk's cells, with their gap shapes, rank vectors and labels,
     against Euler pruning plus a level_barcode recheck of every survivor, on
     path5, the square, two triangles (11 simplices, so ids of two digits) and
     every interior type of path4 in perfbench/inputs.json. The cells must come
     in (dim, serialize_stratum) order, which fiber_complex gets from the walk
-    order and a sort by dimension alone."""
+    order and a sort by dimension alone. Then the walk's strata and symbols,
+    in walk order, over every image type of the triangle and the interval in
+    interior and all mode and of the square in interior mode."""
     path4 = ph.build_complex([[0, 1], [1, 2], [2, 3]])
     square = ph.build_complex([[0, 1], [1, 2], [2, 3], [0, 3]])
     triangles = ph.build_complex([[0, 1, 2], [1, 2, 3]])
@@ -508,6 +511,25 @@ def test_exact_walk_matches_euler_pruning_with_recheck(path5):
             rechecked += leaves
     # Most Euler survivors fail the recheck, so the pruning is really tested.
     assert rechecked > 2 * cells
+
+    walks = 0
+    for K, mode in [(triangle, "interior_only"), (triangle, "all"),
+                    (interval, "interior_only"), (interval, "all"),
+                    (square, "interior_only")]:
+        strata = ph.enumerate_filter_strata(K, mode)
+        memo = {}
+        for p in (2, 3):
+            field = ph.FieldSpec(p)
+            for rec in ph.group_strata_by_barcode(K, strata, field):
+                expected, _ = euler_recheck_cells(K, rec.barcode_type, field, memo)
+                leaves = [
+                    (st, tuple(None if kind == "free" else s for kind, s in labels))
+                    for st, (_, _, labels) in expected.items()
+                ]
+                leaves.sort(key=lambda leaf: serialize_stratum(leaf[0], K))
+                assert _fiber_strata(K, rec.barcode_type, field) == leaves
+                walks += 1
+    assert walks == 1034
 
 
 def test_exact_walk_compares_births_by_degree():

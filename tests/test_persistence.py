@@ -11,8 +11,8 @@ from phfiber import INF, DomainError
 from phfiber.barcodes import canonicalize_barcode
 from phfiber.persistence import (
     _inclusion_rank,
-    _PrefixReduction,
     _rank_barcode,
+    _rank_table,
     level_barcode,
 )
 from phfiber.strata import _closed_subsets, _type_of_rank_rows, mask_ids, stratum_levels
@@ -249,38 +249,23 @@ def test_level_barcode_matches_the_rank_oracle(triangle, rp2):
             assert level_barcode(K, levels, ph.FieldSpec(p)) == expected, (levels, p)
 
 
-def test_block_events_rebuild_the_level_barcode(rp2):
-    """Pushing the simplices of each level as one block, the events of the
-    blocks rebuild level_barcode: a death (q, b) in the block at level L is a
-    bar (b, L) of degree q, and a birth at L that no later block kills is a
-    bar (L, inf). Births count, so wrong births lose or add infinite bars."""
-    rng = random.Random(1)
-    complexes = [ph.build_complex(maximal) for maximal in COMPLEX_POOL] + [rp2]
-    cases = [(K, _random_levels(K, rng)) for K in complexes for _ in range(15)]
-    infinite = 0
-    for K, levels in cases:
-        for p in (2, 3):
-            field = ph.FieldSpec(p)
-            reduction = _PrefixReduction(K, field)
-            bars = [[] for _ in range(K.dim + 1)]
-            alive = Counter()
-            for L in sorted(set(levels)):
-                ids = [i for i in range(len(K)) if levels[i] == L]
-                reduction.push(ids, [L] * len(ids))
-                births, deaths = reduction.events()
-                assert list(births) == sorted(births) and list(deaths) == sorted(deaths)
-                for q, b in deaths:
-                    assert b < L and alive[q, b] > 0, (levels, q, b, L)
-                    alive[q, b] -= 1
-                    bars[q].append((b, L))
-                for q in births:
-                    alive[q, L] += 1
-            for (q, b), n in alive.items():
-                bars[q] += [(b, INF)] * n
-                infinite += n
-            rebuilt = tuple(tuple(sorted(deg)) for deg in bars)
-            assert rebuilt == level_barcode(K, levels, field), (levels, p)
-    assert infinite > len(cases) * 2
+def test_rank_table_is_kept_per_field(rp2):
+    """K's shared rank table is keyed by field: RP^2 has Betti numbers
+    (1, 1, 1) over F2 and (1, 0, 0) over F3, so the entry for the pair
+    (K, K), which is H(K) itself, must follow the field whichever field asks
+    first. Each complex object keeps its own tables."""
+    F3 = ph.FieldSpec(3)
+    for fields in ((ph.F2, F3), (F3, ph.F2)):
+        K = ph.build_complex([s.vertices for s in rp2.simplices if s.dim == 2])
+        full = (1 << len(K)) - 1
+        for field in fields:
+            table = _rank_table(K, field)
+            assert _rank_table(K, field) is table
+            (r,) = table.row([full])
+            assert table.vectors[r] == ph.betti_numbers(K, field), field
+        assert set(K.rank_tables) == {2, 3}
+    assert ph.betti_numbers(rp2, ph.F2) == (1, 1, 1)
+    assert ph.betti_numbers(rp2, F3) == (1, 0, 0)
 
 
 def test_rank_rows_rebuild_the_barcode_and_the_stratum_type(rp2):

@@ -15,11 +15,10 @@ from phfiber.strata import (
     _next_blocks,
     is_lower_star_stratum,
     serialize_stratum,
-    stratum_closure_leq,
     stratum_levels,
 )
 
-from conftest import TRIANGLE_CODIM_COUNTS, block_masks
+from conftest import TRIANGLE_CODIM_COUNTS, block_masks, stratum_closure_leq
 
 
 def count_monotone_surjections(K):
@@ -117,7 +116,7 @@ def test_next_blocks_walk_is_in_text_order_past_id_ten(name, rp2):
         if placed == full:
             yield FilterStratum(blocks)
             return
-        for S, _, _ in _next_blocks(K, placed, memo):
+        for S, _ in _next_blocks(K, placed, memo):
             yield from leaves(placed | S, blocks + (S,))
 
     texts = [serialize_stratum(st, K) for st in itertools.islice(leaves(0, ()), 20000)]
