@@ -4,8 +4,8 @@ Exit codes: 0 on success, 1 when the input is outside the mathematical domain
 (including unparsable barcode types and complex files), 2 on usage errors.
 Output goes to stdout, diagnostics to stderr. Every command runs in one
 thread: every barcode, Betti number, inclusion rank and removability test
-comes from the one exact sparse column reduction, persistence.level_barcode,
-and image grouping and the fiber walk both type strata by one table of
+comes from the one exact sparse column reduction, persistence._reduce, and
+image grouping and the fiber walk both type strata by one table of
 inclusion ranks, so output bytes depend only on the arguments.
 """
 from __future__ import annotations

@@ -137,12 +137,15 @@ def _fiber_strata(
             if d != T.inf:
                 chi[d] -= (-1) ** q
     # expect[s][t]: per degree of K, T's bars born at or before s, dying after t.
-    degrees = T.degrees + ((),) * (K.dim + 1 - len(T.degrees))
-    expect = [
-        [tuple(sum(1 for b, d in deg if b <= s and d > t) for deg in degrees)
-         for t in range(one + 1)]
-        for s in range(one + 1)
-    ]
+    # Sized for both K and T, so a type with bars above dim K matches no row.
+    width = max(K.dim + 1, len(T.degrees))
+    counts = [[[0] * width for _ in range(one + 1)] for _ in range(one + 1)]
+    for q, deg in enumerate(T.degrees):
+        for b, d in deg:
+            for s in range(b, one + 1):
+                for c in counts[s][: min(d, one + 1)]:
+                    c[q] += 1
+    expect = [[tuple(c) for c in row] for row in counts]
     one_optional = one not in endpoints
     full = (1 << len(K)) - 1
     table = _rank_table(K, field)
@@ -165,7 +168,8 @@ def _fiber_strata(
                     moves.append((None, rank))
                 if rank <= m and c == chi[rank]:
                     moves.append((rank, rank + 1))
-            last = placed | S == full
+            B = placed | S
+            last = B == full
             if last:
                 # Every rank is placed, and ONE is pinned if it is an endpoint.
                 if rank > m and c == chi[one]:
@@ -173,8 +177,17 @@ def _fiber_strata(
                 moves = [(s, r) for s, r in moves if r > m and (s == one or one_optional)]
             if not moves:
                 continue
-            unions.append(placed | S)
-            row = [vectors[r] for r in table.row(unions)]
+            unions.append(B)
+            into = table.into.get(B)
+            row = []
+            if into is not None:
+                for A in unions:
+                    r = into.get(A)
+                    if r is None:
+                        break
+                    row.append(vectors[r])
+            if len(row) < len(unions):
+                row = [vectors[r] for r in table.fill(K, field, unions)]
             blocks.append(S)
             for sym, nxt in moves:
                 place = rank - 1 if sym is None else sym
@@ -186,7 +199,7 @@ def _fiber_strata(
                         stratum = _trusted_stratum(tuple(blocks), at_zero, sym == one)
                         leaves.append((stratum, tuple(symbols)))
                     else:
-                        walk(placed | S, nxt)
+                        walk(B, nxt)
                     symbols.pop()
                 places.pop()
             blocks.pop()

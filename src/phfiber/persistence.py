@@ -5,18 +5,19 @@ no larger than their cofaces. Its total barcode is a tuple, indexed by
 homology degree 0..dim K, of sorted bar tuples (birth, death); deaths are
 either a value or INF. Zero-length bars are suppressed.
 
-One column reduction (Edelsbrunner, Letscher and Zomorodian 2002),
-level_barcode, computes every barcode in the package. It reads only the
-order of the values, so the package feeds it integer levels (stratum block
-positions, rank vectors, 0/1 for removability, all 0 for Betti numbers),
-while Filter's Fraction values are for the API. _inclusion_rank reads the
-rank of H(A) -> H(B) for nested subcomplexes off one level_barcode, and each
-complex keeps one table of these ranks per field (_rank_table), shared by
-every call on it. A block filtration's bars are fixed by the ranks between
-its unions (persistent Betti numbers), so that table is the package's one
-typing rule: image grouping reads each type off it by inclusion-exclusion
-(_rank_barcode, with no reduction of its own), and the fiber walk prunes a
-branch as soon as a row of it differs from the row the type predicts.
+One column reduction (Edelsbrunner, Letscher and Zomorodian 2002), _reduce,
+computes every barcode and rank in the package. level_barcode reads a
+barcode off it; it uses only the order of the values, so the package feeds
+it integer levels (stratum block positions, rank vectors, 0/1 for
+removability, all 0 for Betti numbers), while Filter's Fraction values are
+for the API. _inclusion_ranks reads the ranks of H(P_i) -> H(P_k) along a
+chain of subcomplexes off one reduction of P_k, and each complex keeps one
+table of these ranks per field (_rank_table), shared by every call on it. A
+block filtration's bars are fixed by the ranks between its unions
+(persistent Betti numbers), so that table is the package's one typing rule:
+image grouping reads each type off it by inclusion-exclusion (_rank_barcode),
+and the fiber walk prunes a branch as soon as a row of it differs from the
+row the type predicts.
 """
 from __future__ import annotations
 
@@ -94,19 +95,17 @@ def barcode_of_filter(filt: Filter, field: FieldSpec = F2) -> TotalBarcode:
     return level_barcode(filt.complex, filt.values, field)
 
 
-def level_barcode(
-    K: SimplicialComplex, values: Sequence, field: FieldSpec = F2
-) -> TotalBarcode:
-    """Total barcode of the sublevel filtration of values, by column reduction.
+def _reduce(
+    K: SimplicialComplex, order: Sequence[int], field: FieldSpec
+) -> tuple[list, dict]:
+    """The column reduction of the boundary matrix of the ids in order, a
+    filtration order of a subcomplex of K (faces before their cofaces).
 
-    values, in canonical simplex order, are any comparable values monotone
-    on K, unchecked (see check_monotone); bar endpoints are these values.
-    Zero-length bars are suppressed; bars are sorted within each degree.
+    Returns, per position, the pivot row of its reduced column (None when
+    it reduces to zero), and the reduced columns keyed by pivot row.
     """
-    # Canonical ids are already sorted by dimension then lex, so (value, id)
-    # is a valid filtration order (faces never come after cofaces).
-    order = sorted(range(len(K)), key=lambda i: (values[i], i))
-    p, facet_ids, dims = field.characteristic, K.facet_ids, K.dims
+    p, facet_ids = field.characteristic, K.facet_ids
+    signs = (1, p - 1)  # (-1) ** i mod p, for even and odd i
     pos = [0] * len(K)  # position of each id in the order
     pivots: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
     lows: list = []  # pivot row of each position's column, None if zero
@@ -116,7 +115,7 @@ def level_barcode(
         pos[idx] = j
         col: dict[int, int] = {}
         for i, facet in enumerate(facet_ids[idx]):
-            col[pos[facet]] = (-1) ** i % p
+            col[pos[facet]] = signs[i & 1]
         while col:
             low = max(col)
             if low not in pivots:
@@ -135,6 +134,23 @@ def level_barcode(
             lows.append(low)
         else:
             lows.append(None)
+    return lows, pivots
+
+
+def level_barcode(
+    K: SimplicialComplex, values: Sequence, field: FieldSpec = F2
+) -> TotalBarcode:
+    """Total barcode of the sublevel filtration of values, by _reduce.
+
+    values, in canonical simplex order, are any comparable values monotone
+    on K, unchecked (see check_monotone); bar endpoints are these values.
+    Zero-length bars are suppressed; bars are sorted within each degree.
+    """
+    # Canonical ids are already sorted by dimension then lex, so (value, id)
+    # is a valid filtration order (faces never come after cofaces).
+    order = sorted(range(len(K)), key=lambda i: (values[i], i))
+    lows, pivots = _reduce(K, order, field)
+    dims = K.dims
     level = [values[i] for i in order]
     bars: list[list[Bar]] = [[] for _ in range(K.dim + 1)]
     for j, low in enumerate(lows):
@@ -146,18 +162,34 @@ def level_barcode(
     return tuple(tuple(sorted(b)) for b in bars)
 
 
-def _inclusion_rank(
-    K: SimplicialComplex, A: int, B: int, field: FieldSpec = F2
-) -> tuple[int, ...]:
-    """Per degree, the rank of H(A) -> H(B) for closed masks A within B.
+def _inclusion_ranks(
+    K: SimplicialComplex, unions: Sequence[int], field: FieldSpec = F2
+) -> list[tuple[int, ...]]:
+    """Per P_i of a chain P_1 <= ... <= P_k of closed masks, and per degree,
+    the rank of H(P_i) -> H(P_k), all read off one reduction of P_k.
 
-    The filtration with level 0 on A, 1 on B minus A and 2 on the rest of K
-    has one bar born at 0 that outlives 1 per basis element of that image.
+    P_k is filtered by the first P_i holding each simplex, so the rest of K
+    is never reduced. A class born by P_i that nothing in P_k kills is one
+    basis element of the image of H(P_i).
     """
-    levels = [0 if A >> i & 1 else 1 if B >> i & 1 else 2 for i in range(len(K))]
-    return tuple(
-        sum(1 for b, d in deg if b == 0 and d > 1) for deg in level_barcode(K, levels, field)
-    )
+    order, starts, before = [], [], 0  # starts[i]: the position P_i starts at
+    for P in unions:
+        starts.append(len(order))
+        new = P & ~before
+        while new:
+            low = new & -new
+            order.append(low.bit_length() - 1)
+            new ^= low
+        before = P
+    starts.append(len(order))
+    lows, pivots = _reduce(K, order, field)
+    dims, total, ranks = K.dims, [0] * (K.dim + 1), []
+    for i in range(len(unions)):
+        for j in range(starts[i], starts[i + 1]):
+            if lows[j] is None and j not in pivots:  # a class P_k never kills
+                total[dims[order[j]]] += 1
+        ranks.append(tuple(total))
+    return ranks
 
 
 class _RankTable:
@@ -166,37 +198,32 @@ class _RankTable:
     into[B][A] is the id of the rank vector of H(A) -> H(B), per degree, for
     closed masks A within B, and vectors[id] is that vector. Equal vectors
     share one small id, so rows of ids compare and hash as int tuples. A
-    caller that finds into[B] but no entry for A fills it with add(A, B).
+    caller reads the row of a chain of unions from into[B], B its last mask,
+    and calls fill when an entry is missing; the lookup is written out in
+    both callers' hot loops, where a call per row cost image grouping 9%.
+    The table holds no reference to its complex, which holds the table.
     """
 
-    __slots__ = ("K", "field", "into", "vectors", "ids")
+    __slots__ = ("into", "vectors", "ids")
 
-    def __init__(self, K: SimplicialComplex, field: FieldSpec) -> None:
-        self.K = K
-        self.field = field
+    def __init__(self) -> None:
         self.into: dict[int, dict[int, int]] = {}
         self.vectors: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
 
-    def add(self, A: int, B: int) -> int:
-        """Compute the missing entry into[B][A], store it and return it."""
-        vector = _inclusion_rank(self.K, A, B, self.field)
-        r = self.ids.setdefault(vector, len(self.vectors))
-        if r == len(self.vectors):
-            self.vectors.append(vector)
-        self.into[B][A] = r
-        return r
-
-    def row(self, unions: Sequence[int]) -> list[int]:
-        """The rank ids of H(A) -> H(B) for each A in unions, B the last one."""
-        B = unions[-1]
-        into = self.into.get(B)
-        if into is None:
-            into = self.into[B] = {}
+    def fill(
+        self, K: SimplicialComplex, field: FieldSpec, unions: Sequence[int]
+    ) -> list[int]:
+        """Store and return the rank ids of H(A) -> H(B) for each A of the
+        chain unions, B its last mask, from one reduction of B."""
+        ids, vectors = self.ids, self.vectors
         row = []
-        for A in unions:
-            r = into.get(A)
-            row.append(self.add(A, B) if r is None else r)
+        for vector in _inclusion_ranks(K, unions, field):
+            r = ids.setdefault(vector, len(vectors))
+            if r == len(vectors):
+                vectors.append(vector)
+            row.append(r)
+        self.into.setdefault(unions[-1], {}).update(zip(unions, row))
         return row
 
 
@@ -204,7 +231,7 @@ def _rank_table(K: SimplicialComplex, field: FieldSpec) -> _RankTable:
     """K's table of inclusion ranks over field, kept on K like its face masks."""
     table = K.rank_tables.get(field.characteristic)
     if table is None:
-        table = K.rank_tables[field.characteristic] = _RankTable(K, field)
+        table = K.rank_tables[field.characteristic] = _RankTable()
     return table
 
 
@@ -212,7 +239,7 @@ def _rank_barcode(rows: Sequence[Sequence[Sequence[int]]]) -> TotalBarcode:
     """The barcode of P_1 < ... < P_k = K in block indices 1..k, from its ranks.
 
     rows[j - 1][i - 1] is, per degree, the rank r(i, j) of H(P_i) -> H(P_j)
-    (an _inclusion_rank), for i <= j. With r(0, j) = 0, the bar [i, j) has
+    (from _inclusion_ranks), for i <= j. With r(0, j) = 0, the bar [i, j) has
     multiplicity r(i, j-1) - r(i, j) - r(i-1, j-1) + r(i-1, j) and the bar
     [i, inf) has r(i, k) - r(i-1, k) (persistent Betti numbers: Edelsbrunner
     and Harer, Computational Topology, VII). Bars come sorted, as in level_barcode.

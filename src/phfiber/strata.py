@@ -279,15 +279,15 @@ def group_strata_by_barcode(
     by that barcode and the flags. So each block prefix gets an id interned
     from its parent's id and its row of rank ids (rank(P_1, P_k), ...,
     rank(P_k, P_k)), read from K's rank table (persistence._rank_table),
-    where each rank is computed once per complex and field and equal rank
-    vectors share one small id. Strata with the same prefix id and flags
-    share one type, which persistence._rank_barcode reads off the prefix's
-    rows and the flags shift to levels as stratum_levels does. A stratum
-    reuses the prefix ids of the blocks it shares with the one before it, so
-    strata in walk order (as enumerate_filter_strata gives them) get one row
-    per block prefix; one whose blocks are the same tuple object as the
-    previous stratum's (the walk's flag variants) skips even the scan for
-    the shared blocks.
+    which keeps them per complex and field, fills a row with a missing rank
+    by one reduction of P_k and gives equal rank vectors one small id.
+    Strata with the same prefix id and flags share one type, which
+    persistence._rank_barcode reads off the prefix's rows and the flags
+    shift to levels as stratum_levels does. A stratum reuses the prefix ids
+    of the blocks it shares with the one before it, so strata in walk order
+    (as enumerate_filter_strata gives them) get one row per block prefix;
+    one whose blocks are the same tuple object as the previous stratum's
+    (the walk's flag variants) skips even the scan for the shared blocks.
     Each new block is checked as stratum_levels would: inside the ids of K
     and disjoint from the placed blocks, then holding its faces with them,
     and the last block must cover every id; a failure raises stratum_levels'
@@ -328,13 +328,16 @@ def group_strata_by_barcode(
                 if faces & ~B:
                     _reject(K, st)
                 unions.append(B)
-                into = table.into.get(B)  # table.row, inlined in this hot loop
-                if into is None:
-                    into = table.into[B] = {}
+                into = table.into.get(B)
                 row = []
-                for A in unions:
-                    r = into.get(A)
-                    row.append(table.add(A, B) if r is None else r)
+                if into is not None:
+                    for A in unions:
+                        r = into.get(A)
+                        if r is None:
+                            break
+                        row.append(r)
+                if len(row) < len(unions):
+                    row = table.fill(K, field, unions)
                 row = tuple(row)
                 rows.append(row)
                 pid = interned.setdefault((pid, row), len(interned))

@@ -267,8 +267,10 @@ def test_boundary_circuits_require_pure_two_dimensional(triangle_fibers):
 
 
 def test_empty_fiber_is_rejected(triangle):
-    with pytest.raises(DomainError, match="empty fiber"):
-        ph.fiber_complex(triangle, ph.parse_barcode_type("0:(1,inf)"))
+    # The last two have a bar in a degree above dim K, so no row can match.
+    for text in ("0:(1,inf)", "0:(1,inf);3:(2,inf)", "0:(zero,inf);3:(1,2)"):
+        with pytest.raises(DomainError, match="empty fiber"):
+            ph.fiber_complex(triangle, ph.parse_barcode_type(text))
 
 
 def test_unknown_fiber_mode_rejected(triangle, types):

@@ -1,6 +1,8 @@
 """Filters and sublevel persistence barcodes."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import phfiber as ph
 from phfiber import INF, DomainError
 from phfiber.barcodes import canonicalize_barcode
 from phfiber.persistence import (
-    _inclusion_rank,
+    _inclusion_ranks,
     _rank_barcode,
     _rank_table,
     level_barcode,
@@ -219,7 +221,8 @@ def test_inclusion_rank_matches_boundary_ranks(maximal, p):
                 outside = [s for s in rows if not A >> s & 1]
                 bounding = _boundary_rank(K, up, rows, p) - _boundary_rank(K, up, outside, p)
                 expected.append(cycles - bounding)
-            assert _inclusion_rank(K, A, B, ph.FieldSpec(p)) == tuple(expected), (A, B)
+            ranks = _inclusion_ranks(K, (A, B), ph.FieldSpec(p))
+            assert ranks[0] == tuple(expected), (A, B)
             pairs += 1
     assert pairs > len(subcomplexes) * 2
 
@@ -261,11 +264,30 @@ def test_rank_table_is_kept_per_field(rp2):
         for field in fields:
             table = _rank_table(K, field)
             assert _rank_table(K, field) is table
-            (r,) = table.row([full])
+            (r,) = table.fill(K, field, [full])
+            assert table.into[full][full] == r
             assert table.vectors[r] == ph.betti_numbers(K, field), field
         assert set(K.rank_tables) == {2, 3}
     assert ph.betti_numbers(rp2, ph.F2) == (1, 1, 1)
     assert ph.betti_numbers(rp2, F3) == (1, 0, 0)
+
+
+def test_rank_table_leaves_its_complex_to_reference_counting():
+    """The table lives on K and holds no reference back to it, so a complex
+    and its ranks are freed with its last reference, without the cycle
+    collector. (The strata come from a twin complex: the recursive walk of
+    the enumeration keeps its own complex until the collector runs.)"""
+    strata = ph.enumerate_filter_strata(ph.build_complex([[0, 1, 2]]), "all")
+    gc.disable()
+    try:
+        K = ph.build_complex([[0, 1, 2]])
+        ph.group_strata_by_barcode(K, strata)
+        assert K.rank_tables
+        ref = weakref.ref(K)
+        del K
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_rank_rows_rebuild_the_barcode_and_the_stratum_type(rp2):
@@ -286,8 +308,7 @@ def test_rank_rows_rebuild_the_barcode_and_the_stratum_type(rp2):
         unions = [sum(1 << s for s in range(len(K)) if block[s] <= j) for j in range(1, k + 1)]
         for p in (2, 3):
             field = ph.FieldSpec(p)
-            rows = [[_inclusion_rank(K, A, B, field) for A in unions[:j]]
-                    for j, B in enumerate(unions, 1)]
+            rows = [_inclusion_ranks(K, unions[:j], field) for j in range(1, k + 1)]
             bars = _rank_barcode(rows)
             assert bars == level_barcode(K, block, field), (levels, p)
             for q, deg in enumerate(bars):

@@ -437,21 +437,21 @@ def test_grouping_reduces_only_for_its_rank_table(
     monkeypatch, maximal, mode, p, types, reductions
 ):
     """Grouping types every stratum off its table of inclusion ranks: it never
-    calls barcode_of_stratum, and it runs level_barcode once per nested pair
-    of block unions that its strata meet."""
+    calls barcode_of_stratum, and it runs the column reduction once per row
+    of block unions holding a nested pair that its strata had not met."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("grouping called barcode_of_stratum")
 
     calls = []
-    reduce = ph.persistence.level_barcode
+    reduce = ph.persistence._reduce
 
     def counted(*args, **kwargs):
         calls.append(args)
         return reduce(*args, **kwargs)
 
     monkeypatch.setattr(ph.strata, "barcode_of_stratum", refuse)
-    monkeypatch.setattr(ph.persistence, "level_barcode", counted)
+    monkeypatch.setattr(ph.persistence, "_reduce", counted)
     K = ph.build_complex(maximal)
     records = ph.group_strata_by_barcode(K, ph.enumerate_filter_strata(K, mode), ph.FieldSpec(p))
     assert len(records) == types
