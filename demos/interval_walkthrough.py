@@ -22,7 +22,7 @@ def main():
     for text in ("0:(1,inf),(2,3)", "0:(1,2),(1,inf)", "0:(1,inf)"):
         fc = ph.fiber_complex(K, ph.parse_barcode_type(text))
         cells = dict(sorted(Counter(c.dim for c in fc.cells).items()))
-        betti = ph.fiber_homology(ph.triangulate_fiber(fc))
+        betti = ph.fiber_homology(fc)
         print(f"fiber over {text:<18} cells by dim {cells}  betti {betti}")
     print()
 

@@ -20,7 +20,7 @@ def main():
     for r in records:
         fc = ph.fiber_complex(K, r.barcode_type, mode="lower_star")
         cells = dict(sorted(Counter(c.dim for c in fc.cells).items()))
-        betti = ph.fiber_homology(ph.triangulate_fiber(fc))
+        betti = ph.fiber_homology(fc)
         print(f"  {ph.format_barcode_type(r.barcode_type):<22} "
               f"members {len(r.member_ids):>2}  cells by dim {cells}  "
               f"betti {betti}")

@@ -36,13 +36,13 @@ def main():
         fc = ph.fiber_complex(K, ph.parse_barcode_type(text))
         fibers[label] = fc
         cells = dict(sorted(Counter(c.dim for c in fc.cells).items()))
-        betti = ph.fiber_homology(ph.triangulate_fiber(fc))
+        betti = ph.fiber_homology(fc)
         print(f"  {label:<22} cells by dim {cells}  betti {betti}")
     print()
 
     band = fibers["mobius band"]
     squares = [c for c in band.cells if c.dim == 2]
-    circuits = ph.boundary_circuits(ph.triangulate_fiber(band))
+    circuits = ph.boundary_circuits(band)
     print(f"the 2-dimensional fiber has {len(squares)} two-cells, all with "
           f"gap shape {squares[0].gap_shape}, and {circuits} boundary "
           "circuit, so it is a mobius band\n")

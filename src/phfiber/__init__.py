@@ -26,7 +26,6 @@ from .fiber import (
     DimensionBoundRow,
     FiberCell,
     FiberComplex,
-    TriangulatedFiber,
     boundary_circuits,
     check_dimension_bound,
     fiber_complex,

@@ -1,7 +1,9 @@
 """Command line interface, one subcommand per pipeline stage.
 
 Exit codes: 0 on success, 1 when the input is outside the mathematical domain
-(including unparsable barcode types and complex files), 2 on usage errors.
+(including unparsable barcode types and complex files), 2 on usage errors,
+3 when an internal consistency check fails (an InvariantError: a fault in
+phfiber, reported as "internal error: ..." on stderr).
 Output goes to stdout, diagnostics to stderr. Every command runs in one
 thread: every barcode, Betti number, inclusion rank and removability test
 comes from the one exact sparse column reduction, persistence._reduce, and
@@ -16,13 +18,8 @@ import sys
 from . import fiber, io, strata
 from .barcodes import parse_barcode_type
 from .category import enumerate_morphism_classes, morphism_class_between
-from .errors import DomainError
-from .fiber import (
-    check_dimension_bound,
-    fiber_complex,
-    fiber_homology,
-    triangulate_fiber,
-)
+from .errors import DomainError, InvariantError
+from .fiber import check_dimension_bound, fiber_complex, fiber_homology
 from .monodromy import monodromy_map
 from .simplicial import FieldSpec, automorphisms
 from .strata import enumerate_filter_strata, group_strata_by_barcode
@@ -61,7 +58,7 @@ def _cmd_fiber(args) -> str:
     T = parse_barcode_type(args.barcode)
     fc = fiber_complex(K, T, _field(args), FIBER_MODES[args.mode])
     if args.emit_dot:
-        return io.emit_dot(triangulate_fiber(fc))
+        return io.emit_dot(fc)
     return io.dumps(io.fiber_doc(fc))
 
 
@@ -70,7 +67,7 @@ def _cmd_homology(args) -> str:
     T = parse_barcode_type(args.barcode)
     field = _field(args)
     fc = fiber_complex(K, T, field, FIBER_MODES[args.mode])
-    return io.dumps(list(fiber_homology(triangulate_fiber(fc), field)))
+    return io.dumps(list(fiber_homology(fc, field)))
 
 
 def _cmd_morphisms(args) -> str:
@@ -202,6 +199,9 @@ def main(argv=None) -> int:
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

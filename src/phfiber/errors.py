@@ -16,7 +16,8 @@ class ParseError(DomainError):
 class InvariantError(RuntimeError):
     """An internal consistency check failed: a fault in phfiber, not in its input.
 
-    It is deliberately not a DomainError, so the command line does not report
-    it as an out-of-domain input with exit code 1. The checks raise it
-    explicitly instead of using `assert`, so they also run under `python -O`.
+    It is deliberately not a DomainError: the command line reports it as an
+    internal error with exit code 3, not as an out-of-domain input with exit
+    code 1. The checks raise it explicitly instead of using `assert`, so they
+    also run under `python -O`.
     """

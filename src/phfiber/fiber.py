@@ -20,24 +20,29 @@ is pinned when it takes a symbol and free otherwise, and a 0-cell's rank
 vector gives each simplex its block's symbol. Block masks are the strata's
 blocks, so cells, their facets and monodromy images use masks.
 
-The face relation is built locally. The codimension-1 coarsenings of a
-stratum are the merges of two adjacent blocks (the OR of their masks) and the
-pinning of the first block at 0 or of the last block at 1; those that are
-cells of the fiber are the cell's facets. The cells come in (dimension,
-serialize_stratum) order, so one pass in that order collects every cell's
-faces as its facets together with their faces. The triangulation takes its
-maximal simplices from the cells that are no other cell's face.
+The face relation is built locally. A cell's facets are the facets of its
+simplex factors: in a gap holding free blocks p_1 .. p_k they merge p_1 into
+the block before it, p_i with p_(i+1), or p_k into the block after it (or pin
+it at 1), each merge the OR of two masks. The cells come in
+(dimension, serialize_stratum) order, so one pass in that order finds every
+cell's facets, its faces (its facets together with their faces) and its
+cellular boundary, with the product sign of Hatcher, Algebraic Topology,
+section 2.2. Homology is read off that boundary by the package's one column
+reduction (persistence._betti), the DOT graph off the comparable pairs of
+0-faces within each cell, and boundary circuits off the 1-cells and 2-cells:
+no second complex is built.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barcodes import ZERO, CombinatorialBarcode, format_barcode_type
 from .errors import DomainError, InvariantError
-from .persistence import Filter, _rank_table, betti_numbers
-from .simplicial import F2, FieldSpec, SimplicialComplex, build_complex
+from .persistence import Filter, _betti, _rank_table
+from .simplicial import F2, FieldSpec, SimplicialComplex
 from .strata import (
     FilterStratum,
     _next_blocks,
@@ -74,8 +79,9 @@ class FiberCell:
 class FiberComplex:
     """The fiber over one barcode type, with cells sorted by (dim, id string).
 
-    cell_ids maps each cell's stratum to its id, and faces[j] holds the ids of
-    the proper faces of cell j; both are derived from cells and face_relation.
+    cell_ids maps each cell's stratum to its id, faces[j] holds the ids of
+    the proper faces of cell j, and boundary[j] its cellular boundary as
+    (facet id, +-1) pairs; all are derived from cells.
     """
 
     complex: SimplicialComplex
@@ -86,6 +92,9 @@ class FiberComplex:
     face_relation: tuple[tuple[int, int], ...]  # (face id, cell id) pairs
     cell_ids: dict[FilterStratum, int] = dc_field(compare=False, repr=False)
     faces: tuple[frozenset[int], ...] = dc_field(compare=False, repr=False)
+    boundary: tuple[tuple[tuple[int, int], ...], ...] = dc_field(
+        compare=False, repr=False
+    )
 
     def bounded_deficit(self) -> Fraction:
         return bounded_deficit(self.complex, self.barcode_type)
@@ -206,6 +215,7 @@ def _fiber_strata(
             unions.pop()
 
     walk(0, ZERO if ZERO in endpoints else 1)
+    del walk  # its closure holds walk: break the cycle, which would keep K alive
     return leaves
 
 
@@ -239,31 +249,48 @@ def _fiber_cell(
     return FiberCell(stratum, tuple(shape), rank_vector, tuple(labels))
 
 
-def _facet_strata(stratum: FilterStratum) -> Iterator[FilterStratum]:
-    """The codimension-1 coarsenings: merge two adjacent blocks, or pin an end.
+def _cell_facets(cell: FiberCell) -> Iterator[tuple[FilterStratum, int]]:
+    """The facets of a cell, each with its sign in the cellular boundary.
 
-    None of them may leave a single block pinned at both 0 and 1.
+    A gap holding the free blocks p_1 .. p_k is a k-simplex factor. Its facet
+    i merges p_i with p_(i+1), where p_0 and p_(k+1) are the blocks around
+    the gap; with no block after the gap, facet k pins p_k at 1. (There is
+    always a block before it: the first block holds a vertex, so a bar is
+    born there and it is pinned.) With o free blocks in the earlier gaps,
+    facet i carries the sign (-1) ** (o + i), the product sign of Hatcher,
+    Algebraic Topology, section 2.2. So each merge of blocks t and t + 1, one
+    of them free, is a facet, of sign (-1) ** (free blocks among the first
+    t + 1); merging two pinned blocks would change the type.
     """
-    blocks, z, o = stratum.blocks, stratum.at_zero, stratum.at_one
-    n = len(blocks)
-    if not (n == 2 and z and o):
-        for i in range(n - 1):
-            merged = blocks[:i] + (blocks[i] | blocks[i + 1],) + blocks[i + 2 :]
-            yield _trusted_stratum(merged, z, o)
-    if not z and not (n == 1 and o):
-        yield _trusted_stratum(blocks, True, o)
-    if not o and not (n == 1 and z):
-        yield _trusted_stratum(blocks, z, True)
+    st = cell.stratum
+    blocks, z, o = st.blocks, st.at_zero, st.at_one
+    free = [kind == "free" for kind, _ in cell.labels]
+    sign = 1
+    for t in range(len(blocks) - 1):
+        if free[t]:
+            sign = -sign
+        if free[t] or free[t + 1]:
+            merged = blocks[:t] + (blocks[t] | blocks[t + 1],) + blocks[t + 2 :]
+            yield _trusted_stratum(merged, z, o), sign
+    if free[-1]:
+        yield _trusted_stratum(blocks, z, True), -sign
 
 
 def _face_sets(
     K: SimplicialComplex, cells: list[FiberCell], cell_ids: dict[FilterStratum, int]
-) -> list[frozenset[int]]:
-    """Per cell, the ids of its proper faces: its fiber facets and their faces."""
+) -> tuple[list[frozenset[int]], list[tuple[tuple[int, int], ...]]]:
+    """Per cell, the ids of its proper faces (its facets and their faces) and
+    its cellular boundary as (facet id, sign) pairs.
+
+    Each cell must have all of its sum(k + 1) facets, k over its gap shape's
+    nonzero entries, as cells of one dimension less and smaller ids.
+    """
     faces: list[frozenset[int]] = []
+    boundary: list[tuple[tuple[int, int], ...]] = []
     for j, cell in enumerate(cells):
         below: set[int] = set()
-        for st in _facet_strata(cell.stratum):
+        column = []
+        for st, sign in _cell_facets(cell):
             i = cell_ids.get(st)
             if i is None:
                 continue
@@ -275,8 +302,16 @@ def _face_sets(
                 )
             below.add(i)
             below |= faces[i]
+            column.append((i, sign))
+        want = sum(k + 1 for k in cell.gap_shape if k)
+        if len(column) != want:
+            raise InvariantError(
+                f"cell {j} ({serialize_stratum(cell.stratum, K)}) with gap shape "
+                f"{cell.gap_shape} has {len(column)} fiber facets, expected {want}"
+            )
         faces.append(frozenset(below))
-    return faces
+        boundary.append(tuple(column))
+    return faces, boundary
 
 
 def fiber_complex(
@@ -308,10 +343,11 @@ def fiber_complex(
     cells.sort(key=lambda c: c.dim)
 
     cell_ids = {c.stratum: i for i, c in enumerate(cells)}
-    faces = _face_sets(K, cells, cell_ids)
+    faces, boundary = _face_sets(K, cells, cell_ids)
     relation = sorted((i, j) for j, below in enumerate(faces) for i in below)
     return FiberComplex(
-        K, T, field, mode, tuple(cells), tuple(relation), cell_ids, tuple(faces)
+        K, T, field, mode, tuple(cells), tuple(relation), cell_ids, tuple(faces),
+        tuple(boundary),
     )
 
 
@@ -335,98 +371,17 @@ def fiber_vertices(fc: FiberComplex) -> tuple[Filter, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TriangulatedFiber:
-    """A simplicial complex supported on the fiber.
-
-    Vertices are the deduplicated rank vectors of the fiber's 0-cells; the
-    simplices are the chains of those vectors under the pointwise symbol
-    order, taken within each cell.
-    """
-
-    fiber: FiberComplex
-    vertices: tuple[tuple[int, ...], ...]
-    maximal_simplices: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return max(len(s) for s in self.maximal_simplices) - 1
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """All 1-simplices of the triangulation (pairs inside some chain)."""
-        pairs = {
-            (a, b)
-            for chain in self.maximal_simplices
-            for a in chain
-            for b in chain
-            if a < b
-        }
-        return tuple(sorted(pairs))
+def triangulate_fiber(fc: FiberComplex) -> FiberComplex:
+    """Return fc: homology, DOT edges and boundary circuits read the fiber's
+    own cells. Kept for the earlier call fiber_homology(triangulate_fiber(fc))."""
+    return fc
 
 
-def _pointwise_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _maximal_chains(vectors: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
-    below = {
-        v: [w for w in vectors if w != v and _pointwise_leq(w, v)] for v in vectors
-    }
-    covers: dict[tuple[int, ...], list[tuple[int, ...]]] = {v: [] for v in vectors}
-    for v in vectors:
-        for w in below[v]:
-            if not any(u != w and _pointwise_leq(w, u) for u in below[v]):
-                covers[w].append(v)
-
-    def extend(chain: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
-        nxt = covers[chain[-1]]
-        if not nxt:
-            yield chain
-            return
-        for v in nxt:
-            yield from extend(chain + [v])
-
-    for v in vectors:
-        if not below[v]:
-            yield from extend([v])
-
-
-def triangulate_fiber(fc: FiberComplex) -> TriangulatedFiber:
-    """Staircase triangulation: per cell, the order complex of its 0-faces.
-
-    Chains coming from a shared face agree, so the per-cell triangulations
-    glue. A maximal chain of a cell spans a simplex whose interior lies in
-    the cell's interior, so it lies in no chain of another cell unless the
-    cell is a face of that one: the maximal simplices are exactly the
-    maximal chains of the maximal cells, each produced once.
-    """
-    vertices = sorted(fc.cells[i].rank_vector for i in fc.zero_cells())
-    vid = {v: k for k, v in enumerate(vertices)}
-    faces = set().union(*fc.faces)
-
-    maximal = []
-    for ci, cell in enumerate(fc.cells):
-        vecs = [fc.cells[i].rank_vector for i in fc.zero_faces_of(ci)]
-        for chain in _maximal_chains(vecs):
-            if len(chain) != cell.dim + 1:
-                raise InvariantError(
-                    f"cell {ci} ({serialize_stratum(cell.stratum, fc.complex)}) of "
-                    f"dimension {cell.dim} has a maximal chain of {len(chain)} "
-                    f"0-faces, expected {cell.dim + 1}"
-                )
-            if ci not in faces:
-                maximal.append(tuple(sorted(vid[v] for v in chain)))
-    return TriangulatedFiber(fc, tuple(vertices), tuple(sorted(maximal)))
-
-
-def fiber_homology(tf: TriangulatedFiber, field: FieldSpec = F2) -> tuple[int, ...]:
-    """Betti numbers of the triangulated fiber, degrees 0..max(1, fiber dim)."""
-    K_t = build_complex([list(s) for s in tf.maximal_simplices])
-    betti = list(betti_numbers(K_t, field))
-    want = max(1, fiber_dimension(tf.fiber)) + 1
-    while len(betti) < want:
-        betti.append(0)
-    return tuple(betti)
+def fiber_homology(fc: FiberComplex, field: FieldSpec = F2) -> tuple[int, ...]:
+    """Betti numbers of the fiber over F_p, degrees 0..max(1, fiber dim), by
+    cellular homology: one reduction of the cells' own boundary."""
+    betti = _betti(fc.boundary, [c.dim for c in fc.cells], field)
+    return betti + (0,) * (max(1, fiber_dimension(fc)) + 1 - len(betti))
 
 
 def _components(
@@ -449,16 +404,19 @@ def _components(
     return sorted(tuple(g) for g in groups.values())
 
 
-def boundary_circuits(tf: TriangulatedFiber) -> int:
-    """Connected components of the edges lying on exactly one triangle."""
-    if any(len(s) != 3 for s in tf.maximal_simplices):
+def boundary_circuits(fc: FiberComplex) -> int:
+    """Connected components of the 1-cells lying on exactly one 2-cell.
+
+    The fiber must be pure 2-dimensional: every cell is a face of a 2-cell.
+    """
+    covered = set().union(*fc.faces)
+    if any(c.dim != 2 for i, c in enumerate(fc.cells) if i not in covered):
         raise DomainError("boundary circuits need a pure 2-dimensional fiber")
-    incidence: dict[tuple[int, int], int] = {}
-    for a, b, c in tf.maximal_simplices:
-        for e in ((a, b), (a, c), (b, c)):
-            incidence[e] = incidence.get(e, 0) + 1
-    boundary = [e for e, n in incidence.items() if n == 1]
-    return len(_components({v for e in boundary for v in e}, boundary))
+    incidence = Counter(
+        i for c, column in zip(fc.cells, fc.boundary) if c.dim == 2 for i, _ in column
+    )
+    edges = [[v for v, _ in fc.boundary[i]] for i, n in incidence.items() if n == 1]
+    return len(_components({v for e in edges for v in e}, edges))
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .barcodes import format_barcode_type, symbol_token
 from .category import MorphismClass
 from .errors import DomainError, ParseError
-from .fiber import FiberComplex, TriangulatedFiber, fiber_dimension
+from .fiber import FiberComplex, fiber_dimension
 from .monodromy import MonodromyMap
 from .simplicial import SimplicialComplex, build_complex, simplex
 from .strata import BarcodeStratumRecord, FilterStratum, mask_ids, stratum_levels
@@ -240,21 +241,35 @@ def symmetries_doc(
     }
 
 
-def emit_dot(tf: TriangulatedFiber) -> str:
-    """DOT text for the triangulation's graph, nodes labeled by rank vectors.
+def emit_dot(fc: FiberComplex) -> str:
+    """DOT text for the fiber's graph, nodes labeled by rank vectors.
 
-    For fibers of dimension at most 1 this is the whole fiber; otherwise only
-    the 1-skeleton is drawn and a comment line says so.
+    The nodes are the 0-cells, numbered in rank vector order, and the edges
+    join the pointwise comparable pairs of 0-faces of a cell: the edges of its
+    staircase triangulation, since a cell's 0-faces form a product of chains
+    and every chain in it extends to a maximal one. For fibers of dimension
+    at most 1 this is the whole fiber; otherwise only this 1-skeleton is
+    drawn and a comment line says so.
     """
-    m = tf.fiber.barcode_type.dim
+    m = fc.barcode_type.dim
     lines = ["graph fiber {"]
-    d = fiber_dimension(tf.fiber)
+    d = fiber_dimension(fc)
     if d > 1:
         lines.append(f"  // 1-skeleton only: fiber dimension {d}")
-    for i, vec in enumerate(tf.vertices):
+    vertices = sorted(fc.cells[i].rank_vector for i in fc.zero_cells())
+    vid = {v: k for k, v in enumerate(vertices)}
+    for k, vec in enumerate(vertices):
         label = ",".join(symbol_token(s, m) for s in vec)
-        lines.append(f'  n{i} [label="({label})"];')
-    for a, b in tf.edges():
+        lines.append(f'  n{k} [label="({label})"];')
+    edges = set()
+    for j in range(len(fc.cells)):
+        ids = sorted(vid[fc.cells[i].rank_vector] for i in fc.zero_faces_of(j))
+        # In rank vector order a comparable pair has its lower vector first.
+        edges.update(
+            (a, b) for a, b in combinations(ids, 2)
+            if all(s <= t for s, t in zip(vertices[a], vertices[b]))
+        )
+    for a, b in sorted(edges):
         lines.append(f"  n{a} -- n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,12 +6,15 @@ homology degree 0..dim K, of sorted bar tuples (birth, death); deaths are
 either a value or INF. Zero-length bars are suppressed.
 
 One column reduction (Edelsbrunner, Letscher and Zomorodian 2002), _reduce,
-computes every barcode and rank in the package. level_barcode reads a
+computes every barcode, rank and Betti number in the package. It reads its
+columns from a boundary source, facet ids with coefficients +-1, so the one
+loop reduces simplicial complexes and the cellular chain complexes of fibers
+alike, and _betti is the one Betti reader for both. level_barcode reads a
 barcode off it; it uses only the order of the values, so the package feeds
 it integer levels (stratum block positions, rank vectors, 0/1 for
-removability, all 0 for Betti numbers), while Filter's Fraction values are
-for the API. _inclusion_ranks reads the ranks of H(P_i) -> H(P_k) along a
-chain of subcomplexes off one reduction of P_k, and each complex keeps one
+removability), while Filter's Fraction values are for the API.
+_inclusion_ranks reads the ranks of H(P_i) -> H(P_k) along a chain of
+subcomplexes off one reduction of P_k, and each complex keeps one
 table of these ranks per field (_rank_table), shared by every call on it. A
 block filtration's bars are fixed by the ranks between its unions
 (persistent Betti numbers), so that table is the package's one typing rule:
@@ -96,26 +99,28 @@ def barcode_of_filter(filt: Filter, field: FieldSpec = F2) -> TotalBarcode:
 
 
 def _reduce(
-    K: SimplicialComplex, order: Sequence[int], field: FieldSpec
+    boundary: Sequence[Sequence[tuple[int, int]]], order: Sequence[int], field: FieldSpec
 ) -> tuple[list, dict]:
-    """The column reduction of the boundary matrix of the ids in order, a
-    filtration order of a subcomplex of K (faces before their cofaces).
+    """The column reduction of the boundary matrix of the cells in order, a
+    filtration order of a subcomplex (faces before their cofaces).
 
-    Returns, per position, the pivot row of its reduced column (None when
-    it reduces to zero), and the reduced columns keyed by pivot row.
+    boundary[j] lists cell j's facets as (facet id, +-1) pairs: a complex's
+    SimplicialComplex.boundary, or a FiberComplex's cellular boundary.
+    Returns, per position, the pivot row of its reduced column (None when it
+    reduces to zero), and the reduced columns keyed by pivot row.
     """
-    p, facet_ids = field.characteristic, K.facet_ids
-    signs = (1, p - 1)  # (-1) ** i mod p, for even and odd i
-    pos = [0] * len(K)  # position of each id in the order
+    p = field.characteristic
+    pos = [0] * len(boundary)  # position of each id in the order
     pivots: dict[int, dict[int, int]] = {}  # pivot row -> reduced column
     lows: list = []  # pivot row of each position's column, None if zero
     # Each column is reduced against the earlier ones: a column reducing to
     # zero creates a class, a surviving one kills the class at its pivot row.
+    # A -1 stays -1 until its column is reduced; all arithmetic is mod p.
     for j, idx in enumerate(order):
         pos[idx] = j
         col: dict[int, int] = {}
-        for i, facet in enumerate(facet_ids[idx]):
-            col[pos[facet]] = signs[i & 1]
+        for facet, c in boundary[idx]:
+            col[pos[facet]] = c
         while col:
             low = max(col)
             if low not in pivots:
@@ -137,6 +142,19 @@ def _reduce(
     return lows, pivots
 
 
+def _betti(
+    boundary: Sequence[Sequence[tuple[int, int]]], dims: Sequence[int], field: FieldSpec
+) -> tuple[int, ...]:
+    """Betti numbers over F_p, degrees 0..max(dims), of the complex of cells
+    0, 1, ... (faces first) with dimensions dims and boundary as for _reduce."""
+    lows, pivots = _reduce(boundary, range(len(boundary)), field)
+    betti = [0] * (max(dims) + 1)
+    for j, low in enumerate(lows):
+        if low is None and j not in pivots:
+            betti[dims[j]] += 1
+    return tuple(betti)
+
+
 def level_barcode(
     K: SimplicialComplex, values: Sequence, field: FieldSpec = F2
 ) -> TotalBarcode:
@@ -149,7 +167,7 @@ def level_barcode(
     # Canonical ids are already sorted by dimension then lex, so (value, id)
     # is a valid filtration order (faces never come after cofaces).
     order = sorted(range(len(K)), key=lambda i: (values[i], i))
-    lows, pivots = _reduce(K, order, field)
+    lows, pivots = _reduce(K.boundary, order, field)
     dims = K.dims
     level = [values[i] for i in order]
     bars: list[list[Bar]] = [[] for _ in range(K.dim + 1)]
@@ -182,7 +200,7 @@ def _inclusion_ranks(
             new ^= low
         before = P
     starts.append(len(order))
-    lows, pivots = _reduce(K, order, field)
+    lows, pivots = _reduce(K.boundary, order, field)
     dims, total, ranks = K.dims, [0] * (K.dim + 1), []
     for i in range(len(unions)):
         for j in range(starts[i], starts[i + 1]):
@@ -260,12 +278,8 @@ def _rank_barcode(rows: Sequence[Sequence[Sequence[int]]]) -> TotalBarcode:
 
 
 def betti_numbers(K: SimplicialComplex, field: FieldSpec = F2) -> tuple[int, ...]:
-    """Betti numbers over F_p for degrees 0..dim K.
-
-    With every level 0 each finite bar would be (0, 0) and is suppressed, so
-    the bars left in degree q are (0, inf), one per basis element of H_q(K).
-    """
-    return infinite_bar_counts(level_barcode(K, (0,) * len(K), field))
+    """Betti numbers over F_p for degrees 0..dim K."""
+    return _betti(K.boundary, K.dims, field)
 
 
 def infinite_bar_counts(barcode: TotalBarcode) -> tuple[int, ...]:

@@ -106,6 +106,12 @@ class SimplicialComplex:
         self.facet_ids = tuple(
             tuple(self.index[f] for f in s.facets()) for s in simplices
         )
+        # The simplicial boundary as persistence._reduce reads it: per simplex,
+        # (facet id, (-1) ** i) for its facet i.
+        self.boundary = tuple(
+            tuple((f, -1 if i & 1 else 1) for i, f in enumerate(ids))
+            for ids in self.facet_ids
+        )
         # Proper faces of each simplex as a bitmask over canonical ids; faces
         # always have smaller ids than their cofaces.
         self.face_masks = tuple(

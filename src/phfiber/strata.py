@@ -214,6 +214,7 @@ def enumerate_filter_strata(
             walk(placed | S, blocks + (S,))
 
     walk(0, ())
+    del walk  # its closure holds walk: break the cycle, which would keep K alive
     return tuple(out)
 
 

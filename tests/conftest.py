@@ -1,5 +1,6 @@
 """Shared fixtures: standard complexes, named barcode types, golden counts."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ TYPE_STRINGS = {
     "point": "0:(1,inf);1:(1,inf)",
 }
 
-# Fiber cell counts by dimension and Betti numbers of the triangulation.
+# Fiber cell counts by dimension and Betti numbers of the fiber.
 FIBER_CENSUS = {
     "bars_disjoint": ({0: 12}, (12, 0)),
     "bars_crossing": ({0: 12}, (12, 0)),
@@ -246,6 +247,94 @@ def euler_recheck_cells(K, T, field=ph.F2, memo=None):
                 shape[rank] += 1
         cells[st] = (tuple(shape), None if any(shape) else levels, tuple(labels))
     return cells, len(leaves)
+
+
+def _pointwise_leq(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _maximal_chains(vectors):
+    """The maximal chains of a set of rank vectors under the pointwise order."""
+    below = {v: [w for w in vectors if w != v and _pointwise_leq(w, v)] for v in vectors}
+    covers = {v: [] for v in vectors}
+    for v in vectors:
+        for w in below[v]:
+            if not any(u != w and _pointwise_leq(w, u) for u in below[v]):
+                covers[w].append(v)
+
+    def extend(chain):
+        nxt = covers[chain[-1]]
+        if not nxt:
+            yield chain
+            return
+        for v in nxt:
+            yield from extend(chain + [v])
+
+    for v in vectors:
+        if not below[v]:
+            yield from extend([v])
+
+
+class StaircaseTriangulation:
+    """The oracle for the fiber's cellular homology, graph and circuits.
+
+    Per cell, the order complex of its 0-faces under the pointwise order of
+    their rank vectors. Chains coming from a shared face agree, so the
+    per-cell triangulations glue, and the maximal simplices are the maximal
+    chains of the cells that are no other cell's face. Vertices are the
+    sorted rank vectors of the 0-cells; simplices are sorted vertex ids.
+    """
+
+    def __init__(self, fc):
+        self.fiber = fc
+        self.vertices = tuple(sorted(fc.cells[i].rank_vector for i in fc.zero_cells()))
+        vid = {v: k for k, v in enumerate(self.vertices)}
+        faces = set().union(*fc.faces)
+        maximal = []
+        for ci, cell in enumerate(fc.cells):
+            vecs = [fc.cells[i].rank_vector for i in fc.zero_faces_of(ci)]
+            for chain in _maximal_chains(vecs):
+                assert len(chain) == cell.dim + 1, (ci, chain)
+                if ci not in faces:
+                    maximal.append(tuple(sorted(vid[v] for v in chain)))
+        self.maximal_simplices = tuple(sorted(maximal))
+
+    @property
+    def dim(self):
+        return max(len(s) for s in self.maximal_simplices) - 1
+
+    def edges(self):
+        """All 1-simplices (pairs inside some chain), sorted."""
+        return tuple(sorted({
+            (a, b) for chain in self.maximal_simplices for a in chain for b in chain if a < b
+        }))
+
+    def betti(self, field=ph.F2):
+        """Betti numbers of the triangulation, padded to fiber_homology's length."""
+        K_t = ph.build_complex([list(s) for s in self.maximal_simplices])
+        betti = list(ph.betti_numbers(K_t, field))
+        want = max(1, self.dim) + 1
+        return tuple(betti + [0] * (want - len(betti)))
+
+    def boundary_circuits(self):
+        """Components of the edges on exactly one triangle, or None unless
+        every maximal simplex is a triangle."""
+        if any(len(s) != 3 for s in self.maximal_simplices):
+            return None
+        incidence = Counter(
+            e for a, b, c in self.maximal_simplices for e in ((a, b), (a, c), (b, c))
+        )
+        parent = {}
+
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                x = parent[x]
+            return x
+
+        for (a, b), n in incidence.items():
+            if n == 1:
+                parent[find(a)] = find(b)
+        return sum(1 for x in parent if find(x) == x)
 
 
 COMPLEX_POOL = [

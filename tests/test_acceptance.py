@@ -70,10 +70,10 @@ def test_criterion_03_fiber_betti_numbers(triangle_fibers):
         "point",
     ):
         fc = triangle_fibers[TYPE_STRINGS[name]]
-        got[name] = ph.fiber_homology(ph.triangulate_fiber(fc))
+        got[name] = ph.fiber_homology(fc)
     mobius = triangle_fibers[TYPE_STRINGS["mobius"]]
     two_cells = sum(1 for c in mobius.cells if c.dim == 2)
-    circuits = boundary_circuits(ph.triangulate_fiber(mobius))
+    circuits = boundary_circuits(mobius)
     ok = (
         got["two_circles"] == (2, 2)
         and got["circle_shared_birth"] == (1, 1)
@@ -144,7 +144,7 @@ def test_criterion_07_interval_fibers(interval):
     fc3 = ph.fiber_complex(interval, ph.parse_barcode_type("0:(1,inf)"))
     counts1 = Counter(c.dim for c in fc1.cells)
     counts2 = Counter(c.dim for c in fc2.cells)
-    betti3 = ph.fiber_homology(ph.triangulate_fiber(fc3))
+    betti3 = ph.fiber_homology(fc3)
     ok = (
         counts1 == {0: 2}
         and counts2 == {0: 1}
@@ -202,7 +202,7 @@ def test_criterion_09_lower_star_triangle(triangle):
         t: dict(Counter(c.dim for c in fc.cells)) for t, fc in fibers.items()
     }
     betti = {
-        t: ph.fiber_homology(ph.triangulate_fiber(fc)) for t, fc in fibers.items()
+        t: ph.fiber_homology(fc) for t, fc in fibers.items()
     }
     ok = (
         len(records) == 2

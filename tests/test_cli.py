@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from phfiber import InvariantError, cli
 from phfiber.cli import main
 from phfiber.io import complex_doc, dumps
 
@@ -240,6 +241,18 @@ def test_huge_field_exits_one(capsys, triangle_file):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "2**31" in err
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch, triangle_file):
+    """A failed internal check is not reported as a bad input (exit 1)."""
+
+    def broken(args):
+        raise InvariantError("cell 3: a check failed")
+
+    monkeypatch.setattr(cli, "_cmd_essential", broken)
+    code, out, err = run(capsys, "essential", triangle_file)
+    assert code == 3 and out == ""
+    assert err == "internal error: cell 3: a check failed\n"
 
 
 def test_usage_error_exits_two(capsys, triangle_file):

@@ -1,4 +1,4 @@
-"""Fibers over barcode types: cells, face poset, triangulation, homology."""
+"""Fibers over barcode types: cells, face poset, cellular boundary, homology."""
 
 import ast
 import bisect
@@ -16,8 +16,8 @@ import pytest
 import phfiber as ph
 from phfiber import INF, DomainError, InvariantError
 from phfiber.fiber import (
+    _cell_facets,
     _face_sets,
-    _facet_strata,
     _fiber_strata,
     boundary_circuits,
     check_dimension_bound,
@@ -33,6 +33,7 @@ from phfiber.strata import (
 from conftest import (
     FIBER_CENSUS,
     TYPE_STRINGS,
+    StaircaseTriangulation,
     block_masks,
     block_simplices,
     euler_recheck_cells,
@@ -55,8 +56,7 @@ def test_fiber_census_of_named_types(triangle_fibers):
     for name, (counts, betti) in FIBER_CENSUS.items():
         fc = triangle_fibers[TYPE_STRINGS[name]]
         assert cell_counts(fc) == counts, name
-        tf = ph.triangulate_fiber(fc)
-        assert ph.fiber_homology(tf) == betti, name
+        assert ph.fiber_homology(fc) == betti, name
 
 
 def test_injective_types_have_point_fibers(triangle_fibers):
@@ -135,8 +135,7 @@ def test_one_rank_fibers_are_connected(interval, two_intervals, triangle):
         for rec in ph.group_strata_by_barcode(K, strata):
             if rec.barcode_type.dim != 1:
                 continue
-            tf = ph.triangulate_fiber(ph.fiber_complex(K, rec.barcode_type))
-            betti = ph.fiber_homology(tf)
+            betti = ph.fiber_homology(ph.fiber_complex(K, rec.barcode_type))
             assert betti[0] == 1 and all(b == 0 for b in betti[1:])
 
 
@@ -154,7 +153,7 @@ def test_interval_fiber_over_single_infinite_bar(interval):
     fc = ph.fiber_complex(interval, ph.parse_barcode_type("0:(1,inf)"))
     assert cell_counts(fc) == {0: 3, 1: 2}
     assert fiber_dimension(fc) == 1
-    assert ph.fiber_homology(ph.triangulate_fiber(fc)) == (1, 0)
+    assert ph.fiber_homology(fc) == (1, 0)
 
 
 def test_path5_pinned_stratum_is_a_square_cell(path5):
@@ -185,7 +184,7 @@ def test_square_cells_triangulate_along_a_diagonal(two_intervals):
     T = ph.parse_barcode_type("0:(1,inf),(2,inf)")
     fc = ph.fiber_complex(two_intervals, T)
     assert cell_counts(fc) == {0: 30, 1: 52, 2: 24}
-    tf = ph.triangulate_fiber(fc)
+    tf = StaircaseTriangulation(fc)
     assert sum(1 for s in tf.maximal_simplices if len(s) == 3) == 32
 
     faces = {i for i, j in fc.face_relation}
@@ -210,7 +209,7 @@ def test_square_cells_triangulate_along_a_diagonal(two_intervals):
 
 def test_triangulation_chain_count_and_euler_sweep(triangle_fibers):
     for fc in triangle_fibers.values():
-        tf = ph.triangulate_fiber(fc)
+        tf = StaircaseTriangulation(fc)
         faces = {i for i, j in fc.face_relation}
         expected = sum(
             multinomial(fc.cells[i].gap_shape)
@@ -247,23 +246,22 @@ def test_mobius_fiber_details(triangle_fibers):
     assert sum(1 for c in fc.cells if c.dim == 2) == 12
     # every 2-cell is already a triangle, so the triangulation adds nothing
     assert all(c.gap_shape == (0, 2, 0) for c in fc.cells if c.dim == 2)
-    tf = ph.triangulate_fiber(fc)
-    assert len(tf.maximal_simplices) == 12
-    assert boundary_circuits(tf) == 1
-    assert ph.fiber_homology(tf) == (1, 1, 0)
+    assert len(StaircaseTriangulation(fc).maximal_simplices) == 12
+    assert boundary_circuits(fc) == 1
+    assert ph.fiber_homology(fc) == (1, 1, 0)
 
 
 def test_two_intervals_fiber_has_two_boundary_circuits(two_intervals):
     T = ph.parse_barcode_type("0:(1,inf),(2,inf)")
-    tf = ph.triangulate_fiber(ph.fiber_complex(two_intervals, T))
-    assert boundary_circuits(tf) == 2
-    assert ph.fiber_homology(tf) == (2, 0, 0)
+    fc = ph.fiber_complex(two_intervals, T)
+    assert boundary_circuits(fc) == 2
+    assert ph.fiber_homology(fc) == (2, 0, 0)
 
 
 def test_boundary_circuits_require_pure_two_dimensional(triangle_fibers):
-    tf = ph.triangulate_fiber(triangle_fibers[TYPE_STRINGS["two_circles"]])
-    with pytest.raises(DomainError, match="pure 2-dimensional"):
-        boundary_circuits(tf)
+    for name in ("two_circles", "point"):
+        with pytest.raises(DomainError, match="pure 2-dimensional"):
+            boundary_circuits(triangle_fibers[TYPE_STRINGS[name]])
 
 
 def test_empty_fiber_is_rejected(triangle):
@@ -306,7 +304,7 @@ def test_lower_star_fiber_over_mobius_type(triangle, types):
     fc = ph.fiber_complex(triangle, types["mobius"], mode="lower_star")
     assert cell_counts(fc) == {0: 6, 1: 6}
     assert all(is_lower_star_stratum(triangle, c.stratum) for c in fc.cells)
-    assert ph.fiber_homology(ph.triangulate_fiber(fc)) == (1, 1)
+    assert ph.fiber_homology(fc) == (1, 1)
 
 
 def test_lower_star_fiber_over_point_type(triangle, types):
@@ -451,7 +449,7 @@ def test_triangulation_keeps_the_globally_maximal_chains(triangle, two_intervals
     assert len(fibers) == 610
     with_faces = 0
     for fc in fibers:
-        tf = ph.triangulate_fiber(fc)
+        tf = StaircaseTriangulation(fc)
         assert tf.vertices == tuple(sorted(fc.cells[i].rank_vector for i in fc.zero_cells()))
         assert list(tf.maximal_simplices) == globally_maximal_chains(fc)
         with_faces += bool(fc.face_relation)
@@ -555,19 +553,22 @@ def test_exact_walk_compares_births_by_degree():
 
 
 def test_facets_are_the_codimension_one_coarsenings():
+    """Each cell's facets, one per free block and one more per gap holding
+    any, are exactly the cells of one dimension less in its closure."""
     K = ph.build_complex([[0, 1], [1, 2]])
-    strata = ph.enumerate_filter_strata(K, "all")
-    assert len(strata) == 407
-    for high in strata:
-        facets = list(_facet_strata(high))
-        assert len(set(facets)) == len(facets)
-        assert set(facets) == {
-            low
-            for low in strata
-            if low != high
-            and low.interior_dim == high.interior_dim - 1
-            and stratum_closure_leq(low, high)
-        }
+    facets = 0
+    for fc in fibers_over_types(K, "all", ("all",)):
+        for high in fc.cells:
+            found = [st for st, _ in _cell_facets(high)]
+            assert len(set(found)) == len(found)
+            assert len(found) == sum(k + 1 for k in high.gap_shape if k)
+            assert set(found) == {
+                low.stratum
+                for low in fc.cells
+                if low.dim == high.dim - 1 and stratum_closure_leq(low.stratum, high.stratum)
+            }
+            facets += len(found)
+    assert facets == 212
 
 
 def test_facet_pass_rejects_a_facet_of_the_wrong_dimension(triangle_fibers):
@@ -588,10 +589,11 @@ def test_dimension_checks_raise_invariant_errors(triangle_fibers):
     broken = dataclasses.replace(fc, cells=tuple(cells))
     with pytest.raises(InvariantError, match=f"cell {edge} .*bounded deficit"):
         fiber_dimension(broken)
-    cells[edge] = dataclasses.replace(cells[edge], gap_shape=(0, 2, 0))
-    broken = dataclasses.replace(fc, cells=tuple(cells))
-    with pytest.raises(InvariantError, match=f"cell {edge} .*maximal chain of 2"):
-        ph.triangulate_fiber(broken)
+    # each cell needs all sum(k + 1) of its facets: drop one of the edge's ends
+    ids = dict(fc.cell_ids)
+    del ids[fc.cells[fc.zero_faces_of(edge)[0]].stratum]
+    with pytest.raises(InvariantError, match=rf"cell {edge} .*\(0, 1, 0\) has 1 fiber facets, expected 2"):
+        _face_sets(fc.complex, list(fc.cells), ids)
 
 
 def test_invariant_error_is_not_a_domain_error():
@@ -630,3 +632,56 @@ def test_library_code_imports_only_the_standard_library():
                 )
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+
+
+def _cellular_cases():
+    """Every fiber, in both fiber modes, over the image types of the hollow
+    and filled triangle, path4, the interval and two intervals (the interior
+    types are among them), and over the square's interior types, per field
+    F2 and F3."""
+    square = [[0, 1], [1, 2], [2, 3], [0, 3]]
+    pool = [([[0, 1], [1, 2], [0, 2]], "all"), ([[0, 1, 2]], "all"),
+            ([[0, 1], [1, 2], [2, 3]], "all"), ([[0, 1]], "all"),
+            ([[0, 1], [2, 3]], "all"), (square, "interior_only")]
+    for maximal, mode in pool:
+        K = ph.build_complex(maximal)
+        strata = ph.enumerate_filter_strata(K, mode)
+        for p in (2, 3):
+            field = ph.FieldSpec(p)
+            for rec in ph.group_strata_by_barcode(K, strata, field):
+                yield ph.fiber_complex(K, rec.barcode_type, field)
+                try:
+                    yield ph.fiber_complex(K, rec.barcode_type, field, "lower_star")
+                except DomainError:
+                    pass
+
+
+def test_cellular_homology_graph_and_circuits_match_the_triangulation():
+    """The cellular boundary squares to zero over the fiber's field, and the
+    Betti numbers over that field, the DOT graph and the boundary circuits
+    read off the cells equal those of the staircase triangulation. Over F2
+    signs do not matter, so a wrong sign shows only in the F3 cases."""
+    fibers, circuits = Counter(), 0
+    for fc in _cellular_cases():
+        p = fc.field.characteristic
+        for j, column in enumerate(fc.boundary):
+            twice = Counter()
+            for i, s in column:
+                for h, t in fc.boundary[i]:
+                    twice[h] += s * t
+            assert all(c % p == 0 for c in twice.values()), (fc.barcode_type, p, j)
+        tf = StaircaseTriangulation(fc)
+        assert ph.fiber_homology(fc, fc.field) == tf.betti(fc.field), fc.barcode_type
+        edges = re.findall(r"n(\d+) -- n(\d+);", ph.emit_dot(fc))
+        assert [(int(a), int(b)) for a, b in edges] == list(tf.edges())
+        expected = tf.boundary_circuits()
+        if expected is None:
+            with pytest.raises(DomainError, match="pure 2-dimensional"):
+                boundary_circuits(fc)
+        else:
+            assert boundary_circuits(fc) == expected
+            circuits += 1
+        fibers[fc.mode] += 1
+    assert fibers == {"all": 3210, "lower_star": 74}
+    assert circuits == 70
+    assert ph.triangulate_fiber(fc) is fc

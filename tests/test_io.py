@@ -209,8 +209,7 @@ def test_essential_doc():
 
 
 def test_dot_output_for_a_cycle(triangle_fibers):
-    tf = ph.triangulate_fiber(triangle_fibers[TYPE_STRINGS["hexagon"]])
-    dot = ph.emit_dot(tf)
+    dot = ph.emit_dot(triangle_fibers[TYPE_STRINGS["hexagon"]])
     assert dot.startswith("graph fiber {")
     assert dot.count("[label=") == 6
     assert dot.count(" -- ") == 6
@@ -218,14 +217,12 @@ def test_dot_output_for_a_cycle(triangle_fibers):
 
 
 def test_dot_output_for_a_point(triangle_fibers):
-    tf = ph.triangulate_fiber(triangle_fibers[TYPE_STRINGS["point"]])
-    dot = ph.emit_dot(tf)
+    dot = ph.emit_dot(triangle_fibers[TYPE_STRINGS["point"]])
     assert dot.count("[label=") == 1
     assert dot.count(" -- ") == 0
 
 
 def test_dot_output_warns_above_dimension_one(triangle_fibers):
-    tf = ph.triangulate_fiber(triangle_fibers[TYPE_STRINGS["mobius"]])
-    dot = ph.emit_dot(tf)
+    dot = ph.emit_dot(triangle_fibers[TYPE_STRINGS["mobius"]])
     assert "// 1-skeleton only: fiber dimension 2" in dot
     assert dot.count("[label=") == 9
