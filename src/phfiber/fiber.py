@@ -9,16 +9,17 @@ face relation is stratum coarsening, so the whole complex is combinatorial;
 no coordinates beyond symbol rank vectors are ever needed.
 
 The cells are found by one depth-first walk over the monotone partitions
-(_fiber_strata, on strata._next_blocks). A cheap Euler-count test on each
-block comes first; then a branch survives only while the block's row of
-inclusion ranks, read from the complex's one rank table
-(persistence._rank_table), equals the row T predicts for the symbol the
-block takes, or for its gap when it is free. Those ranks fix the bars born and
-dying at the block, so the leaves are exactly the strata of type T, with no
-recheck, and each cell is built from the symbols the walk assigned: a block
-is pinned when it takes a symbol and free otherwise, and a 0-cell's rank
-vector gives each simplex its block's symbol. Block masks are the strata's
-blocks, so cells, their facets and monodromy images use masks.
+(_fiber_strata, on strata._next_blocks, or strata._lower_star_blocks for the
+lower-star cells). A cheap Euler-count test on each block comes first; then
+a branch survives only while the block's row of inclusion ranks, read from
+the complex's one rank table (persistence._rank_table), equals the row T
+predicts for the symbol the block takes, or for its gap when it is free.
+Those ranks fix the bars born and dying at the block, so the leaves are
+exactly the strata of type T, with no recheck, and each cell is built from
+the symbols the walk assigned: a block is pinned when it takes a symbol and
+free otherwise, and a 0-cell's rank vector gives each simplex its block's
+symbol. Block masks are the strata's blocks, so cells, their facets and
+monodromy images use masks.
 
 The face relation is built locally. A cell's facets are the facets of its
 simplex factors: in a gap holding free blocks p_1 .. p_k they merge p_1 into
@@ -45,10 +46,10 @@ from .persistence import Filter, _betti, _rank_table
 from .simplicial import F2, FieldSpec, SimplicialComplex
 from .strata import (
     FilterStratum,
+    _lower_star_blocks,
     _next_blocks,
     _trusted_stratum,
     bounded_deficit,
-    is_lower_star_stratum,
     mask_ids,
     serialize_stratum,
 )
@@ -115,22 +116,22 @@ class FiberComplex:
 
 
 def _fiber_strata(
-    K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec
+    K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec, children
 ) -> list[tuple[FilterStratum, tuple]]:
     """The strata of type T, each with the symbol each of its blocks takes.
 
-    A depth-first walk over the monotone partitions, in the serialize_stratum
-    order of strata._next_blocks. A block takes a symbol, or None when it is
-    free, and its place is that symbol, or its gap g when free: it then lies
-    strictly between the symbols g and g + 1. A branch at block j survives
-    only while its row of inclusion ranks, rank(H(P_i) -> H(P_j)) per degree
-    for the unions P_i of the first i <= j blocks (K's rank table,
-    persistence._rank_table), equals the row T predicts: the number of T's
-    bars born at or before block i's place and dying after block j's place.
-    Rows j - 1 and j fix the bars born and dying at block j, so the leaves
-    are exactly the strata whose barcode is T (the persistent Betti numbers
-    fix the bars). Before the row, the block's Euler count must equal the
-    symbol's (0 when free), which prunes most branches.
+    A depth-first walk, in serialize_stratum order, over the partitions that
+    `children` gives (strata._next_blocks or _lower_star_blocks). A block
+    takes a symbol, or None when it is free, and its place is that symbol, or
+    its gap g when free: it then lies strictly between the symbols g and
+    g + 1. A branch at block j survives only while its row of inclusion ranks,
+    rank(H(P_i) -> H(P_j)) per degree for the unions P_i of the first i <= j
+    blocks (K's rank table, persistence._rank_table), equals the row T
+    predicts: the number of T's bars born at or before block i's place and
+    dying after block j's place. Rows j - 1 and j fix the bars born and dying
+    at block j, so the leaves are exactly the strata whose barcode is T (the
+    persistent Betti numbers fix the bars). Before the row, the block's Euler
+    count must equal the symbol's (0 when free), which prunes most branches.
 
     The first block is pinned at 0 exactly when ZERO is an endpoint of T,
     since it holds a vertex; the ranks 1..m are taken in order; the last
@@ -167,7 +168,7 @@ def _fiber_strata(
     memo: dict = {}
 
     def walk(placed: int, rank: int) -> None:
-        for S, c in _next_blocks(K, placed, memo):
+        for S, c in children(K, placed, memo):
             moves = []  # (symbol taken, next rank to pin)
             if rank == ZERO:
                 if c == chi[ZERO]:
@@ -322,16 +323,13 @@ def fiber_complex(
 ) -> FiberComplex:
     """All cells of the fiber over T together with their face poset.
 
-    mode "lower_star" keeps only cells that are strata of lower-star filters;
+    mode "lower_star" walks only lower-star strata (strata._lower_star_blocks);
     the resulting complex is still closed under faces.
     """
     if mode not in FIBER_MODES:
         raise DomainError(f"unknown fiber mode {mode!r}, expected one of {FIBER_MODES}")
-    cells = [
-        _fiber_cell(K, st, symbols, T)
-        for st, symbols in _fiber_strata(K, T, field)
-        if mode == "all" or is_lower_star_stratum(K, st)
-    ]
+    children = _next_blocks if mode == "all" else _lower_star_blocks
+    cells = [_fiber_cell(K, st, sym, T) for st, sym in _fiber_strata(K, T, field, children)]
     if not cells:
         raise DomainError("empty fiber")
     # The walk meets the strata in text order, so a stable sort by dimension

@@ -9,9 +9,10 @@ dimension, one free value each.
 
 A block is a bitmask over the complex's canonical simplex ids (bit i set when
 simplex i lies in the block). The enumeration here and the fiber's pruned
-walk (fiber._fiber_strata) read one table of next blocks, _next_blocks, whose
-order makes both meet the strata in serialize_stratum order. Every consumer
-reads the masks; Simplex objects appear only in the JSON documents.
+walk (fiber._fiber_strata) read one table of next blocks, _next_blocks, or
+its lower-star rows, _lower_star_blocks, whose order makes both meet the
+strata in serialize_stratum order. Every consumer reads the masks; Simplex
+objects appear only in the JSON documents.
 
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels, barcode_of_stratum);
@@ -113,22 +114,29 @@ def serialize_stratum(stratum: FilterStratum, K: SimplicialComplex) -> str:
     return text + "+z" * stratum.at_zero + "+o" * stratum.at_one
 
 
-def _closed_subsets(K: SimplicialComplex, remaining: int, placed: int) -> list[int]:
+def _closed_subsets(
+    K: SimplicialComplex, remaining: int, placed: int, lower_star: bool = False
+) -> list[int]:
     """Nonempty subsets S of `remaining` with all faces inside placed | S.
 
     Sets are bitmasks over canonical ids. Faces have smaller ids than their
     cofaces, so one ascending pass decides inclusion exactly: each subset
     built so far is extended by id i when i's faces lie in placed | subset.
+    With lower_star only vertices branch: any other simplex joins each subset
+    holding its faces, so S is a vertex set with every simplex it completes.
     """
     subsets = [0]
     for i in range(len(K)):
         if remaining >> i & 1:
             faces = K.face_masks[i]
-            subsets += [S | 1 << i for S in subsets if faces & ~(placed | S) == 0]
+            if lower_star and faces:
+                subsets = [S | 1 << i if faces & ~(placed | S) == 0 else S for S in subsets]
+            else:
+                subsets += [S | 1 << i for S in subsets if faces & ~(placed | S) == 0]
     return subsets[1:]
 
 
-def _next_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
+def _next_blocks(K: SimplicialComplex, placed: int, memo: dict, lower_star=False) -> list:
     """Each closed block after `placed` as (mask, Euler count), in memo[placed].
 
     Sorted by id text, plus "|" unless the block is the last one. These keys
@@ -140,7 +148,7 @@ def _next_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
     if placed not in memo:
         full = (1 << len(K)) - 1
         known = memo.setdefault(None, {})  # block -> (its entry, its id text)
-        subsets = _closed_subsets(K, full & ~placed, placed)
+        subsets = _closed_subsets(K, full & ~placed, placed, lower_star)
         for S in subsets:
             if S not in known:
                 known[S] = (S, K.euler_count(S)), ".".join(map(str, mask_ids(S)))
@@ -149,28 +157,33 @@ def _next_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
     return memo[placed]
 
 
+def _lower_star_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
+    """_next_blocks for lower-star strata: per nonempty set W of unplaced
+    vertices, W with every unplaced simplex whose vertices are placed or in W,
+    so each simplex falls in the block of its last vertex. `placed` must be a
+    union of such blocks, so it holds every simplex its vertices complete."""
+    return _next_blocks(K, placed, memo, True)
+
+
 def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
     """True when every filter of the stratum is a lower-star filter.
 
     Equivalent block criterion: each simplex of positive dimension lies in
     the same block as its last vertex, i.e. all its vertices are placed by
-    its own block and at least one of them lies in it.
+    its own block and at least one of them lies in it. The lower-star walks
+    read _lower_star_blocks instead; this is their test oracle. Blocks that
+    do not partition K raise stratum_levels' DomainError.
     """
+    if not sum(stratum.blocks) == stratum.support() == (1 << len(K)) - 1:
+        _reject(K, stratum)
+    vertices = (1 << len(K.vertex_ids)) - 1  # vertices come first in id order
     placed = 0
     for block in stratum.blocks:
-        if not _is_lower_star_block(K, placed, block):
-            return False
         placed |= block
-    return True
-
-
-def _is_lower_star_block(K: SimplicialComplex, placed: int, block: int) -> bool:
-    """is_lower_star_stratum's test of one block placed after the ids of `placed`."""
-    vertices = (1 << len(K.vertex_ids)) - 1  # vertices come first in id order
-    for i in mask_ids(block & ~vertices):
-        own = K.face_masks[i] & vertices
-        if own & ~(placed | block) or not own & block:
-            return False
+        for i in mask_ids(block & ~vertices):
+            own = K.face_masks[i] & vertices
+            if own & ~placed or not own & block:
+                return False
     return True
 
 
@@ -179,9 +192,9 @@ def enumerate_filter_strata(
 ) -> tuple[FilterStratum, ...]:
     """All filter strata of K in serialize_stratum order: a walk over _next_blocks.
 
-    mode "interior_only" keeps both end flags off; "lower_star" keeps the
-    flagless strata of lower-star filters, cutting each branch at its first
-    block that fails is_lower_star_stratum's test; "all" is everything.
+    mode "interior_only" keeps both end flags off; "lower_star" walks
+    _lower_star_blocks, vertex sets with the simplices they complete, with
+    the flags off: exactly the lower-star strata; "all" is everything.
     """
     if mode not in MODES:
         raise DomainError(f"unknown stratum mode {mode!r}, expected one of {MODES}")
@@ -192,18 +205,7 @@ def enumerate_filter_strata(
     full = (1 << len(K)) - 1
     memo: dict = {}
     out: list[FilterStratum] = []
-    children = _next_blocks
-    if mode == "lower_star":
-        kept: dict[int, list] = {}  # placed -> its children that pass the test
-
-        def children(K: SimplicialComplex, placed: int, memo: dict) -> list:
-            if placed not in kept:
-                kept[placed] = [
-                    entry
-                    for entry in _next_blocks(K, placed, memo)
-                    if _is_lower_star_block(K, placed, entry[0])
-                ]
-            return kept[placed]
+    children = _lower_star_blocks if mode == "lower_star" else _next_blocks
 
     def walk(placed: int, blocks: tuple[int, ...]) -> None:
         if placed == full:  # one record per flag pair, all sharing blocks

@@ -7,8 +7,14 @@ import pytest
 
 import phfiber as ph
 from phfiber.barcodes import ZERO
+from phfiber.fiber import FiberComplex, _face_sets
 from phfiber.persistence import level_barcode
-from phfiber.strata import FilterStratum, _closed_subsets, stratum_levels
+from phfiber.strata import (
+    FilterStratum,
+    _closed_subsets,
+    is_lower_star_stratum,
+    stratum_levels,
+)
 
 # Barcode types of the hollow triangle, keyed by the shape of their fiber or
 # the structure of their bars.
@@ -247,6 +253,26 @@ def euler_recheck_cells(K, T, field=ph.F2, memo=None):
                 shape[rank] += 1
         cells[st] = (tuple(shape), None if any(shape) else levels, tuple(labels))
     return cells, len(leaves)
+
+
+def lower_star_fiber_oracle(K, T, field=ph.F2):
+    """The oracle for fiber_complex(K, T, field, "lower_star"), which walks
+    only lower-star strata: the all-mode fiber's cells that pass
+    is_lower_star_stratum, with their faces and boundary rebuilt.
+
+    The all-mode cells come in (dim, serialize_stratum) order, and so do the
+    ones kept. Raises fiber_complex's DomainError when none is kept.
+    """
+    cells = [c for c in ph.fiber_complex(K, T, field).cells if is_lower_star_stratum(K, c.stratum)]
+    if not cells:
+        raise ph.DomainError("empty fiber")
+    cell_ids = {c.stratum: i for i, c in enumerate(cells)}
+    faces, boundary = _face_sets(K, cells, cell_ids)
+    relation = sorted((i, j) for j, below in enumerate(faces) for i in below)
+    return FiberComplex(
+        K, T, field, "lower_star", tuple(cells), tuple(relation), cell_ids, tuple(faces),
+        tuple(boundary),
+    )
 
 
 def _pointwise_leq(a, b):

@@ -25,6 +25,7 @@ from phfiber.fiber import (
 )
 from phfiber.strata import (
     FilterStratum,
+    _next_blocks,
     is_lower_star_stratum,
     serialize_stratum,
     stratum_levels,
@@ -37,8 +38,11 @@ from conftest import (
     block_masks,
     block_simplices,
     euler_recheck_cells,
+    lower_star_fiber_oracle,
     stratum_closure_leq,
 )
+
+DEMO_COMPLEXES = Path(__file__).resolve().parent.parent / "demos" / "complexes"
 
 
 def multinomial(shape):
@@ -312,6 +316,72 @@ def test_lower_star_fiber_over_point_type(triangle, types):
     assert cell_counts(fc) == {0: 1}
 
 
+def test_lower_star_fibers_equal_the_filtered_all_mode_fibers():
+    """fiber_complex(mode="lower_star") walks only lower-star strata. Over
+    every interior type of the triangle, interval and square, and every
+    lower-star type of path5, per field F2 and F3, its fiber must print the
+    oracle's bytes (the all-mode fiber filtered by is_lower_star_stratum,
+    conftest.lower_star_fiber_oracle): the fiber document and the DOT text,
+    with the same cellular boundary; or both must be empty. Path5's other
+    interior types have no lower-star cell, which would be a lower-star
+    stratum of that type, and their all-mode fibers take a minute to walk."""
+    counts = Counter()
+    for name in ("triangle", "interval", "square", "path5"):
+        K = ph.load_complex(DEMO_COMPLEXES / f"{name}.json")
+        mode = "lower_star" if name == "path5" else "interior_only"
+        strata = ph.enumerate_filter_strata(K, mode)
+        for p in (2, 3):
+            field = ph.FieldSpec(p)
+            for rec in ph.group_strata_by_barcode(K, strata, field):
+                try:
+                    want = lower_star_fiber_oracle(K, rec.barcode_type, field)
+                except DomainError:
+                    with pytest.raises(DomainError, match="empty fiber"):
+                        ph.fiber_complex(K, rec.barcode_type, field, "lower_star")
+                    counts["empty"] += 1
+                    continue
+                fc = ph.fiber_complex(K, rec.barcode_type, field, "lower_star")
+                assert ph.io.dumps(ph.io.fiber_doc(fc)) == ph.io.dumps(ph.io.fiber_doc(want))
+                assert ph.emit_dot(fc) == ph.emit_dot(want)
+                assert fc.boundary == want.boundary
+                counts["cells"] += len(fc.cells)
+                counts["fibers"] += 1
+    assert counts == {"fibers": 52, "cells": 1680, "empty": 724}
+
+
+def test_torus_lower_star_image_and_fiber_homology():
+    """The 7-vertex torus (triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7):
+    its lower-star image, and per type the cells by dimension and the
+    cellular Betti numbers of its lower-star fiber, over F2 and F3."""
+    K = ph.load_complex(DEMO_COMPLEXES / "torus.json")
+    assert K == ph.build_complex(
+        [[i, (i + a) % 7, (i + 3) % 7] for i in range(7) for a in (1, 2)]
+    )
+    assert len(K) == 42 and ph.betti_numbers(K) == (1, 2, 1)
+    strata = ph.enumerate_filter_strata(K, "lower_star")
+    assert len(strata) == 47293
+    expected = {
+        "0:(1,inf);1:(2,inf),(3,inf);2:(4,inf)": (
+            {0: 3024, 1: 10584, 2: 12096, 3: 4536}, (3, 9, 9, 3)),
+        "0:(1,inf);1:(1,inf),(2,inf);2:(3,inf)": ({0: 378, 1: 882, 2: 504}, (3, 6, 3)),
+        "0:(1,inf);1:(2,inf),(2,inf);2:(3,inf)": (
+            {0: 756, 1: 3444, 2: 5208, 3: 3024, 4: 504}, (1, 4, 5, 2, 0)),
+        "0:(1,inf);1:(2,inf),(3,inf);2:(3,inf)": ({0: 378, 1: 882, 2: 504}, (3, 6, 3)),
+        "0:(1,inf);1:(1,inf),(1,inf);2:(2,inf)": ({0: 42, 1: 126, 2: 84}, (1, 2, 1)),
+        "0:(1,inf);1:(1,inf),(2,inf);2:(2,inf)": ({0: 42, 1: 42}, (3, 3)),
+        "0:(1,inf);1:(2,inf),(2,inf);2:(2,inf)": ({0: 42, 1: 126, 2: 84}, (1, 2, 1)),
+        "0:(1,inf);1:(1,inf),(1,inf);2:(1,inf)": ({0: 1}, (1, 0)),
+    }
+    for p in (2, 3):
+        field = ph.FieldSpec(p)
+        got = {}
+        for rec in ph.group_strata_by_barcode(K, strata, field):
+            fc = ph.fiber_complex(K, rec.barcode_type, field, "lower_star")
+            betti = ph.fiber_homology(fc, field)
+            got[ph.format_barcode_type(rec.barcode_type)] = (cell_counts(fc), betti)
+        assert got == expected, p
+
+
 def test_bounded_deficit_formula(triangle_fibers):
     for fc in triangle_fibers.values():
         expected = Fraction(6 - fc.barcode_type.finite_endpoint_count(), 2)
@@ -527,7 +597,7 @@ def test_exact_walk_matches_euler_pruning_with_recheck(path5, triangle, interval
                     for st, (_, _, labels) in expected.items()
                 ]
                 leaves.sort(key=lambda leaf: serialize_stratum(leaf[0], K))
-                assert _fiber_strata(K, rec.barcode_type, field) == leaves
+                assert _fiber_strata(K, rec.barcode_type, field, _next_blocks) == leaves
                 walks += 1
     assert walks == 1034
 

@@ -2,9 +2,11 @@
 
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from phfiber.strata import (
 )
 
 from conftest import TRIANGLE_CODIM_COUNTS, block_masks, stratum_closure_leq
+
+DEMO_COMPLEXES = Path(__file__).resolve().parent.parent / "demos" / "complexes"
 
 
 def count_monotone_surjections(K):
@@ -222,9 +226,66 @@ def test_lower_star_predicate(interval):
     assert pinned not in ph.enumerate_filter_strata(interval, "lower_star")
 
 
+def test_lower_star_predicate_rejects_non_strata(triangle):
+    """Blocks that do not partition the complex raise stratum_levels'
+    DomainError: a block past the last simplex id, and overlapping blocks."""
+    for blocks in ((1 << 10,), (0b111, 0b111000, 0b1)):
+        with pytest.raises(DomainError, match="does not partition the simplices"):
+            is_lower_star_stratum(triangle, FilterStratum(blocks))
+
+
 def test_lower_star_mode_counts(triangle, interval):
     assert len(ph.enumerate_filter_strata(triangle, "lower_star")) == 13
     assert len(ph.enumerate_filter_strata(interval, "lower_star")) == 3
+
+
+def _ordered_partitions(items):
+    """Every ordered partition of a tuple into nonempty blocks."""
+    if not items:
+        yield ()
+        return
+    for r in range(1, len(items) + 1):
+        for first in itertools.combinations(items, r):
+            rest = tuple(x for x in items if x not in first)
+            for tail in _ordered_partitions(rest):
+                yield (first,) + tail
+
+
+def _fubini(n):
+    """The number of ordered partitions of an n-set."""
+    return 1 if n == 0 else sum(math.comb(n, k) * _fubini(n - k) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("name", ["triangle", "square", "path5", "rp2"])
+def test_lower_star_strata_match_actual_lower_star_filters(name):
+    """An independent oracle for the lower-star walk (_lower_star_blocks),
+    from actual filters. Each ordered partition of the vertices into k blocks
+    gives the lower-star extension of the values i/(k + 1) on block i, and
+    its stratum is read off the filter's values: one block per value, in
+    value order. These strata, in serialize_stratum order, must be the
+    walk's, Fubini(|V|) of them, and each filter's own barcode, reduced over
+    F2 and F3, must have the type image grouping gives its stratum."""
+    K = ph.load_complex(DEMO_COMPLEXES / f"{name}.json")
+    walked = ph.enumerate_filter_strata(K, "lower_star")
+    filters = {}
+    for partition in _ordered_partitions(K.vertex_ids):
+        k = len(partition)
+        f = ph.lower_star_extension(
+            K, {v: Fraction(i, k + 1) for i, block in enumerate(partition, 1) for v in block}
+        )
+        blocks = tuple(
+            sum(1 << j for j, x in enumerate(f.values) if x == value)
+            for value in sorted(set(f.values))
+        )
+        filters[FilterStratum(blocks)] = f
+    assert len(filters) == _fubini(len(K.vertex_ids)) == len(walked)
+    assert sorted(filters, key=lambda st: serialize_stratum(st, K)) == list(walked)
+    for p in (2, 3):
+        field = ph.FieldSpec(p)
+        for rec in ph.group_strata_by_barcode(K, walked, field):
+            for i in rec.member_ids:
+                bars = ph.barcode_of_filter(filters[walked[i]], field)
+                assert ph.canonicalize_barcode(bars) == rec.barcode_type, (name, p)
 
 
 @pytest.mark.parametrize(
@@ -238,9 +299,10 @@ def test_lower_star_mode_counts(triangle, interval):
     ids=["square", "filled_triangle", "path4", "path5"],
 )
 def test_lower_star_walk_equals_filtering_every_stratum(maximal):
-    """The lower-star walk cuts each branch at its first failing block; it
-    must keep exactly the flagless strata that pass is_lower_star_stratum
-    after a full walk, in the same order."""
+    """The lower-star walk reads _lower_star_blocks, whose blocks are sets of
+    vertices with every simplex they complete, so it never meets a stratum
+    that is not lower-star. It must give exactly the flagless strata that
+    pass is_lower_star_stratum after a full walk, in the same order."""
     K = ph.build_complex(maximal)
     every = ph.enumerate_filter_strata(K, "interior_only")
     filtered = [st for st in every if is_lower_star_stratum(K, st)]
