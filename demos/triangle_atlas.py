@@ -57,7 +57,7 @@ def main():
         print(f"  to the {label:<12} collapses {len(mm.collapsed_cells)} "
               f"cells, {len(mm.surviving_cells)} survive")
 
-    rows = ph.check_dimension_bound(K, records)
+    rows = ph.check_dimension_bound(strata, records)
     loose = [ph.format_barcode_type(r.barcode_type)
              for r in rows if not r.tight]
     print(f"\ndimension bound: tight for {len(rows) - len(loose)} of "

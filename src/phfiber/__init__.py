@@ -23,11 +23,9 @@ from .category import (
 )
 from .errors import DomainError, InvariantError, ParseError
 from .fiber import (
-    DimensionBoundRow,
     FiberCell,
     FiberComplex,
     boundary_circuits,
-    check_dimension_bound,
     fiber_complex,
     fiber_dimension,
     fiber_homology,
@@ -60,8 +58,10 @@ from .simplicial import (
 )
 from .strata import (
     BarcodeStratumRecord,
+    DimensionBoundRow,
     FilterStratum,
     barcode_of_stratum,
+    check_dimension_bound,
     enumerate_filter_strata,
     group_strata_by_barcode,
     is_lower_star_stratum,

@@ -13,16 +13,21 @@ inclusion ranks, so output bytes depend only on the arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import fiber, io, strata
 from .barcodes import parse_barcode_type
 from .category import enumerate_morphism_classes, morphism_class_between
 from .errors import DomainError, InvariantError
-from .fiber import check_dimension_bound, fiber_complex, fiber_homology
+from .fiber import fiber_complex, fiber_homology
 from .monodromy import monodromy_map
 from .simplicial import FieldSpec, automorphisms
-from .strata import enumerate_filter_strata, group_strata_by_barcode
+from .strata import (
+    check_dimension_bound,
+    enumerate_filter_strata,
+    group_strata_by_barcode,
+)
 from .structure import (
     DEFAULT_BUDGET,
     fiber_symmetry_orbits,
@@ -94,9 +99,20 @@ def _cmd_monodromy(args) -> str:
 def _cmd_check_bounds(args) -> str:
     K = io.load_complex(args.complex)
     field = _field(args)
-    strata = enumerate_filter_strata(K, STRATUM_MODES[args.mode])
+    mode = STRATUM_MODES[args.mode]
+    strata = enumerate_filter_strata(K, mode)
     records = group_strata_by_barcode(K, strata, field)
-    return io.dumps(io.bounds_doc(check_dimension_bound(K, records, field)))
+    if mode == "lower_star":
+        # The bound is the all-mode fiber's, whose top cells lower-star
+        # groups miss: each type's members become its all-mode cells.
+        strata, lifted = [], []
+        for rec in records:
+            cells = fiber_complex(K, rec.barcode_type, field).cells
+            ids = tuple(range(len(strata), len(strata) + len(cells)))
+            strata += [c.stratum for c in cells]
+            lifted.append(dataclasses.replace(rec, member_ids=ids))
+        records = lifted
+    return io.dumps(io.bounds_doc(check_dimension_bound(strata, records)))
 
 
 def _cmd_essential(args) -> str:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .barcodes import ZERO, CombinatorialBarcode, format_barcode_type
+from .barcodes import ZERO, CombinatorialBarcode
 from .errors import DomainError, InvariantError
 from .persistence import Filter, _betti, _rank_table
 from .simplicial import F2, FieldSpec, SimplicialComplex
@@ -415,37 +415,3 @@ def boundary_circuits(fc: FiberComplex) -> int:
     )
     edges = [[v for v, _ in fc.boundary[i]] for i, n in incidence.items() if n == 1]
     return len(_components({v for e in edges for v in e}, edges))
-
-
-@dataclass(frozen=True)
-class DimensionBoundRow:
-    barcode_type: CombinatorialBarcode
-    fiber_dim: int
-    bounded_deficit: Fraction
-    codim: int
-    tight: bool
-
-
-def check_dimension_bound(
-    K: SimplicialComplex, records, field: FieldSpec = F2
-) -> tuple[DimensionBoundRow, ...]:
-    """Verify fiber_dim <= bounded deficit <= codim for each barcode record."""
-    rows = []
-    for rec in records:
-        fc = fiber_complex(K, rec.barcode_type, field)
-        d = fiber_dimension(fc)
-        if not Fraction(d) <= rec.bounded_deficit <= Fraction(rec.codim):
-            raise InvariantError(
-                f"fiber over {format_barcode_type(rec.barcode_type)}: dimension {d} "
-                f"<= bounded deficit {rec.bounded_deficit} <= codim {rec.codim} fails"
-            )
-        rows.append(
-            DimensionBoundRow(
-                barcode_type=rec.barcode_type,
-                fiber_dim=d,
-                bounded_deficit=rec.bounded_deficit,
-                codim=rec.codim,
-                tight=Fraction(d) == rec.bounded_deficit,
-            )
-        )
-    return tuple(rows)

@@ -22,13 +22,14 @@ type off K's table of inclusion ranks (persistence._rank_table): a stratum's
 type is fixed by its flags and the ranks of H(P_i) -> H(P_j) between the
 unions P_i of its first blocks (persistent Betti numbers), read by
 inclusion-exclusion (persistence._rank_barcode). The fiber walk prunes on
-the same table.
+the same table. check_dimension_bound reads each fiber's dimension off the
+groups, with no fiber built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError, InvariantError
@@ -108,8 +109,11 @@ def mask_ids(mask: int) -> list[int]:
     return ids
 
 
-def serialize_stratum(stratum: FilterStratum, K: SimplicialComplex) -> str:
-    """Stable text id: canonical simplex ids of K per block, flags appended."""
+def serialize_stratum(stratum: FilterStratum, K: SimplicialComplex | None) -> str:
+    """Stable text id: canonical simplex ids of K per block, flags appended.
+
+    The text reads the blocks and flags alone, so K may be None.
+    """
     text = "|".join(".".join(map(str, mask_ids(b))) for b in stratum.blocks)
     return text + "+z" * stratum.at_zero + "+o" * stratum.at_one
 
@@ -266,6 +270,55 @@ class BarcodeStratumRecord:
     member_ids: tuple[int, ...]
     codim: int
     bounded_deficit: Fraction
+
+
+@dataclass(frozen=True)
+class DimensionBoundRow:
+    barcode_type: CombinatorialBarcode
+    fiber_dim: int
+    bounded_deficit: Fraction
+    codim: int
+    tight: bool
+
+
+def check_dimension_bound(
+    strata: Sequence[FilterStratum], records: Iterable[BarcodeStratumRecord]
+) -> tuple[DimensionBoundRow, ...]:
+    """Verify fiber dim <= bounded deficit <= codim for each barcode record.
+
+    A stratum of type T is a cell of T's fiber with interior_dim - T.dim free
+    blocks (T.dim of its unpinned blocks take the ranks 1..T.dim), so the
+    fiber's dimension is read off the members, positions in `strata`, as
+    their largest interior_dim minus T.dim, with no fiber built. The read is
+    exact when the members hold every top cell of the fiber:
+    - all-mode groups qualify, because a type's group is its whole fiber;
+    - interior groups qualify, because an interior type has no endpoint at
+      0 or 1. So no cell is pinned at 0, and a cell pinned at 1 is a facet of
+      the same blocks with the last one free.
+    Lower-star groups miss the top cells: pass each type's all-mode fiber
+    cells as its members instead (as the check-bounds command does).
+    """
+    rows = []
+    for rec in records:
+        T = rec.barcode_type
+        top = max((strata[i] for i in rec.member_ids), key=lambda st: st.interior_dim)
+        d = top.interior_dim - T.dim
+        if not Fraction(d) <= rec.bounded_deficit <= Fraction(rec.codim):
+            raise InvariantError(
+                f"fiber over {format_barcode_type(T)}: top member "
+                f"{serialize_stratum(top, None)} has dimension {d}, and {d} <= "
+                f"bounded deficit {rec.bounded_deficit} <= codim {rec.codim} fails"
+            )
+        rows.append(
+            DimensionBoundRow(
+                barcode_type=T,
+                fiber_dim=d,
+                bounded_deficit=rec.bounded_deficit,
+                codim=rec.codim,
+                tight=Fraction(d) == rec.bounded_deficit,
+            )
+        )
+    return tuple(rows)
 
 
 def group_strata_by_barcode(

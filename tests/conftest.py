@@ -92,9 +92,13 @@ def types():
 
 
 @pytest.fixture(scope="session")
-def triangle_records(triangle):
-    strata = ph.enumerate_filter_strata(triangle, "interior_only")
-    return ph.group_strata_by_barcode(triangle, strata)
+def triangle_strata(triangle):
+    return ph.enumerate_filter_strata(triangle, "interior_only")
+
+
+@pytest.fixture(scope="session")
+def triangle_records(triangle, triangle_strata):
+    return ph.group_strata_by_barcode(triangle, triangle_strata)
 
 
 @pytest.fixture(scope="session")
@@ -172,6 +176,24 @@ def stratum_closure_leq(low, high):
             if t == len(lows):
                 return False
     return True
+
+
+def per_type_dimension_bound(K, records, field=ph.F2):
+    """The oracle for check_dimension_bound: each type's all-mode fiber built,
+    its top cell's dimension read (fiber_dimension), one fiber per record."""
+    rows = []
+    for rec in records:
+        d = ph.fiber_dimension(ph.fiber_complex(K, rec.barcode_type, field))
+        rows.append(
+            ph.DimensionBoundRow(
+                barcode_type=rec.barcode_type,
+                fiber_dim=d,
+                bounded_deficit=rec.bounded_deficit,
+                codim=rec.codim,
+                tight=Fraction(d) == rec.bounded_deficit,
+            )
+        )
+    return tuple(rows)
 
 
 def euler_recheck_cells(K, T, field=ph.F2, memo=None):

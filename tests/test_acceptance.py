@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import phfiber as ph
 from phfiber import INF
-from phfiber.fiber import boundary_circuits, check_dimension_bound, fiber_dimension
+from phfiber.fiber import boundary_circuits, fiber_dimension
 from phfiber.monodromy import monodromy_map
-from phfiber.strata import FilterStratum
+from phfiber.strata import FilterStratum, check_dimension_bound
 
 from conftest import (
     COMPLEX_POOL,
@@ -125,8 +125,8 @@ def test_criterion_05_circle_monodromy_collapses(
     )
 
 
-def test_criterion_06_dimension_bound_sweep(triangle, triangle_records):
-    rows = check_dimension_bound(triangle, triangle_records)
+def test_criterion_06_dimension_bound_sweep(triangle_strata, triangle_records):
+    rows = check_dimension_bound(triangle_strata, triangle_records)
     bounds_hold = all(
         Fraction(r.fiber_dim) <= r.bounded_deficit <= Fraction(r.codim)
         for r in rows

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+import phfiber as ph
 from phfiber import InvariantError, cli
 from phfiber.cli import main
-from phfiber.io import complex_doc, dumps
+from phfiber.io import bounds_doc, complex_doc, dumps, load_complex
 
-from conftest import TYPE_STRINGS
+from conftest import TYPE_STRINGS, per_type_dimension_bound
+from test_cli_golden import GOLDEN, ROOT, replay
 
 
 @pytest.fixture()
@@ -153,6 +155,41 @@ def test_check_bounds(capsys, triangle_file):
     rows = json.loads(out)
     assert len(rows) == 34
     assert sum(1 for r in rows if not r["tight"]) == 1
+
+
+@pytest.mark.parametrize("mode", ["interior", "all"])
+def test_check_bounds_builds_no_fiber_outside_lower_star(monkeypatch, mode):
+    """Interior and all-mode groups hold every top cell of their fibers, so
+    check-bounds reads the dimensions off them: with fiber_complex refusing,
+    it still prints the recorded bytes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check-bounds built a fiber")
+
+    monkeypatch.setattr(ph.fiber, "fiber_complex", refuse)
+    monkeypatch.setattr(cli, "fiber_complex", refuse)
+    golden = json.loads(GOLDEN.read_text())
+    for field in ("2", "3"):
+        argv = ["check-bounds", "demos/complexes/triangle.json", "--mode", mode, "--field", field]
+        assert replay(argv) == golden[json.dumps(argv)]
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [("triangle", 2), ("triangle", 3), ("square", 2), ("square", 3), ("path5", 2)],
+)
+def test_lower_star_check_bounds_reports_the_all_mode_fibers(capsys, name, p):
+    """Lower-star check-bounds prints each lower-star type's all-mode fiber
+    dimension, which its lower-star group alone would understate."""
+    path = str(ROOT / "demos" / "complexes" / f"{name}.json")
+    code, out, err = run(capsys, "check-bounds", path, "--mode", "lower-star", "--field", str(p))
+    assert code == 0 and err == ""
+    K, field = load_complex(path), ph.FieldSpec(p)
+    strata = ph.enumerate_filter_strata(K, "lower_star")
+    records = ph.group_strata_by_barcode(K, strata, field)
+    expected = per_type_dimension_bound(K, records, field)
+    assert out == dumps(bounds_doc(expected))
+    assert ph.check_dimension_bound(strata, records) != expected
 
 
 def test_essential_triangle(capsys, triangle_file):

@@ -20,12 +20,12 @@ from phfiber.fiber import (
     _face_sets,
     _fiber_strata,
     boundary_circuits,
-    check_dimension_bound,
     fiber_dimension,
 )
 from phfiber.strata import (
     FilterStratum,
     _next_blocks,
+    check_dimension_bound,
     is_lower_star_stratum,
     serialize_stratum,
     stratum_levels,
@@ -288,8 +288,8 @@ def test_cell_index_rejects_foreign_stratum(triangle_fibers, interval):
         fc.cell_index(foreign)
 
 
-def test_dimension_bound_rows(triangle, triangle_records):
-    rows = check_dimension_bound(triangle, triangle_records)
+def test_dimension_bound_rows(triangle_strata, triangle_records):
+    rows = check_dimension_bound(triangle_strata, triangle_records)
     assert len(rows) == 34
     for row in rows:
         assert Fraction(row.fiber_dim) <= row.bounded_deficit <= Fraction(row.codim)
@@ -300,7 +300,7 @@ def test_dimension_bound_rows(triangle, triangle_records):
 def test_interval_dimension_bounds(interval):
     strata = ph.enumerate_filter_strata(interval, "interior_only")
     records = ph.group_strata_by_barcode(interval, strata)
-    rows = check_dimension_bound(interval, records)
+    rows = check_dimension_bound(strata, records)
     assert all(row.tight for row in rows)
 
 

@@ -24,8 +24,8 @@ from phfiber.io import (
     strata_doc,
     stratum_doc,
 )
-from phfiber.fiber import check_dimension_bound
 from phfiber.monodromy import monodromy_map
+from phfiber.strata import check_dimension_bound
 
 from conftest import TYPE_STRINGS
 
@@ -188,8 +188,8 @@ def test_monodromy_doc_has_exactly_the_map_tables(
     json.loads(dumps(doc))
 
 
-def test_bounds_doc(triangle, triangle_records):
-    rows = check_dimension_bound(triangle, triangle_records)
+def test_bounds_doc(triangle_strata, triangle_records):
+    rows = check_dimension_bound(triangle_strata, triangle_records)
     doc = bounds_doc(rows)
     assert len(doc) == 34
     assert set(doc[0]) == {

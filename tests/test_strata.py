@@ -1,9 +1,11 @@
 """Filter strata: enumeration, representatives, closure order, grouping."""
 
+import dataclasses
 import gc
 import itertools
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -11,18 +13,25 @@ from pathlib import Path
 import pytest
 
 import phfiber as ph
-from phfiber import DomainError, io
+from phfiber import DomainError, InvariantError, io
 from phfiber.fiber import _cell_facets
 from phfiber.strata import (
     MODES,
     FilterStratum,
     _next_blocks,
+    check_dimension_bound,
     is_lower_star_stratum,
     serialize_stratum,
     stratum_levels,
 )
 
-from conftest import TRIANGLE_CODIM_COUNTS, block_masks, stratum_closure_leq
+from conftest import (
+    TRIANGLE_CODIM_COUNTS,
+    TYPE_STRINGS,
+    block_masks,
+    per_type_dimension_bound,
+    stratum_closure_leq,
+)
 
 DEMO_COMPLEXES = Path(__file__).resolve().parent.parent / "demos" / "complexes"
 
@@ -528,6 +537,63 @@ def test_grouping_members_have_the_grouped_barcode(triangle, triangle_records):
     rec = triangle_records[0]
     for i in rec.member_ids[:5]:
         assert ph.barcode_of_stratum(triangle, strata[i]) == rec.barcode_type
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "maximal, mode",
+    [
+        (maximal, mode)
+        for maximal in (
+            [[0, 1], [1, 2], [0, 2]],
+            [[0, 1, 2]],
+            [[0, 1]],
+            [[0, 1], [2, 3]],
+            [[0, 1], [1, 2], [2, 3]],
+        )
+        for mode in ("interior_only", "all")
+    ]
+    + [([[0, 1], [1, 2], [2, 3], [0, 3]], "interior_only")],
+    ids=[
+        f"{name}_{mode}"
+        for name in ("triangle", "filled_triangle", "interval", "two_intervals", "path4")
+        for mode in ("interior", "all")
+    ]
+    + ["square_interior"],
+)
+def test_dimension_bound_matches_the_per_type_fiber(maximal, mode, p):
+    """check_dimension_bound reads each fiber's dimension off its image group,
+    the oracle off the fiber it builds per type: the rows agree."""
+    K = ph.build_complex(maximal)
+    field = ph.FieldSpec(p)
+    strata = ph.enumerate_filter_strata(K, mode)
+    records = ph.group_strata_by_barcode(K, strata, field)
+    assert check_dimension_bound(strata, records) == per_type_dimension_bound(K, records, field)
+
+
+@pytest.mark.parametrize("deficit", [Fraction(1), Fraction(5)], ids=["above_dim", "above_codim"])
+def test_dimension_bound_error_names_type_top_member_and_inequality(
+    triangle, triangle_strata, triangle_records, deficit
+):
+    """A record whose bounded deficit breaks dim <= deficit <= codim raises an
+    InvariantError naming the type, its top member and the failed inequality."""
+    T = ph.parse_barcode_type(TYPE_STRINGS["mobius"])  # a 2-dimensional fiber, codim 4
+    rec = next(r for r in triangle_records if r.barcode_type == T)
+    doctored = dataclasses.replace(rec, bounded_deficit=deficit)
+    with pytest.raises(InvariantError) as err:
+        check_dimension_bound(triangle_strata, [doctored])
+    pattern = (
+        f"fiber over {re.escape(ph.format_barcode_type(T))}: top member (\\S+) has "
+        f"dimension 2, and 2 <= bounded deficit {deficit} <= codim 4 fails"
+    )
+    match = re.fullmatch(pattern, str(err.value))
+    assert match, str(err.value)
+    tops = {
+        serialize_stratum(triangle_strata[i], triangle)
+        for i in rec.member_ids
+        if triangle_strata[i].interior_dim - T.dim == 2
+    }
+    assert match[1] in tops
 
 
 def test_serialize_stratum_shows_blocks_and_flags(interval):
