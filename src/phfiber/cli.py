@@ -20,10 +20,11 @@ from . import fiber, io, strata
 from .barcodes import parse_barcode_type
 from .category import enumerate_morphism_classes, morphism_class_between
 from .errors import DomainError, InvariantError
-from .fiber import fiber_complex, fiber_homology
+from .fiber import _fiber_strata, fiber_complex, fiber_homology
 from .monodromy import monodromy_map
 from .simplicial import FieldSpec, automorphisms
 from .strata import (
+    _next_blocks,
     check_dimension_bound,
     enumerate_filter_strata,
     group_strata_by_barcode,
@@ -104,12 +105,15 @@ def _cmd_check_bounds(args) -> str:
     records = group_strata_by_barcode(K, strata, field)
     if mode == "lower_star":
         # The bound is the all-mode fiber's, whose top cells lower-star
-        # groups miss: each type's members become its all-mode cells.
+        # groups miss: each type's members become the strata of its
+        # all-mode fiber walk, the fiber's cells, with no fiber built.
         strata, lifted = [], []
         for rec in records:
-            cells = fiber_complex(K, rec.barcode_type, field).cells
-            ids = tuple(range(len(strata), len(strata) + len(cells)))
-            strata += [c.stratum for c in cells]
+            leaves = _fiber_strata(K, rec.barcode_type, field, _next_blocks)
+            if not leaves:
+                raise DomainError("empty fiber")
+            ids = tuple(range(len(strata), len(strata) + len(leaves)))
+            strata += [st for st, _ in leaves]
             lifted.append(dataclasses.replace(rec, member_ids=ids))
         records = lifted
     return io.dumps(io.bounds_doc(check_dimension_bound(strata, records)))

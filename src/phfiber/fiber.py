@@ -165,10 +165,9 @@ def _fiber_strata(
     places: list[int] = []  # per placed block, its symbol, or its gap when free
     symbols: list = []  # per placed block, its symbol or None when free
     leaves: list[tuple[FilterStratum, tuple]] = []
-    memo: dict = {}
 
     def walk(placed: int, rank: int) -> None:
-        for S, c in children(K, placed, memo):
+        for S, c in children(K, placed):
             moves = []  # (symbol taken, next rank to pin)
             if rank == ZERO:
                 if c == chi[ZERO]:

@@ -4,6 +4,13 @@ Every document is built from JSON-native values only (dicts, lists, strings,
 ints, bools, None), so dumping and re-loading is exact. Rational numbers are
 rendered as "num/den" strings, endpoint symbols as the tokens zero, one, inf,
 or a positive rank.
+
+dumps renders a document as json.dumps(doc, indent=2) does, byte for byte,
+with its own writer: the indent sends json to its pure-Python encoder, which
+took most of the time of printing a fiber. The writer covers str, int, bool,
+None, list, tuple and dict with str keys, the types the documents use; any
+other value (a float, a dict with a key of another type, a subclass) is
+rendered by json.dumps itself and indented to its depth.
 """
 from __future__ import annotations
 
@@ -24,8 +31,75 @@ MODE_TOKENS = {"all": "all", "interior_only": "interior", "lower_star": "lower-s
 
 
 def dumps(doc) -> str:
-    """The one JSON rendering used by every subcommand."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The one JSON rendering used by every subcommand: the bytes of
+    json.dumps(doc, indent=2) + "\n".
+
+    Values of the exact types str, int, bool, None, list, tuple and dict with
+    str keys are written here; a list of ints or of strs in one join. Any
+    other value falls back to json.dumps(value, indent=2), re-indented to its
+    depth (a JSON text holds no raw newline outside its indentation).
+    """
+    out: list[str] = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# The text of each scalar type the writer covers, by exact type.
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_STR = {str}
+
+
+def _write(x, out: list, nl: str) -> None:
+    """Append x's JSON text to out; nl is a newline plus x's indentation."""
+    t = type(x)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        out.append(scalar(x))
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        types = set(map(type, x))
+        only = types.pop() if len(types) == 1 else None
+        if only is int or only is str:
+            out.append("[" + inner + sep.join(map(_SCALARS[only], x)) + nl + "]")
+            return
+        lead = "[" + inner
+        for v in x:
+            scalar = _SCALARS.get(type(v))
+            if scalar is None:
+                out.append(lead)
+                _write(v, out, inner)
+            else:
+                out.append(lead + scalar(v))
+            lead = sep
+        out.append(nl + "]")
+    elif t is dict and set(map(type, x)) <= _STR:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for k, v in x.items():
+            scalar = _SCALARS.get(type(v))
+            if scalar is None:
+                out.append(lead + _encode_str(k) + ": ")
+                _write(v, out, inner)
+            else:
+                out.append(lead + _encode_str(k) + ": " + scalar(v))
+            lead = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(x, indent=2).replace("\n", nl))
 
 
 def fraction_str(q: Fraction) -> str:

@@ -122,6 +122,10 @@ class SimplicialComplex:
         # Per field characteristic, persistence's table of inclusion ranks
         # between subcomplexes, filled as the ranks are asked for.
         self.rank_tables: dict = {}
+        # strata's tables of closed next blocks after each placed union,
+        # indexed by lower_star (all mode, then lower-star), filled as the
+        # walks ask for them.
+        self.block_tables: tuple[dict, dict] = ({}, {})
 
     def __len__(self) -> int:
         return len(self.simplices)

@@ -10,9 +10,10 @@ dimension, one free value each.
 A block is a bitmask over the complex's canonical simplex ids (bit i set when
 simplex i lies in the block). The enumeration here and the fiber's pruned
 walk (fiber._fiber_strata) read one table of next blocks, _next_blocks, or
-its lower-star rows, _lower_star_blocks, whose order makes both meet the
-strata in serialize_stratum order. Every consumer reads the masks; Simplex
-objects appear only in the JSON documents.
+its lower-star rows, _lower_star_blocks, kept on K per mode as its rank
+tables are, so every walk on K shares it; its order makes both walks meet
+the strata in serialize_stratum order. Every consumer reads the masks;
+Simplex objects appear only in the JSON documents.
 
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels, barcode_of_stratum);
@@ -140,33 +141,37 @@ def _closed_subsets(
     return subsets[1:]
 
 
-def _next_blocks(K: SimplicialComplex, placed: int, memo: dict, lower_star=False) -> list:
-    """Each closed block after `placed` as (mask, Euler count), in memo[placed].
+def _next_blocks(K: SimplicialComplex, placed: int, lower_star: bool = False) -> list:
+    """Each closed block after `placed` as (mask, Euler count).
 
     Sorted by id text, plus "|" unless the block is the last one. These keys
     are prefix-free and a stratum's text is its blocks' keys, then its flags,
     so a depth-first walk in this order meets strata in serialize_stratum order.
-    A block's entry and id text depend on the block alone, so memo[None] keeps
-    them, built once per walk.
+    The lists are kept in K's block table for the mode, like its rank tables,
+    so every walk on K shares them: table[placed] is the list after placed,
+    and table[None] maps each block to its entry and id text, which depend on
+    the block alone. The table holds ints and strings only, no reference to K.
     """
-    if placed not in memo:
+    table = K.block_tables[lower_star]
+    blocks = table.get(placed)
+    if blocks is None:
         full = (1 << len(K)) - 1
-        known = memo.setdefault(None, {})  # block -> (its entry, its id text)
+        known = table.setdefault(None, {})  # block -> (its entry, its id text)
         subsets = _closed_subsets(K, full & ~placed, placed, lower_star)
         for S in subsets:
             if S not in known:
                 known[S] = (S, K.euler_count(S)), ".".join(map(str, mask_ids(S)))
         subsets.sort(key=lambda S: known[S][1] + "|" * (placed | S != full))
-        memo[placed] = [known[S][0] for S in subsets]
-    return memo[placed]
+        blocks = table[placed] = [known[S][0] for S in subsets]
+    return blocks
 
 
-def _lower_star_blocks(K: SimplicialComplex, placed: int, memo: dict) -> list:
+def _lower_star_blocks(K: SimplicialComplex, placed: int) -> list:
     """_next_blocks for lower-star strata: per nonempty set W of unplaced
     vertices, W with every unplaced simplex whose vertices are placed or in W,
     so each simplex falls in the block of its last vertex. `placed` must be a
     union of such blocks, so it holds every simplex its vertices complete."""
-    return _next_blocks(K, placed, memo, True)
+    return _next_blocks(K, placed, True)
 
 
 def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
@@ -207,7 +212,6 @@ def enumerate_filter_strata(
         flags += [(False, True), (True, False), (True, True)]
     lone = [f for f in flags if f != (True, True)]  # one block cannot be pinned at both ends
     full = (1 << len(K)) - 1
-    memo: dict = {}
     out: list[FilterStratum] = []
     children = _lower_star_blocks if mode == "lower_star" else _next_blocks
 
@@ -216,7 +220,7 @@ def enumerate_filter_strata(
             for z, o in flags if len(blocks) > 1 else lone:
                 out.append(_trusted_stratum(blocks, z, o))
             return
-        for S, _ in children(K, placed, memo):
+        for S, _ in children(K, placed):
             walk(placed | S, blocks + (S,))
 
     walk(0, ())

@@ -1,6 +1,8 @@
 """JSON document round trips plus DOT output."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,63 @@ def test_dumps_is_valid_json_with_trailing_newline(triangle):
     text = dumps(complex_doc(triangle))
     assert text.endswith("\n")
     assert json.loads(text) == complex_doc(triangle)
+
+
+# Pieces of the random strings: ASCII, non-ASCII (two-byte, CJK, astral, a
+# lone surrogate), quote, backslash and control characters.
+_STRING_PIECES = [
+    "", "a", "zero", "inf", " ", "é", "日本", "😀", "\ud800",
+    '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028",
+]
+_FLOATS = [0.0, -0.0, 0.5, -2.25, 1e300, 1e-300, math.inf, -math.inf, math.nan]
+
+
+def _random_str(rng):
+    return "".join(rng.choice(_STRING_PIECES) for _ in range(rng.randrange(4)))
+
+
+def _random_scalar(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _random_str(rng)
+    if kind == 1:  # small, negative and big ints
+        return rng.choice([0, 1, -1, 7, -12, 2**64, -(3**50), rng.randint(-10**30, 10**30)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    return rng.choice(_FLOATS + [rng.uniform(-1e6, 1e6)])
+
+
+def _random_doc(rng, depth=0):
+    """A random nested document over the types dumps writes and those it
+    leaves to json.dumps."""
+    kind = rng.randrange(7) if depth < 4 else 0
+    n = rng.randrange(5)
+    if kind == 0:
+        return _random_scalar(rng)
+    if kind == 1:  # plain ints or strs, for the joins, or ints with bools mixed in
+        pool = rng.choice([[1, -2, 10**20], ["a", "é", '"'], [0, 3, -4, 2**70, True, False]])
+        return [rng.choice(pool) for _ in range(n)]
+    if kind == 2:
+        return [_random_doc(rng, depth + 1) for _ in range(n)]
+    if kind == 3:
+        return tuple(_random_doc(rng, depth + 1) for _ in range(n))
+    if kind == 4:
+        return {_random_str(rng): _random_doc(rng, depth + 1) for _ in range(n)}
+    if kind == 5:  # int, bool, None and float keys, which json writes as strings
+        return {_random_scalar(rng): _random_doc(rng, depth + 1) for _ in range(n)}
+    return rng.choice([[], {}, (), [[]], {"": {}}])
+
+
+def test_dumps_writes_the_bytes_of_indented_json_dumps():
+    """dumps' own writer gives json.dumps(doc, indent=2) + "\\n" byte for byte,
+    over random nested documents, including the values it leaves to json:
+    floats (with inf and nan), dict keys that are not str."""
+    rng = random.Random(20211)
+    for _ in range(3000):
+        doc = _random_doc(rng)
+        assert dumps(doc) == json.dumps(doc, indent=2) + "\n", repr(doc)
 
 
 def test_fraction_round_trip():

@@ -125,13 +125,12 @@ def test_next_blocks_walk_is_in_text_order_past_id_ten(name, rp2):
     }[name]
     assert len(K) > 10
     full = (1 << len(K)) - 1
-    memo: dict = {}
 
     def leaves(placed, blocks):
         if placed == full:
             yield FilterStratum(blocks)
             return
-        for S, _ in _next_blocks(K, placed, memo):
+        for S, _ in _next_blocks(K, placed):
             yield from leaves(placed | S, blocks + (S,))
 
     texts = [serialize_stratum(st, K) for st in itertools.islice(leaves(0, ()), 20000)]
@@ -606,10 +605,44 @@ def test_serialize_stratum_shows_blocks_and_flags(interval):
     assert text != flipped
 
 
+@pytest.mark.parametrize("mode", ["all", "lower_star"])
+@pytest.mark.parametrize(
+    "maximal",
+    [
+        [[0, 1], [1, 2], [0, 2]],
+        [[0, 1], [1, 2], [2, 3], [0, 3]],
+        [[0, 1], [1, 2], [2, 3]],
+    ],
+    ids=["triangle", "square", "path4"],
+)
+def test_fibers_on_one_complex_share_its_block_table(maximal, mode):
+    """The enumeration and every fiber walk on one complex read one table of
+    next blocks per mode, kept on K: after the all-mode enumeration (and the
+    walk of the fibers' own mode) has filled it, the fiber over every type
+    of the mode's image equals the fiber built on a fresh complex, so it
+    prints the same document. The fresh complex is handed K's rank tables,
+    so the two sides differ in their block tables alone."""
+    K = ph.build_complex(maximal)
+    ph.enumerate_filter_strata(K, "all")
+    strata = ph.enumerate_filter_strata(K, mode)
+    lower_star = mode == "lower_star"
+    assert K.block_tables[False] and K.block_tables[lower_star]
+    for rec in ph.group_strata_by_barcode(K, strata):
+        T = rec.barcode_type
+        fresh_K = ph.build_complex(maximal)
+        fresh_K.rank_tables = K.rank_tables
+        shared = ph.fiber_complex(K, T, ph.F2, mode)
+        fresh = ph.fiber_complex(fresh_K, T, ph.F2, mode)
+        assert shared == fresh, ph.format_barcode_type(T)
+        assert shared.boundary == fresh.boundary
+        assert fresh_K.block_tables[lower_star] and not fresh_K.block_tables[not lower_star]
+
+
 def test_walks_leave_no_reference_cycle_holding_the_complex():
     """With the cyclic collector off, a complex dies as soon as its last
     reference goes, after either walk and after grouping: no walk closure is
-    left holding itself, and with it K and its rank tables."""
+    left holding itself, and with it K, its rank tables and its block tables,
+    which hold no reference to K."""
 
     def dies(run):
         K = ph.build_complex([[0, 1], [1, 2], [0, 2]])
@@ -617,6 +650,11 @@ def test_walks_leave_no_reference_cycle_holding_the_complex():
         run(K)
         del K
         return ref() is None
+
+    def fiber_after_enumeration(K):
+        ph.enumerate_filter_strata(K, "all")
+        ph.fiber_complex(K, T)
+        assert K.block_tables[False]  # K dies with its block table filled
 
     T = ph.parse_barcode_type("0:(1,inf);1:(2,inf)")
     gc.collect()
@@ -626,5 +664,6 @@ def test_walks_leave_no_reference_cycle_holding_the_complex():
         assert dies(lambda K: ph.enumerate_filter_strata(K, "lower_star"))
         assert dies(lambda K: ph.fiber_complex(K, T))
         assert dies(lambda K: ph.group_strata_by_barcode(K, ph.enumerate_filter_strata(K, "all")))
+        assert dies(fiber_after_enumeration)
     finally:
         gc.enable()
