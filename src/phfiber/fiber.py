@@ -10,10 +10,15 @@ no coordinates beyond symbol rank vectors are ever needed.
 
 The cells are found by one depth-first walk over the monotone partitions
 (_fiber_strata, on strata._next_blocks, or strata._lower_star_blocks for the
-lower-star cells). A cheap Euler-count test on each block comes first; then
-a branch survives only while the block's row of inclusion ranks, read from
-the complex's one rank table (persistence._rank_table), equals the row T
-predicts for the symbol the block takes, or for its gap when it is free.
+lower-star cells). Cheap tests on each block come first: its Euler count
+must match the symbol it takes, and the simplices still unplaced must supply
+the symbols still to come, one simplex of the right dimension per endpoint
+(_supply_needs; a simplex creates or kills at most one class, the count
+behind the bounded deficit). They read only the placed union and the next
+rank, so each such pair gets its list of viable children once per walk.
+Then a branch survives only while the block's row of inclusion ranks, read
+from the complex's one rank table (persistence._rank_table), equals the row
+T predicts for the symbol the block takes, or for its gap when it is free.
 Those ranks fix the bars born and dying at the block, so the leaves are
 exactly the strata of type T, with no recheck, and each cell is built from
 the symbols the walk assigned: a block is pinned when it takes a symbol and
@@ -115,6 +120,27 @@ class FiberComplex:
         return tuple(sorted(i for i in closure if self.cells[i].dim == 0))
 
 
+def _supply_needs(T: CombinatorialBarcode) -> list[tuple[int, ...]]:
+    """need[r][q]: the q-simplices that the symbols r..ONE of T still need.
+
+    One per endpoint at such a symbol: a bar of degree q born there, or a
+    bar of degree q - 1 dying there at a finite symbol. A simplex creates or
+    kills at most one class and a free block carries no endpoint, so the
+    blocks of a stratum of type T that take the symbols r..ONE hold at least
+    need[r][q] q-simplices. Rows run over r = ZERO..ONE + 1, the last all 0;
+    columns over the degrees q = 0..len(T.degrees).
+    """
+    need = [[0] * (len(T.degrees) + 1) for _ in range(T.one + 2)]
+    for q, deg in enumerate(T.degrees):
+        for b, d in deg:
+            for row in need[: b + 1]:
+                row[q] += 1
+            if d != T.inf:
+                for row in need[: d + 1]:
+                    row[q + 1] += 1
+    return [tuple(row) for row in need]
+
+
 def _fiber_strata(
     K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec, children
 ) -> list[tuple[FilterStratum, tuple]]:
@@ -130,8 +156,18 @@ def _fiber_strata(
     predicts: the number of T's bars born at or before block i's place and
     dying after block j's place. Rows j - 1 and j fix the bars born and dying
     at block j, so the leaves are exactly the strata whose barcode is T (the
-    persistent Betti numbers fix the bars). Before the row, the block's Euler
-    count must equal the symbol's (0 when free), which prunes most branches.
+    persistent Betti numbers fix the bars).
+
+    Three tests come before the row, and none drops a stratum of type T:
+    the block's Euler count must equal the symbol's (0 when free); the last
+    block must leave every rank placed; and the simplices not yet placed
+    must supply the symbols still to come: per degree q, at least
+    _supply_needs(T)[r][q] q-simplices when the next rank to pin is r. For
+    each union B the walk keeps the first rank whose needs the rest of K
+    can meet, and drops any move below it. These tests read only the placed
+    union, the next rank and T, so each (placed, rank) pair gets its list of
+    viable children, (block, union, last, moves) in child order, once per
+    walk; the row test reads the path and stays per node.
 
     The first block is pinned at 0 exactly when ZERO is an endpoint of T,
     since it holds a vertex; the ranks 1..m are taken in order; the last
@@ -158,6 +194,12 @@ def _fiber_strata(
     expect = [[tuple(c) for c in row] for row in counts]
     one_optional = one not in endpoints
     full = (1 << len(K)) - 1
+    need = _supply_needs(T)
+    # Per degree of need, the mask of K's simplices of that dimension (none
+    # above dim K, so a type with bars there is never supplied).
+    dim_masks = (K.dim_masks + (0,) * len(need[0]))[: len(need[0])]
+    supplied: dict[int, int] = {}  # union -> the first rank the rest of K supplies
+    viable: list[dict[int, list]] = [{} for _ in range(one + 1)]  # [rank][placed]
     table = _rank_table(K, field)
     vectors = table.vectors
     blocks: list[int] = []
@@ -166,7 +208,8 @@ def _fiber_strata(
     symbols: list = []  # per placed block, its symbol or None when free
     leaves: list[tuple[FilterStratum, tuple]] = []
 
-    def walk(placed: int, rank: int) -> None:
+    def viable_children(placed: int, rank: int) -> list:
+        out = []
         for S, c in children(K, placed):
             moves = []  # (symbol taken, next rank to pin)
             if rank == ZERO:
@@ -184,8 +227,25 @@ def _fiber_strata(
                 if rank > m and c == chi[one]:
                     moves.append((one, rank))
                 moves = [(s, r) for s, r in moves if r > m and (s == one or one_optional)]
-            if not moves:
-                continue
+            elif moves:
+                # The rest of K must supply the endpoints from the next rank on.
+                low = supplied.get(B)
+                if low is None:
+                    have = [(~B & mask).bit_count() for mask in dim_masks]
+                    low = 0
+                    while any(n > h for n, h in zip(need[low], have)):
+                        low += 1
+                    supplied[B] = low
+                moves = [(s, r) for s, r in moves if r >= low]
+            if moves:
+                out.append((S, B, last, moves))
+        return out
+
+    def walk(placed: int, rank: int) -> None:
+        kids = viable[rank].get(placed)
+        if kids is None:
+            kids = viable[rank][placed] = viable_children(placed, rank)
+        for S, B, last, moves in kids:
             unions.append(B)
             into = table.into.get(B)
             row = []

@@ -1,16 +1,24 @@
 """JSON and DOT serialization for the command line documents.
 
-Every document is built from JSON-native values only (dicts, lists, strings,
-ints, bools, None), so dumping and re-loading is exact. Rational numbers are
-rendered as "num/den" strings, endpoint symbols as the tokens zero, one, inf,
-or a positive rank.
+Every document is built from JSON-native values only (dicts, lists, tuples,
+strings, ints, bools, None), so dumping and re-loading is exact, but for
+tuples, which are written as JSON arrays and read back as lists. Rational
+numbers are rendered as "num/den" strings, endpoint symbols as the tokens
+zero, one, inf, or a positive rank.
+
+A stratum document takes each block's doc, the tuple of its simplices' vertex
+tuples, from one table per complex (K.block_docs), so the documents on one
+complex share those tuple objects: callers must treat documents as read-only.
 
 dumps renders a document as json.dumps(doc, indent=2) does, byte for byte,
 with its own writer: the indent sends json to its pure-Python encoder, which
 took most of the time of printing a fiber. The writer covers str, int, bool,
 None, list, tuple and dict with str keys, the types the documents use; any
 other value (a float, a dict with a key of another type, a subclass) is
-rendered by json.dumps itself and indented to its depth.
+rendered by json.dumps itself and indented to its depth. Within one call it
+writes each tuple of scalars and tuples once per indentation, keyed by the
+object's id, not its value, and reuses the text where the same object comes
+again: a fiber's hundreds of cells repeat a few dozen block docs.
 """
 from __future__ import annotations
 
@@ -37,10 +45,15 @@ def dumps(doc) -> str:
     Values of the exact types str, int, bool, None, list, tuple and dict with
     str keys are written here; a list of ints or of strs in one join. Any
     other value falls back to json.dumps(value, indent=2), re-indented to its
-    depth (a JSON text holds no raw newline outside its indentation).
+    depth (a JSON text holds no raw newline outside its indentation). A tuple
+    of scalars and tuples is written once per call and indentation, and its
+    text reused wherever the same object comes again at that depth: the
+    memo is keyed by id, since (1,), (True,) and (1.0,) are equal but are
+    written differently. A tuple holding a list, a dict or a fallback value
+    is written each time, as a list is.
     """
     out: list[str] = []
-    _write(doc, out, "\n")
+    _write(doc, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
@@ -54,35 +67,31 @@ _SCALARS = {
     type(None): {None: "null"}.__getitem__,
 }
 _STR = {str}
+# The item types of a tuple whose text dumps keeps for reuse.
+_SHARED = {tuple, *_SCALARS}
 
 
-def _write(x, out: list, nl: str) -> None:
-    """Append x's JSON text to out; nl is a newline plus x's indentation."""
+def _write(x, out: list, nl: str, texts: dict) -> None:
+    """Append x's JSON text to out; nl is a newline plus x's indentation, and
+    texts maps (id, nl) of each tuple written so far to its text."""
     t = type(x)
     scalar = _SCALARS.get(t)
     if scalar is not None:
         out.append(scalar(x))
-    elif t is list or t is tuple:
-        if not x:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        types = set(map(type, x))
-        only = types.pop() if len(types) == 1 else None
-        if only is int or only is str:
-            out.append("[" + inner + sep.join(map(_SCALARS[only], x)) + nl + "]")
-            return
-        lead = "[" + inner
-        for v in x:
-            scalar = _SCALARS.get(type(v))
-            if scalar is None:
-                out.append(lead)
-                _write(v, out, inner)
-            else:
-                out.append(lead + scalar(v))
-            lead = sep
-        out.append(nl + "]")
+    elif t is tuple:
+        key = (id(x), nl)
+        text = texts.get(key)
+        if text is not None:
+            out.append(text)
+        elif _SHARED.issuperset(map(type, x)):
+            part: list[str] = []
+            _write_array(x, part, nl, texts)
+            text = texts[key] = "".join(part)
+            out.append(text)
+        else:
+            _write_array(x, out, nl, texts)
+    elif t is list:
+        _write_array(x, out, nl, texts)
     elif t is dict and set(map(type, x)) <= _STR:
         if not x:
             out.append("{}")
@@ -93,13 +102,37 @@ def _write(x, out: list, nl: str) -> None:
             scalar = _SCALARS.get(type(v))
             if scalar is None:
                 out.append(lead + _encode_str(k) + ": ")
-                _write(v, out, inner)
+                _write(v, out, inner, texts)
             else:
                 out.append(lead + _encode_str(k) + ": " + scalar(v))
             lead = "," + inner
         out.append(nl + "}")
     else:
         out.append(json.dumps(x, indent=2).replace("\n", nl))
+
+
+def _write_array(x, out: list, nl: str, texts: dict) -> None:
+    """_write for a list or tuple."""
+    if not x:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    types = set(map(type, x))
+    only = types.pop() if len(types) == 1 else None
+    if only is int or only is str:
+        out.append("[" + inner + sep.join(map(_SCALARS[only], x)) + nl + "]")
+        return
+    lead = "[" + inner
+    for v in x:
+        scalar = _SCALARS.get(type(v))
+        if scalar is None:
+            out.append(lead)
+            _write(v, out, inner, texts)
+        else:
+            out.append(lead + scalar(v))
+        lead = sep
+    out.append(nl + "]")
 
 
 def fraction_str(q: Fraction) -> str:
@@ -143,15 +176,20 @@ def load_complex(path: str) -> SimplicialComplex:
 
 
 def stratum_doc(stratum: FilterStratum, K: SimplicialComplex) -> dict:
-    """Each block as the vertex lists of its simplices, in canonical id order."""
-    return {
-        "blocks": [
-            [list(K.simplices[i].vertices) for i in mask_ids(block)]
-            for block in stratum.blocks
-        ],
-        "at_zero": stratum.at_zero,
-        "at_one": stratum.at_one,
-    }
+    """Each block as the vertex tuples of its simplices, in canonical id order.
+
+    A block's doc is the tuple kept for its mask in K.block_docs, shared by
+    every document on K: dumps writes it as a JSON array, and json reads it
+    back as a list of lists.
+    """
+    docs = K.block_docs
+    blocks = []
+    for block in stratum.blocks:
+        doc = docs.get(block)
+        if doc is None:
+            doc = docs[block] = tuple(K.simplices[i].vertices for i in mask_ids(block))
+        blocks.append(doc)
+    return {"blocks": blocks, "at_zero": stratum.at_zero, "at_one": stratum.at_one}
 
 
 def _block_mask(K: SimplicialComplex, block, placed: int) -> int:

@@ -119,6 +119,11 @@ class SimplicialComplex:
         )
         # The odd-dimensional simplices as a bitmask over canonical ids.
         self.odd_mask = sum(1 << i for i, d in enumerate(self.dims) if d % 2)
+        # The q-simplices as a bitmask over canonical ids, per q in 0..dim.
+        self.dim_masks = tuple(
+            sum(1 << i for i, d in enumerate(self.dims) if d == q)
+            for q in range(self.dim + 1)
+        )
         # Per field characteristic, persistence's table of inclusion ranks
         # between subcomplexes, filled as the ranks are asked for.
         self.rank_tables: dict = {}
@@ -126,6 +131,11 @@ class SimplicialComplex:
         # indexed by lower_star (all mode, then lower-star), filled as the
         # walks ask for them.
         self.block_tables: tuple[dict, dict] = ({}, {})
+        # io's document of each block mask: the tuple of its simplices'
+        # vertex tuples, in id order, shared by every stratum_doc on this
+        # complex. Filled as the documents ask for them; ints only, no
+        # reference to the complex.
+        self.block_docs: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.simplices)

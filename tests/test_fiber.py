@@ -15,13 +15,16 @@ import pytest
 
 import phfiber as ph
 from phfiber import INF, DomainError, InvariantError
+from phfiber.barcodes import ZERO
 from phfiber.fiber import (
     _cell_facets,
     _face_sets,
     _fiber_strata,
+    _supply_needs,
     boundary_circuits,
     fiber_dimension,
 )
+from phfiber.persistence import level_barcode
 from phfiber.strata import (
     FilterStratum,
     _next_blocks,
@@ -528,13 +531,20 @@ def test_triangulation_keeps_the_globally_maximal_chains(triangle, two_intervals
 
 @pytest.mark.parametrize(
     "maximal",
-    [[[0, 1]], [[0, 1], [1, 2], [0, 2]], [[0, 1, 2]], [[0, 1], [2, 3]]],
-    ids=["interval", "triangle", "filled_triangle", "two_intervals"],
+    [
+        [[0, 1]],
+        [[0, 1], [1, 2], [0, 2]],
+        [[0, 1, 2]],
+        [[0, 1], [2, 3]],
+        [[0, 1], [1, 2], [2, 3]],
+    ],
+    ids=["interval", "triangle", "filled_triangle", "two_intervals", "path4"],
 )
 def test_euler_pruning_keeps_every_member_stratum(maximal):
-    """Oracle for the walk, Euler-count test and exact pruning together: the
-    cells of the fiber over each all-mode type are exactly the strata grouped
-    under that type."""
+    """Oracle for the walk, Euler-count test, supply bound and exact pruning
+    together: the cells of the fiber over each all-mode type are exactly the
+    strata grouped under that type. On path4 (667 types per field) the
+    supply bound drops most of the walk's branches."""
     K = ph.build_complex(maximal)
     strata = ph.enumerate_filter_strata(K, "all")
     for p in (2, 3):
@@ -543,6 +553,57 @@ def test_euler_pruning_keeps_every_member_stratum(maximal):
             fc = ph.fiber_complex(K, rec.barcode_type, field, "all")
             assert len(fc.cells) == len(rec.member_ids)
             assert {c.stratum for c in fc.cells} == {strata[i] for i in rec.member_ids}
+
+
+@pytest.mark.parametrize(
+    "maximal",
+    [[[0, 1], [1, 2], [0, 2]], [[0, 1], [1, 2], [2, 3], [0, 3]], [[0, 1], [1, 2], [2, 3]]],
+    ids=["triangle", "square", "path4"],
+)
+def test_pinned_blocks_supply_what_the_walk_asks(maximal):
+    """The counting lemma the walk's supply bound rests on, on real cells:
+    in every cell of every all-mode fiber, the pinned blocks whose symbol is
+    r or later hold at least _supply_needs(T)[r][q] q-simplices, for every r
+    and q. The cells are all of K's strata, each typed and labelled off its
+    own level barcode, so a need too large for some cell fails here even
+    where the walk would drop that cell. Each type's table must also equal
+    the endpoint count read off a member's bars in levels, so a need too
+    small fails too."""
+    K = ph.build_complex(maximal)
+    tables = {}
+    tight = 0
+    for st in ph.enumerate_filter_strata(K, "all"):
+        levels = stratum_levels(K, st)
+        raw = level_barcode(K, levels, ph.F2)
+        top = st.interior_dim + 1
+        T = ph.canonicalize_barcode(raw, top)
+        inner = sorted({e for deg in raw for bar in deg for e in bar if 0 < e < top})
+        symbol = {level: k for k, level in enumerate(inner, 1)}
+        symbol[0], symbol[top] = ZERO, T.one
+        need = tables.get(T)
+        if need is None:
+            need = tables[T] = _supply_needs(T)
+            endpoints = [[0] * len(need[0]) for _ in need]
+            for q, deg in enumerate(raw):
+                for b, d in deg:
+                    for r in range(symbol[b] + 1):
+                        endpoints[r][q] += 1
+                    if d != INF:
+                        for r in range(symbol[d] + 1):
+                            endpoints[r][q + 1] += 1
+            assert need == [tuple(row) for row in endpoints], str(T)
+            assert sum(need[ZERO]) == T.finite_endpoint_count()
+        # Per symbol, its pinned block's q-simplices, q over need's degrees.
+        pinned = [[0] * len(need[0]) for _ in need]
+        for i, level in enumerate(levels):
+            if level in symbol and K.dims[i] < len(need[0]):
+                pinned[symbol[level]][K.dims[i]] += 1
+        have = [0] * len(need[0])
+        for r in reversed(range(len(need))):
+            have = [h + n for h, n in zip(have, pinned[r])]
+            assert all(h >= n for h, n in zip(have, need[r])), (str(T), st)
+            tight += r > ZERO and have == list(need[r])
+    assert tight > 0
 
 
 def test_exact_walk_matches_euler_pruning_with_recheck(path5, triangle, interval):

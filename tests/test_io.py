@@ -64,10 +64,15 @@ def _random_scalar(rng):
     return rng.choice(_FLOATS + [rng.uniform(-1e6, 1e6)])
 
 
-def _random_doc(rng, depth=0):
+def _random_doc(rng, depth=0, shared=None):
     """A random nested document over the types dumps writes and those it
-    leaves to json.dumps."""
-    kind = rng.randrange(7) if depth < 4 else 0
+    leaves to json.dumps. Each tuple made is added to `shared`, and a node
+    may be an earlier one of them, so one tuple object comes again at other
+    depths and places; `shared` starts with (1,), (True,) and (1.0,), equal
+    tuples that json writes differently, and a tuple holding a list."""
+    if shared is None:
+        shared = [(1,), (True,), (1.0,), ([1, "a"], (True,))]
+    kind = rng.randrange(8) if depth < 4 else 0
     n = rng.randrange(5)
     if kind == 0:
         return _random_scalar(rng)
@@ -75,24 +80,54 @@ def _random_doc(rng, depth=0):
         pool = rng.choice([[1, -2, 10**20], ["a", "é", '"'], [0, 3, -4, 2**70, True, False]])
         return [rng.choice(pool) for _ in range(n)]
     if kind == 2:
-        return [_random_doc(rng, depth + 1) for _ in range(n)]
+        return [_random_doc(rng, depth + 1, shared) for _ in range(n)]
     if kind == 3:
-        return tuple(_random_doc(rng, depth + 1) for _ in range(n))
+        made = tuple(_random_doc(rng, depth + 1, shared) for _ in range(n))
+        shared.append(made)
+        return made
     if kind == 4:
-        return {_random_str(rng): _random_doc(rng, depth + 1) for _ in range(n)}
+        return {_random_str(rng): _random_doc(rng, depth + 1, shared) for _ in range(n)}
     if kind == 5:  # int, bool, None and float keys, which json writes as strings
-        return {_random_scalar(rng): _random_doc(rng, depth + 1) for _ in range(n)}
+        return {_random_scalar(rng): _random_doc(rng, depth + 1, shared) for _ in range(n)}
+    if kind == 6:
+        return rng.choice(shared)
     return rng.choice([[], {}, (), [[]], {"": {}}])
+
+
+def _tuple_depths(x, depth=0, out=None):
+    """Per tuple object in a document, by id, the depths it comes at."""
+    out = {} if out is None else out
+    if type(x) is tuple:
+        out.setdefault(id(x), []).append(depth)
+    if type(x) in (list, tuple):
+        for v in x:
+            _tuple_depths(v, depth + 1, out)
+    elif type(x) is dict:
+        for v in x.values():
+            _tuple_depths(v, depth + 1, out)
+    return out
 
 
 def test_dumps_writes_the_bytes_of_indented_json_dumps():
     """dumps' own writer gives json.dumps(doc, indent=2) + "\\n" byte for byte,
     over random nested documents, including the values it leaves to json:
-    floats (with inf and nan), dict keys that are not str."""
+    floats (with inf and nan), dict keys that are not str, and tuple objects
+    that come again at one depth and at several, some holding lists. dumps
+    reuses a tuple's text by object and depth, so the equal (1,), (True,)
+    and (1.0,) must each keep their own."""
     rng = random.Random(20211)
+    again = elsewhere = 0
     for _ in range(3000):
         doc = _random_doc(rng)
         assert dumps(doc) == json.dumps(doc, indent=2) + "\n", repr(doc)
+        depths = _tuple_depths(doc).values()
+        again += any(len(d) > len(set(d)) for d in depths)
+        elsewhere += any(len(set(d)) > 1 for d in depths)
+    assert again > 100 and elsewhere > 100
+    one, true, real = (1,), (True,), (1.0,)
+    holder = ([one], true)
+    doc = [one, true, real, [real, true, one, {"a": (one, true, real)}], holder, [holder]]
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_fraction_round_trip():
