@@ -216,6 +216,17 @@ def test_essential_rejects_budget_below_one(capsys, interval_file, budget):
     assert "too large" not in err
 
 
+def test_essential_exhausts_its_budget(capsys):
+    """rp2 is essential over F2, so its walk passes 1000 coface-closed
+    subsets before it could end: exit 1, nothing on stdout."""
+    rp2_file = str(ROOT / "demos" / "complexes" / "rp2.json")
+    code, out, err = run(capsys, "essential", rp2_file, "--field", "2", "--budget", "1000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: too large for exhaustive essentiality: more than 1000 ")
+    assert err.rstrip().endswith("raise --budget")
+
+
 def test_symmetries_document(capsys, triangle_file):
     code, out, _ = run(
         capsys, "symmetries", triangle_file, "--barcode", TYPE_STRINGS["two_circles"]

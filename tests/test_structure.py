@@ -16,6 +16,24 @@ from phfiber.structure import (
 
 from conftest import TYPE_STRINGS, block_masks, block_simplices, rank_mod_p
 
+# Maximal simplices of the complexes the essentiality tests walk whole.
+COMPLEXES = {
+    "interval": [[0, 1]],
+    "triangle": [[0, 1], [1, 2], [0, 2]],
+    "filled_triangle": [[0, 1, 2]],
+    "two_triangles": [[0, 1, 2], [1, 2, 3]],
+    "hollow_tetrahedron": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    "hexagon": [[i, (i + 1) % 6] for i in range(6)],
+    "wedge": [[0, 1], [1, 2], [0, 2], [2, 3], [3, 4], [2, 4]],
+    # K6 minus a perfect matching
+    "octahedron_1_skeleton": [
+        [a, b] for a in range(6) for b in range(a + 1, 6)
+        if (a, b) not in ((0, 1), (2, 3), (4, 5))
+    ],
+    # the hollow tetrahedron with an edge hanging off vertex 3
+    "whisker_tetrahedron": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [3, 4]],
+}
+
 
 def test_interval_top_pair_is_removable(interval):
     a, b, ab = interval.simplices
@@ -78,10 +96,24 @@ def test_essentiality_budget_guard(triangle):
     assert DEFAULT_BUDGET >= 1 << 20
 
 
+def test_essentiality_budget_boundary():
+    """The hexagon is essential and walks 321 coface-closed subsets, the
+    last of them all 12 simplices: a budget of 321 finishes the walk, one
+    less stops at its last mask and names the budget and the size."""
+    K = ph.build_complex(COMPLEXES["hexagon"])
+    assert find_removable_subset(K, budget=321) is None
+    with pytest.raises(
+        DomainError,
+        match=r"^too large for exhaustive essentiality: more than 320 "
+        r"coface-closed subsets by size 12; raise --budget$",
+    ):
+        find_removable_subset(K, budget=320)
+
+
 def test_essentiality_stops_at_the_first_witness():
     """The whisker's vertex and edge are the sixth of 478 coface-closed
     subsets, so a budget of 10 reaches them."""
-    K = ph.build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [3, 4]])
+    K = ph.build_complex(COMPLEXES["whisker_tetrahedron"])
     witness = find_removable_subset(K, budget=10)
     assert [s.vertices for s in witness] == [(4,), (3, 4)]
     assert sum(1 for _ in _upward_closed_masks(K, DEFAULT_BUDGET)) == 478
@@ -125,24 +157,7 @@ def _check_against_relative_homology(K, masks):
 
 
 @pytest.mark.parametrize(
-    "maximal",
-    [
-        [[0, 1]],
-        [[0, 1], [1, 2], [0, 2]],
-        [[0, 1, 2]],
-        [[0, 1, 2], [1, 2, 3]],
-        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-        [[i, (i + 1) % 6] for i in range(6)],
-        [[0, 1], [1, 2], [0, 2], [2, 3], [3, 4], [2, 4]],
-        [
-            [a, b] for a in range(6) for b in range(a + 1, 6)
-            if (a, b) not in ((0, 1), (2, 3), (4, 5))
-        ],
-    ],
-    ids=[
-        "interval", "triangle", "filled_triangle", "two_triangles", "hollow_tetrahedron",
-        "hexagon", "wedge", "octahedron_1_skeleton",
-    ],
+    "maximal", list(COMPLEXES.values()), ids=list(COMPLEXES)
 )
 def test_removability_matches_relative_homology(maximal):
     """By the long exact sequence of (K, sub), sub -> K is a homology
@@ -162,6 +177,35 @@ def test_removability_matches_relative_homology(maximal):
         )
         first = next((s for s in subsets if is_removable(K, s, field).removable), None)
         assert find_removable_subset(K, field) == first
+
+
+def _brute_force_coface_closed(K):
+    """Every nonempty mask holding each coface of its members, found by
+    trying all 2^n masks, with cofaces read off the vertex sets."""
+    n = len(K)
+    vertex_sets = [set(s.vertices) for s in K.simplices]
+    cofaces = [
+        [j for j in range(n) if vertex_sets[i] < vertex_sets[j]] for i in range(n)
+    ]
+    closed = [
+        mask for mask in range(1, 1 << n)
+        if all(
+            mask >> j & 1
+            for i in range(n) if mask >> i & 1
+            for j in cofaces[i]
+        )
+    ]
+    return sorted(closed, key=lambda mask: (bin(mask).count("1"), mask))
+
+
+@pytest.mark.parametrize(
+    "maximal", list(COMPLEXES.values()), ids=list(COMPLEXES)
+)
+def test_upward_closed_masks_match_brute_force(maximal):
+    """The walk yields exactly the nonempty coface-closed subsets, each
+    once, in (size, mask) order; checked against all 2^n masks (n <= 18)."""
+    K = ph.build_complex(maximal)
+    assert list(_upward_closed_masks(K, DEFAULT_BUDGET)) == _brute_force_coface_closed(K)
 
 
 def test_rp2_removability_matches_relative_homology(rp2):
