@@ -64,6 +64,7 @@ from .strata import (
     check_dimension_bound,
     enumerate_filter_strata,
     group_strata_by_barcode,
+    image_records,
     is_lower_star_stratum,
     representative_filter,
     serialize_stratum,

@@ -7,8 +7,8 @@ phfiber, reported as "internal error: ..." on stderr).
 Output goes to stdout, diagnostics to stderr. Every command runs in one
 thread: every barcode, Betti number, inclusion rank and removability test
 comes from the one exact sparse column reduction, persistence._reduce, and
-image grouping and the fiber walk both type strata by one table of
-inclusion ranks, so output bytes depend only on the arguments.
+the image walk, image grouping and the fiber walk all type strata by one
+table of inclusion ranks, so output bytes depend only on the arguments.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .strata import (
     check_dimension_bound,
     enumerate_filter_strata,
     group_strata_by_barcode,
+    image_records,
 )
 from .structure import (
     DEFAULT_BUDGET,
@@ -55,8 +56,7 @@ def _cmd_strata(args) -> str:
 def _cmd_image(args) -> str:
     K = io.load_complex(args.complex)
     field = _field(args)
-    strata = enumerate_filter_strata(K, STRATUM_MODES[args.mode])
-    return io.dumps(io.image_doc(group_strata_by_barcode(K, strata, field)))
+    return io.dumps(io.image_doc(image_records(K, STRATUM_MODES[args.mode], field)))
 
 
 def _cmd_fiber(args) -> str:

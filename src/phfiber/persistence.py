@@ -218,7 +218,8 @@ class _RankTable:
     share one small id, so rows of ids compare and hash as int tuples. A
     caller reads the row of a chain of unions from into[B], B its last mask,
     and calls fill when an entry is missing; the lookup is written out in
-    both callers' hot loops, where a call per row cost image grouping 9%.
+    each caller's hot loop (the image walk, image grouping and the fiber
+    walk), where a call per row cost image grouping 9%.
     The table holds no reference to its complex, which holds the table.
     """
 
@@ -265,14 +266,18 @@ def _rank_barcode(rows: Sequence[Sequence[Sequence[int]]]) -> TotalBarcode:
     k = len(rows)
     barcode = []
     for q in range(len(rows[0][0])):
-        r = [[0] * (k + 1)]  # r[i][j] = r(i, j) in degree q, for i <= j
-        r += [[0] * i + [row[i - 1][q] for row in rows[i - 1 :]] for i in range(1, k + 1)]
         bars: list[Bar] = []
-        for i in range(1, k + 1):
-            ri, rh = r[i], r[i - 1]
-            for j in range(i + 1, k + 1):
-                bars += [(i, j)] * (ri[j - 1] - ri[j] - rh[j - 1] + rh[j])
-            bars += [(i, INF)] * (ri[k] - rh[k])
+        for i in range(k):
+            # alive: r(i+1, j+1) - r(i, j+1), the classes born at block i + 1
+            # that live at block j + 1; each drop ends that many bars there.
+            alive = 0
+            for j in range(i, k):
+                row = rows[j]
+                n = row[i][q] - row[i - 1][q] if i else row[i][q]
+                if alive > n:
+                    bars += [(i + 1, j + 1)] * (alive - n)
+                alive = n
+            bars += [(i + 1, INF)] * alive
         barcode.append(tuple(bars))
     return tuple(barcode)
 

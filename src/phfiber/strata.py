@@ -18,13 +18,18 @@ Simplex objects appear only in the JSON documents.
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels, barcode_of_stratum);
 representative_filter, the same levels over m + 1 as Fractions, is for the
-API. group_strata_by_barcode, which types many strata at once, reads each
-type off K's table of inclusion ranks (persistence._rank_table): a stratum's
-type is fixed by its flags and the ranks of H(P_i) -> H(P_j) between the
-unions P_i of its first blocks (persistent Betti numbers), read by
-inclusion-exclusion (persistence._rank_barcode). The fiber walk prunes on
-the same table. check_dimension_bound reads each fiber's dimension off the
-groups, with no fiber built.
+API. The image types many strata at once off K's table of inclusion ranks
+(persistence._rank_table): a stratum's type is fixed by its flags and the
+ranks of H(P_i) -> H(P_j) between the unions P_i of its blocks (persistent
+Betti numbers), read by inclusion-exclusion (persistence._rank_barcode).
+The last row, the ranks into K, reads each P_i alone, so the type is fixed
+before the last block, and each block prefix is typed once for all its flag
+pairs (_prefix_bars, _shifted_types). image_records is the image: one walk
+over the block table that carries unions, rows and prefix ids and builds no
+stratum. group_strata_by_barcode types strata a caller built, with every
+block checked, and is the walk's oracle. The fiber walk prunes on the same
+table. check_dimension_bound reads each fiber's dimension off the groups,
+with no fiber built.
 """
 from __future__ import annotations
 
@@ -32,10 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .barcodes import CombinatorialBarcode, canonicalize_barcode, format_barcode_type
+from .barcodes import ZERO, CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError, InvariantError
 from .persistence import (
+    INF,
     Filter,
+    TotalBarcode,
     _rank_barcode,
     _rank_table,
     check_monotone,
@@ -196,6 +203,18 @@ def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
     return True
 
 
+def _flag_pairs(mode: str) -> tuple[list, list]:
+    """The end flags of a mode's strata, in text order ("", "+o", "+z",
+    "+z+o"): for strata of several blocks, and for a lone block, which
+    cannot be pinned at both ends."""
+    if mode not in MODES:
+        raise DomainError(f"unknown stratum mode {mode!r}, expected one of {MODES}")
+    flags = [(False, False)]
+    if mode == "all":
+        flags += [(False, True), (True, False), (True, True)]
+    return flags, [f for f in flags if f != (True, True)]
+
+
 def enumerate_filter_strata(
     K: SimplicialComplex, mode: str = "all"
 ) -> tuple[FilterStratum, ...]:
@@ -204,24 +223,27 @@ def enumerate_filter_strata(
     mode "interior_only" keeps both end flags off; "lower_star" walks
     _lower_star_blocks, vertex sets with the simplices they complete, with
     the flags off: exactly the lower-star strata; "all" is everything.
+    Every node has one last block, the rest of K, which the walk turns into
+    its strata in place, one per flag pair, all sharing one blocks tuple.
     """
-    if mode not in MODES:
-        raise DomainError(f"unknown stratum mode {mode!r}, expected one of {MODES}")
-    flags = [(False, False)]
-    if mode == "all":  # in text order: "", "+o", "+z", "+z+o"
-        flags += [(False, True), (True, False), (True, True)]
-    lone = [f for f in flags if f != (True, True)]  # one block cannot be pinned at both ends
+    flags, lone = _flag_pairs(mode)
+    lower_star = mode == "lower_star"
+    table = K.block_tables[lower_star]
     full = (1 << len(K)) - 1
     out: list[FilterStratum] = []
-    children = _lower_star_blocks if mode == "lower_star" else _next_blocks
 
     def walk(placed: int, blocks: tuple[int, ...]) -> None:
-        if placed == full:  # one record per flag pair, all sharing blocks
-            for z, o in flags if len(blocks) > 1 else lone:
-                out.append(_trusted_stratum(blocks, z, o))
-            return
-        for S, _ in children(K, placed):
-            walk(placed | S, blocks + (S,))
+        kids = table.get(placed)
+        if kids is None:
+            kids = _next_blocks(K, placed, lower_star)
+        for S, _ in kids:
+            B = placed | S
+            if B != full:
+                walk(B, blocks + (S,))
+                continue
+            leaf = blocks + (S,)
+            for z, o in flags if blocks else lone:
+                out.append(_trusted_stratum(leaf, z, o))
 
     walk(0, ())
     del walk  # its closure holds walk: break the cycle, which would keep K alive
@@ -332,22 +354,25 @@ def group_strata_by_barcode(
 ) -> tuple[BarcodeStratumRecord, ...]:
     """Group strata by barcode type, sorted by (codimension, type string).
 
-    Member ids are positions in `strata`. Each stratum's type is that of
-    barcode_of_stratum, read off ranks instead of a reduction of all of K.
-    A filtration P_1 < ... < P_k = K has its barcode, in block indices, fixed
-    by the ranks of H(P_i) -> H(P_j) (persistent Betti numbers), and its type
-    by that barcode and the flags. So each block prefix gets an id interned
-    from its parent's id and its row of rank ids (rank(P_1, P_k), ...,
-    rank(P_k, P_k)), read from K's rank table (persistence._rank_table),
-    which keeps them per complex and field, fills a row with a missing rank
-    by one reduction of P_k and gives equal rank vectors one small id.
-    Strata with the same prefix id and flags share one type, which
-    persistence._rank_barcode reads off the prefix's rows and the flags
-    shift to levels as stratum_levels does. A stratum reuses the prefix ids
-    of the blocks it shares with the one before it, so strata in walk order
-    (as enumerate_filter_strata gives them) get one row per block prefix;
-    one whose blocks are the same tuple object as the previous stratum's
-    (the walk's flag variants) skips even the scan for the shared blocks.
+    For strata the caller built; image_records types a mode's strata from
+    one walk, and this is its oracle. Member ids are positions in `strata`.
+    Each stratum's type is that of barcode_of_stratum, read off ranks
+    instead of a reduction of all of K. A filtration P_1 < ... < P_k = K has
+    its barcode, in block indices, fixed by the ranks of H(P_i) -> H(P_j)
+    (persistent Betti numbers), and its type by that barcode and the flags.
+    The last row, the ranks into K, reads each P_i alone, so each block
+    prefix but the whole stratum gets an id interned from its parent's id
+    and its row: the rank ids of H(P_i) -> H(P_j) for its unions P_i, then
+    that of H(P_j) -> H(K) (see _prefix_bars). They come from K's rank table
+    (persistence._rank_table), which keeps them per complex and field, fills
+    a missing row by one reduction of P_j, or of K over the stratum's whole
+    chain for a missing rank into K, and gives equal rank vectors one small
+    id. Strata with the same id for their first k - 1 blocks and the same
+    flags share one type. A stratum reuses the prefix ids of the blocks it
+    shares with the one before it, so strata in walk order (as
+    enumerate_filter_strata gives them) get one row per block prefix; one
+    whose blocks are the same tuple object as the previous stratum's (the
+    walk's flag variants) skips even the scan for the shared blocks.
     Each new block is checked as stratum_levels would: inside the ids of K
     and disjoint from the placed blocks, then holding its faces with them,
     and the last block must cover every id; a failure raises stratum_levels'
@@ -355,13 +380,15 @@ def group_strata_by_barcode(
     """
     full = (1 << len(K)) - 1
     table = _rank_table(K, field)
-    vectors = table.vectors  # rank id -> ranks per degree
+    into = table.into
+    last = into.setdefault(full, {})  # P -> the rank id of H(P) -> H(K)
     closures: dict[int, int] = {}  # block -> the union of its ids' face masks
     interned: dict[tuple, int] = {}  # (parent prefix id, row) -> prefix id
     prev: tuple[int, ...] = ()  # the previous stratum's blocks, each checked
-    unions: list[int] = []  # the union of its first k blocks, per k
-    rows: list[tuple] = []  # the row of rank ids of its first k blocks, per k
-    pids: list[int] = [-1]  # the id of its first k blocks, per k from 0
+    unions: list[int] = []  # the union of its first j blocks, per j
+    rows: list[tuple] = []  # the row of its first j blocks, per j < k
+    pids: list[int] = [-1]  # the id of its first j blocks, per j < k from 0
+    bars: dict[int, TotalBarcode] = {}  # prefix id -> bars in block indices
     members: dict[tuple, list[int]] = {}  # (prefix id, flags) -> its type's group
     groups: dict[CombinatorialBarcode, list[int]] = {}
     for i, st in enumerate(strata):
@@ -373,8 +400,7 @@ def group_strata_by_barcode(
                     break
                 k += 1
             del unions[k:], rows[k:], pids[k + 1 :]
-            pid = pids[k]
-            before = unions[k - 1] if k else 0
+            before = unions[-1] if unions else 0
             for S in new[k:]:
                 B = before | S
                 if S & (before | ~full):
@@ -388,31 +414,108 @@ def group_strata_by_barcode(
                 if faces & ~B:
                     _reject(K, st)
                 unions.append(B)
-                into = table.into.get(B)
-                row = []
-                if into is not None:
-                    for A in unions:
-                        r = into.get(A)
-                        if r is None:
-                            break
-                        row.append(r)
-                if len(row) < len(unions):
-                    row = table.fill(K, field, unions)
-                row = tuple(row)
-                rows.append(row)
-                pid = interned.setdefault((pid, row), len(interned))
-                pids.append(pid)
                 before = B
             if before != full:
                 _reject(K, st)
+            pid = pids[-1]
+            for j in range(len(rows), len(new) - 1):
+                B, chain = unions[j], unions[: j + 1]
+                r = last.get(B)
+                if r is None:
+                    r = table.fill(K, field, unions)[j]
+                try:
+                    row = (*map(into[B].__getitem__, chain), r)
+                except KeyError:
+                    row = (*table.fill(K, field, chain), r)
+                rows.append(row)
+                pid = interned.setdefault((pid, row), len(interned))
+                pids.append(pid)
             prev = new
         key = (pids[-1], st.at_zero, st.at_one)
         group = members.get(key)
         if group is None:
-            rank_rows = [[vectors[r] for r in row] for row in rows]
-            T = _type_of_rank_rows(rank_rows, st.at_zero, st.at_one)
+            b = bars.get(key[0])
+            if b is None:
+                b = bars[key[0]] = _prefix_bars(K, field, rows)
+            (T,) = _shifted_types(b, len(rows) + 1, [key[1:]])
             group = members[key] = groups.setdefault(T, [])
         group.append(i)
+    return _records(K, groups)
+
+
+def image_records(
+    K: SimplicialComplex, mode: str = "all", field: FieldSpec = F2
+) -> tuple[BarcodeStratumRecord, ...]:
+    """group_strata_by_barcode(K, enumerate_filter_strata(K, mode), field),
+    from one walk that builds no stratum.
+
+    The walk is enumerate_filter_strata's, over K's block table for the
+    mode, and a member id is the position at which that walk meets the
+    stratum. Each node carries its union, its row and its prefix id, read
+    as group_strata_by_barcode reads them, so a stratum's type is fixed at
+    the node before its last block: each prefix id is typed once for all
+    its flag pairs, and each stratum is one position appended to its group.
+    Where a rank into K is missing, the table fills it by one reduction of
+    K over the chain of the node's first stratum, the one its leftmost
+    children give, as grouping the enumeration fills it from that stratum.
+    """
+    flags, lone = _flag_pairs(mode)
+    lower_star = mode == "lower_star"
+    block_table = K.block_tables[lower_star]
+    full = (1 << len(K)) - 1
+    table = _rank_table(K, field)
+    into = table.into
+    last = into.setdefault(full, {})  # P -> the rank id of H(P) -> H(K)
+    interned: dict[tuple, int] = {}  # (parent prefix id, row) -> prefix id
+    unions: list[int] = []  # per block on the path, the union up to it
+    rows: list[tuple] = []  # per block on the path, its row
+    typed: dict[int, list] = {}  # prefix id -> per flag pair, its type's group
+    groups: dict[CombinatorialBarcode, list[int]] = {}
+    pos = 0
+
+    def walk(placed: int, pid: int) -> None:
+        nonlocal pos
+        kids = block_table.get(placed)
+        if kids is None:
+            kids = _next_blocks(K, placed, lower_star)
+        for S, _ in kids:
+            B = placed | S
+            if B == full:  # the last block: one stratum per flag pair
+                per_flags = typed.get(pid)
+                if per_flags is None:
+                    b = _prefix_bars(K, field, rows)
+                    types = _shifted_types(b, len(rows) + 1, flags if rows else lone)
+                    per_flags = typed[pid] = [groups.setdefault(T, []) for T in types]
+                for group in per_flags:
+                    group.append(pos)
+                    pos += 1
+                continue
+            unions.append(B)
+            r = last.get(B)
+            if r is None:
+                chain, P = unions[:], B
+                while P != full:
+                    P |= _next_blocks(K, P, lower_star)[0][0]
+                    chain.append(P)
+                r = table.fill(K, field, chain)[len(unions) - 1]
+            try:
+                row = (*map(into[B].__getitem__, unions), r)
+            except KeyError:
+                row = (*table.fill(K, field, unions), r)
+            rows.append(row)
+            walk(B, interned.setdefault((pid, row), len(interned)))
+            rows.pop()
+            unions.pop()
+
+    walk(0, -1)
+    del walk  # its closure holds walk: break the cycle, which would keep K alive
+    return _records(K, groups)
+
+
+def _records(
+    K: SimplicialComplex, groups: dict[CombinatorialBarcode, list[int]]
+) -> tuple[BarcodeStratumRecord, ...]:
+    """One record per type, sorted by (codimension, type string)."""
     records = [
         BarcodeStratumRecord(
             barcode_type=T,
@@ -426,18 +529,65 @@ def group_strata_by_barcode(
     return tuple(records)
 
 
-def _type_of_rank_rows(rows: list, at_zero: bool, at_one: bool) -> CombinatorialBarcode:
-    """barcode_of_stratum for the stratum whose block unions have these rows.
+def _prefix_bars(K: SimplicialComplex, field: FieldSpec, rows: list) -> TotalBarcode:
+    """The bars, in block indices 1..k, of the strata whose first k - 1
+    blocks have these rows in K's rank table.
 
-    rows are persistence._rank_barcode's: rows[j - 1][i - 1] holds the ranks
-    of H(P_i) -> H(P_j) per degree. The bars they give in block indices are
-    shifted to levels as stratum_levels does: block 1 is level 0 when pinned
-    at 0, else 1.
+    rows[j - 1] holds the rank ids of H(P_i) -> H(P_j) for i <= j, then
+    that of H(P_j) -> H(K), for the unions P_j of the first j blocks; the
+    last row of the strata, the ranks into P_k = K, is the last entries
+    and the rank of H(K) -> H(K), read off K's Betti numbers.
     """
-    z = at_zero
-    bars = _rank_barcode(rows)
-    levels = tuple(tuple((b - z, d - z) for b, d in deg) for deg in bars)
-    return canonicalize_barcode(levels, len(rows) - z - at_one + 1)
+    full = (1 << len(K)) - 1
+    table = _rank_table(K, field)
+    top = table.into[full].get(full)
+    if top is None:  # no row into K read yet: one reduction of K alone
+        (top,) = table.fill(K, field, [full])
+    vectors = table.vectors
+    rank_rows = [[vectors[r] for r in row[:-1]] for row in rows]
+    rank_rows.append([vectors[row[-1]] for row in rows] + [vectors[top]])
+    return _rank_barcode(rank_rows)
+
+
+def _shifted_types(bars: TotalBarcode, k: int, flags: Iterable) -> list[CombinatorialBarcode]:
+    """barcode_of_stratum for each flag pair of the strata of k blocks whose
+    bars in block indices are `bars` (sorted, as persistence._rank_barcode
+    gives them).
+
+    Block i sits at level i - at_zero, as stratum_levels puts it, so block 1
+    is ZERO when pinned at 0, block k is ONE when pinned at 1, the other
+    endpoint blocks take the ranks 1..m in order, and INF is m + 2. This is
+    canonicalize_barcode of the shifted levels; the map keeps the order of
+    the bars, and they are valid by construction, so the types are built
+    unchecked.
+    """
+    ends = sorted({e for deg in bars for bar in deg for e in bar if e != INF})
+    while bars and not bars[-1]:
+        bars = bars[:-1]
+    types = []
+    for at_zero, at_one in flags:
+        symbol = {}
+        m = 0
+        for e in ends:
+            if at_zero and e == 1:
+                symbol[e] = ZERO
+            elif at_one and e == k:  # the largest endpoint, after every rank
+                symbol[e] = m + 1
+            else:
+                m += 1
+                symbol[e] = m
+        symbol[INF] = m + 2
+        degrees = tuple(tuple([(symbol[b], symbol[d]) for b, d in deg]) for deg in bars)
+        types.append(_trusted_barcode(m, degrees))
+    return types
+
+
+def _trusted_barcode(dim: int, degrees: tuple) -> CombinatorialBarcode:
+    """CombinatorialBarcode(dim, degrees) without its checks, for types
+    built valid by construction (_shifted_types)."""
+    T = object.__new__(CombinatorialBarcode)
+    T.__dict__.update(dim=dim, degrees=degrees)
+    return T
 
 
 def _reject(K: SimplicialComplex, stratum: FilterStratum) -> None:

@@ -17,7 +17,7 @@ from phfiber.persistence import (
     _rank_table,
     level_barcode,
 )
-from phfiber.strata import _closed_subsets, _type_of_rank_rows, mask_ids, stratum_levels
+from phfiber.strata import _closed_subsets, _shifted_types, mask_ids, stratum_levels
 
 from conftest import COMPLEX_POOL, rank_mod_p
 
@@ -294,8 +294,8 @@ def test_rank_rows_rebuild_the_barcode_and_the_stratum_type(rp2):
     """Image grouping's typing against level_barcode on random block
     filtrations P_1 < ... < P_k = K: _rank_barcode reads the bars in block
     indices off the rows of inclusion ranks rank(P_i, P_j), and with each
-    pair of end flags _type_of_rank_rows gives the type of the shifted
-    levels. RP^2 has a degree-2 bar over F2 but not over F3."""
+    pair of end flags _shifted_types gives the type of the shifted levels,
+    canonicalize_barcode's. RP^2 has a degree-2 bar over F2 but not over F3."""
     rng = random.Random(2)
     complexes = [ph.build_complex(maximal) for maximal in COMPLEX_POOL] + [rp2]
     cases = [(K, _random_levels(K, rng)) for K in complexes for _ in range(8)]
@@ -314,14 +314,15 @@ def test_rank_rows_rebuild_the_barcode_and_the_stratum_type(rp2):
             for q, deg in enumerate(bars):
                 counts[K is rp2, p, q, "inf"] += sum(1 for _, d in deg if d == INF)
                 counts[K is rp2, p, q, "finite"] += sum(1 for _, d in deg if d != INF)
-            for at_zero, at_one in flags:
-                if k == 1 and at_zero and at_one:
-                    continue
-                shifted = [b - at_zero for b in block]
-                expected = canonicalize_barcode(
-                    level_barcode(K, shifted, field), k - at_zero - at_one + 1
+            pairs = flags if k > 1 else flags[:3]  # a lone block is not pinned at both ends
+            expected = [
+                canonicalize_barcode(
+                    level_barcode(K, [b - at_zero for b in block], field),
+                    k - at_zero - at_one + 1,
                 )
-                assert _type_of_rank_rows(rows, at_zero, at_one) == expected, (levels, p)
+                for at_zero, at_one in pairs
+            ]
+            assert _shifted_types(bars, k, pairs) == expected, (levels, p)
     for q in (0, 1):
         for p in (2, 3):
             assert counts[True, p, q, "finite"] and counts[False, p, q, "finite"], (p, q)

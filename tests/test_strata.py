@@ -480,14 +480,26 @@ def test_grouping_does_not_depend_on_shared_block_tuples(maximal, mode, p):
         ([[0, 1], [1, 2], [2, 3], [0, 3]], "interior_only"),
         ([[0, 1, 2]], "all"),
         ([[0, 1], [2, 3]], "all"),
+        ([[0, 1], [1, 2], [0, 2]], "all"),
+        ([[0, 1], [1, 2], [2, 3], [0, 3]], "all"),
     ],
-    ids=["path4_all", "square_interior", "filled_triangle_all", "two_intervals_all"],
+    ids=[
+        "path4_all",
+        "square_interior",
+        "filled_triangle_all",
+        "two_intervals_all",
+        "triangle_all",
+        "square_all",
+    ],
 )
 def test_grouping_matches_barcode_of_stratum_on_every_stratum(maximal, mode, p):
     """Oracle for the rank-table typing of group_strata_by_barcode: each
     stratum's type is barcode_of_stratum's, which reduces all of K at once.
     The filled triangle has degree-1 classes killed by a 2-simplex, and the
-    two intervals an H0 of rank 2."""
+    two intervals an H0 of rank 2. In all mode each block prefix is typed
+    once and its four flag pairs shift the same bars (_shifted_types); the
+    hollow triangle and square have bars at both ends, so every flag pair
+    pins an endpoint somewhere."""
     K = ph.build_complex(maximal)
     field = ph.FieldSpec(p)
     strata = ph.enumerate_filter_strata(K, mode)
@@ -529,6 +541,76 @@ def test_grouping_reduces_only_for_its_rank_table(
     records = ph.group_strata_by_barcode(K, ph.enumerate_filter_strata(K, mode), ph.FieldSpec(p))
     assert len(records) == types
     assert len(calls) == reductions
+
+
+WALKED_COMPLEXES = {
+    "vertex": [[0]],
+    "two_points": [[0], [1]],
+    "interval": [[0, 1]],
+    "triangle": [[0, 1], [1, 2], [0, 2]],
+    "filled_triangle": [[0, 1, 2]],
+    "square": [[0, 1], [1, 2], [2, 3], [0, 3]],
+    "path4": [[0, 1], [1, 2], [2, 3]],
+    "triangle_whisker": [[0, 1], [1, 2], [0, 2], [2, 3]],
+    "two_triangles": [[0, 1], [1, 2], [0, 2], [1, 3], [2, 3]],
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "maximal, mode",
+    [(maximal, mode) for maximal in WALKED_COMPLEXES.values() for mode in MODES]
+    + [("rp2", "lower_star"), ([[0, 1, 2], [1, 2, 3]], "lower_star")],
+    ids=[f"{name}_{mode}" for name in WALKED_COMPLEXES for mode in MODES]
+    + ["rp2_lower_star", "two_filled_triangles_lower_star"],
+)
+def test_image_walk_equals_grouping_over_the_enumeration(maximal, mode, p):
+    """image_records types every stratum inside its one walk; grouping the
+    enumeration, with its checks, is the oracle. Each side gets its own
+    complex, so neither reads rank rows the other filled. A single vertex
+    and the interval have one-block strata, whose flag pairs are the lone
+    ones; the two hollow triangles share an edge. The filled pair's
+    all-mode image has 5,779,439 strata, so it runs in lower-star mode only,
+    with rp2."""
+
+    def build():
+        if maximal == "rp2":
+            return ph.load_complex(DEMO_COMPLEXES / "rp2.json")
+        return ph.build_complex(maximal)
+
+    field = ph.FieldSpec(p)
+    K = build()
+    expected = ph.group_strata_by_barcode(K, ph.enumerate_filter_strata(K, mode), field)
+    assert ph.image_records(build(), mode, field) == expected
+
+
+@pytest.mark.parametrize(
+    "maximal, mode, p, reductions",
+    [
+        ([[0, 1], [1, 2], [2, 3], [0, 3]], "interior_only", 2, 603),
+        ([[0, 1], [1, 2], [2, 3]], "all", 3, 319),
+    ],
+    ids=["square_interior", "path4_all"],
+)
+def test_image_walk_reduces_as_grouping_does(monkeypatch, maximal, mode, p, reductions):
+    """The walk fills a missing rank into K from the chain of the first
+    stratum below the node, the one grouping the enumeration fills it from,
+    so it runs the column reduction as often as grouping does."""
+    calls = []
+    reduce = ph.persistence._reduce
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(ph.persistence, "_reduce", counted)
+    ph.image_records(ph.build_complex(maximal), mode, ph.FieldSpec(p))
+    assert len(calls) == reductions
+
+
+def test_image_walk_rejects_an_unknown_mode(triangle):
+    with pytest.raises(DomainError, match="unknown stratum mode"):
+        ph.image_records(triangle, "everything")
 
 
 def test_grouping_members_have_the_grouped_barcode(triangle, triangle_records):
@@ -640,7 +722,7 @@ def test_fibers_on_one_complex_share_its_block_table(maximal, mode):
 
 def test_walks_leave_no_reference_cycle_holding_the_complex():
     """With the cyclic collector off, a complex dies as soon as its last
-    reference goes, after either walk and after grouping: no walk closure is
+    reference goes, after any walk and after grouping: no walk closure is
     left holding itself, and with it K, its rank tables and its block tables,
     which hold no reference to K."""
 
@@ -664,6 +746,7 @@ def test_walks_leave_no_reference_cycle_holding_the_complex():
         assert dies(lambda K: ph.enumerate_filter_strata(K, "lower_star"))
         assert dies(lambda K: ph.fiber_complex(K, T))
         assert dies(lambda K: ph.group_strata_by_barcode(K, ph.enumerate_filter_strata(K, "all")))
+        assert dies(lambda K: ph.image_records(K, "all"))
         assert dies(fiber_after_enumeration)
     finally:
         gc.enable()
