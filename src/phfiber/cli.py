@@ -27,7 +27,6 @@ from .strata import (
     _next_blocks,
     check_dimension_bound,
     enumerate_filter_strata,
-    group_strata_by_barcode,
     image_records,
 )
 from .structure import (
@@ -101,9 +100,11 @@ def _cmd_check_bounds(args) -> str:
     K = io.load_complex(args.complex)
     field = _field(args)
     mode = STRATUM_MODES[args.mode]
-    strata = enumerate_filter_strata(K, mode)
-    records = group_strata_by_barcode(K, strata, field)
-    if mode == "lower_star":
+    # member ids are positions in enumerate_filter_strata(K, mode)
+    records = image_records(K, mode, field)
+    if mode != "lower_star":
+        strata = enumerate_filter_strata(K, mode)
+    else:
         # The bound is the all-mode fiber's, whose top cells lower-star
         # groups miss: each type's members become the strata of its
         # all-mode fiber walk, the fiber's cells, with no fiber built.
@@ -199,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_BUDGET,
         metavar="N",
-        help=f"candidate subset limit (default {DEFAULT_BUDGET})",
+        help=f"most coface-closed subsets the search keeps (default {DEFAULT_BUDGET})",
     )
 
     p = add("symmetries", _cmd_symmetries, "automorphism action on a fiber")

@@ -25,6 +25,8 @@ from .simplicial import (
 )
 from .strata import FilterStratum, mask_ids
 
+# The most coface-closed subsets the essentiality search may keep, counting
+# every set it builds and does not drop (_zero_count_masks), count 0 or not.
 DEFAULT_BUDGET = 1 << 20
 
 
@@ -88,49 +90,65 @@ def is_removable(
     return RemovabilityReport(ordered, True, _inclusion_is_iso(K, removed, field))
 
 
-def _upward_closed_masks(K: SimplicialComplex, budget: int) -> Iterator[int]:
-    """Masks of the nonempty coface-closed subsets in (size, mask) order.
+def _zero_count_masks(K: SimplicialComplex, budget: int) -> Iterator[int]:
+    """Masks of the nonempty coface-closed subsets with Euler count 0, in
+    (size, mask) order.
 
-    Only these subsets have subcomplex complements. Each set is built once,
-    from its parent: the set minus its lowest id. That parent is
-    coface-closed too, since faces have smaller ids than their cofaces, so
-    the lowest id is a coface of no other member. So the sets of size k+1
-    are the sets M of size k, each extended by one id below M's lowest whose
-    cofaces all lie in M; no set arises twice. The children of M lie between
-    M and M plus its lowest bit, and any larger mask of M's size lies past
-    that, so building from the parents in mask order, each through the ids
-    in increasing order, yields every level already sorted. A size is built
-    only once the last one was consumed; past `budget` masks, DomainError.
+    Only coface-closed subsets have subcomplex complements, and only those
+    with count 0 can be removable (_inclusion_is_iso). The sets form a tree:
+    each set's parent is the set minus its lowest id, which is coface-closed
+    too, since faces have smaller ids than their cofaces. A set M with lowest
+    id l grows only by its candidates, the ids x < l whose cofaces with id
+    >= l lie in M, and its children are M plus one candidate with no coface
+    below l; no set arises twice. So the Euler count of every set in M's
+    subtree lies between chi(M) minus its odd candidates and chi(M) plus its
+    even ones, and when 0 lies outside that range the walk drops M with its
+    whole subtree (branch and bound). A child's candidates are its parent's
+    below it, less the faces of the ids between it and l.
+
+    The children of M lie between M and M plus its lowest bit, and any larger
+    mask of M's size lies past that, so building from the kept parents in
+    mask order, each through its children in increasing order, keeps every
+    level sorted. A size is built only once the last one was consumed, and
+    only as far as the budget reaches; past `budget` kept sets, DomainError.
     """
-    n = len(K)
-    coface_masks = [0] * n
-    for j in range(n):
-        faces = K.face_masks[j]
-        for i in range(n):
-            if faces >> i & 1:
-                coface_masks[i] |= 1 << j
-    steps = [(1 << i, coface_masks[i]) for i in range(n)]
-    level = [0]
+    n, odd, faces = len(K), K.odd_mask, K.face_masks
+    level = [(0, 0, (1 << n) - 1)]  # per kept set: mask, Euler count, candidates
     count = size = 0
     while True:
-        # ids below the lowest set bit; every id below the empty set
-        level = [
-            mask | bit
-            for mask in level
-            for bit, cofaces in steps[:(mask & -mask).bit_length() - 1 if mask else n]
-            if mask & cofaces == cofaces
-        ]
-        if not level:
+        kept = []
+        for mask, chi, live in level:
+            kids = []
+            # ids below the lowest set bit, downward; every id below the empty
+            # set. At x, live holds the candidates <= x with no coface between
+            # x and that bit, so x makes a child exactly when it is in live.
+            low = (mask & -mask).bit_length() - 1 if mask else n
+            for x in range(low - 1, -1, -1):
+                bit = 1 << x
+                if live & bit:
+                    below = live & (bit - 1)
+                    c = chi - 1 if odd & bit else chi + 1
+                    if c - (below & odd).bit_count() <= 0 <= c + (below & ~odd).bit_count():
+                        kids.append((mask | bit, c, below))
+                live &= ~faces[x] & (bit - 1)
+                if not live:
+                    break
+            kept += reversed(kids)
+            if len(kept) > budget - count:
+                break
+        if not kept:
             return
+        level = kept
         size += 1
-        for mask in level:
+        for mask, chi, _ in level:
             count += 1
             if count > budget:
                 raise DomainError(
                     "too large for exhaustive essentiality: more than "
-                    f"{budget} coface-closed subsets by size {size}; raise --budget"
+                    f"{budget} coface-closed subsets kept by size {size}; raise --budget"
                 )
-            yield mask
+            if not chi:
+                yield mask
 
 
 def find_removable_subset(
@@ -138,18 +156,19 @@ def find_removable_subset(
 ) -> tuple[Simplex, ...] | None:
     """First nonempty removable subset in (size, mask) order, or None.
 
-    Every walked mask is coface-closed, so its complement is a subcomplex
-    and only the homology test remains; removing all of K never counts. A
-    removable subset has Euler count 0, since it is a basis of the relative
-    chains of a pair with no relative homology, so the test reduces only the
-    masks with count 0 (_inclusion_is_iso); the rest are skipped in walk
-    order, which leaves the first witness unchanged. A budget below 1 is a
-    DomainError.
+    A removable subset has Euler count 0, since it is a basis of the relative
+    chains of a pair with no relative homology (_inclusion_is_iso), and its
+    complement is a subcomplex, so it is coface-closed. The walk
+    (_zero_count_masks) drops every coface-closed set whose subtree cannot
+    reach count 0 and yields the rest of count 0 in (size, mask) order, so
+    the first witness is unchanged; each is reduced, and removing all of K
+    never counts. `budget` bounds the sets the walk keeps, count 0 or not;
+    past it, DomainError. A budget below 1 is a DomainError.
     """
     if budget < 1:
         raise DomainError(f"essentiality budget must be at least 1, got {budget}")
     full = (1 << len(K)) - 1
-    for mask in _upward_closed_masks(K, budget):
+    for mask in _zero_count_masks(K, budget):
         if mask != full and _inclusion_is_iso(K, mask, field):
             return tuple(K.simplices[i] for i in mask_ids(mask))
     return None

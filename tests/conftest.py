@@ -178,6 +178,52 @@ def stratum_closure_leq(low, high):
     return True
 
 
+def upward_closed_masks(K, budget):
+    """Masks of the nonempty coface-closed subsets in (size, mask) order: the
+    full walk, the oracle for structure._zero_count_masks, which prunes it.
+
+    Only these subsets have subcomplex complements. Each set is built once,
+    from its parent: the set minus its lowest id. That parent is
+    coface-closed too, since faces have smaller ids than their cofaces, so
+    the lowest id is a coface of no other member. So the sets of size k+1
+    are the sets M of size k, each extended by one id below M's lowest whose
+    cofaces all lie in M; no set arises twice. The children of M lie between
+    M and M plus its lowest bit, and any larger mask of M's size lies past
+    that, so building from the parents in mask order, each through the ids
+    in increasing order, yields every level already sorted. A size is built
+    only once the last one was consumed; past `budget` masks, DomainError.
+    """
+    n = len(K)
+    coface_masks = [0] * n
+    for j in range(n):
+        faces = K.face_masks[j]
+        for i in range(n):
+            if faces >> i & 1:
+                coface_masks[i] |= 1 << j
+    steps = [(1 << i, coface_masks[i]) for i in range(n)]
+    level = [0]
+    count = size = 0
+    while True:
+        # ids below the lowest set bit; every id below the empty set
+        level = [
+            mask | bit
+            for mask in level
+            for bit, cofaces in steps[:(mask & -mask).bit_length() - 1 if mask else n]
+            if mask & cofaces == cofaces
+        ]
+        if not level:
+            return
+        size += 1
+        for mask in level:
+            count += 1
+            if count > budget:
+                raise ph.DomainError(
+                    "too large for exhaustive essentiality: more than "
+                    f"{budget} coface-closed subsets by size {size}; raise --budget"
+                )
+            yield mask
+
+
 def per_type_dimension_bound(K, records, field=ph.F2):
     """The oracle for check_dimension_bound: each type's all-mode fiber built,
     its top cell's dimension read (fiber_dimension), one fiber per record."""

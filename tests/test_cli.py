@@ -233,8 +233,8 @@ def test_essential_rejects_budget_below_one(capsys, interval_file, budget):
 
 
 def test_essential_exhausts_its_budget(capsys):
-    """rp2 is essential over F2, so its walk passes 1000 coface-closed
-    subsets before it could end: exit 1, nothing on stdout."""
+    """rp2 is essential over F2, so its walk keeps more than 1000
+    coface-closed subsets before it could end: exit 1, nothing on stdout."""
     rp2_file = str(ROOT / "demos" / "complexes" / "rp2.json")
     code, out, err = run(capsys, "essential", rp2_file, "--field", "2", "--budget", "1000")
     assert code == 1

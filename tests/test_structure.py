@@ -9,12 +9,18 @@ import phfiber as ph
 from phfiber import DomainError
 from phfiber.structure import (
     DEFAULT_BUDGET,
-    _upward_closed_masks,
+    _zero_count_masks,
     find_removable_subset,
     is_removable,
 )
 
-from conftest import TYPE_STRINGS, block_masks, block_simplices, rank_mod_p
+from conftest import (
+    TYPE_STRINGS,
+    block_masks,
+    block_simplices,
+    rank_mod_p,
+    upward_closed_masks,
+)
 
 # Maximal simplices of the complexes the essentiality tests walk whole.
 COMPLEXES = {
@@ -97,26 +103,39 @@ def test_essentiality_budget_guard(triangle):
 
 
 def test_essentiality_budget_boundary():
-    """The hexagon is essential and walks 321 coface-closed subsets, the
-    last of them all 12 simplices: a budget of 321 finishes the walk, one
-    less stops at its last mask and names the budget and the size."""
+    """The hexagon is essential, and its walk keeps 33 of its 321
+    coface-closed subsets, the last of them all 12 simplices: a budget of 33
+    finishes the walk, one less stops at its last kept set and names the
+    budget, what it counts and the size."""
     K = ph.build_complex(COMPLEXES["hexagon"])
-    assert find_removable_subset(K, budget=321) is None
+    assert find_removable_subset(K, budget=33) is None
     with pytest.raises(
         DomainError,
-        match=r"^too large for exhaustive essentiality: more than 320 "
-        r"coface-closed subsets by size 12; raise --budget$",
+        match=r"^too large for exhaustive essentiality: more than 32 "
+        r"coface-closed subsets kept by size 12; raise --budget$",
     ):
-        find_removable_subset(K, budget=320)
+        find_removable_subset(K, budget=32)
 
 
 def test_essentiality_stops_at_the_first_witness():
     """The whisker's vertex and edge are the sixth of 478 coface-closed
-    subsets, so a budget of 10 reaches them."""
+    subsets and come before the tenth the walk keeps, so a budget of 10
+    reaches them."""
     K = ph.build_complex(COMPLEXES["whisker_tetrahedron"])
     witness = find_removable_subset(K, budget=10)
     assert [s.vertices for s in witness] == [(4,), (3, 4)]
-    assert sum(1 for _ in _upward_closed_masks(K, DEFAULT_BUDGET)) == 478
+    assert sum(1 for _ in upward_closed_masks(K, DEFAULT_BUDGET)) == 478
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("p", [2, 3])
+def test_complete_graph_1_skeleta_are_essential_within_the_default_budget(n, p):
+    """The 1-skeleta of K7 and K8 (28 and 36 simplices) have no coface-closed
+    subset with Euler count 0: a set holding k vertices holds their edges,
+    at least k(n - 1) - k(k - 1)/2 of them. The walk keeps 139 and 413
+    sets; the full walk passes more than DEFAULT_BUDGET on both."""
+    K = ph.build_complex([[a, b] for a in range(n) for b in range(a + 1, n)])
+    assert find_removable_subset(K, ph.FieldSpec(p)) is None
 
 
 def test_removability_agrees_across_fields(interval):
@@ -167,13 +186,13 @@ def test_removability_matches_relative_homology(maximal):
     perfect matching; 6,208 subsets) no coface-closed subset but the whole
     complex has Euler count 0, so the Euler count alone decides every one."""
     K = ph.build_complex(maximal)
-    _check_against_relative_homology(K, _upward_closed_masks(K, DEFAULT_BUDGET))
+    _check_against_relative_homology(K, upward_closed_masks(K, DEFAULT_BUDGET))
     # the search returns the first walked subset that is_removable accepts
     for p in (2, 3):
         field = ph.FieldSpec(p)
         subsets = (
             tuple(block_simplices(K, mask))
-            for mask in _upward_closed_masks(K, DEFAULT_BUDGET)
+            for mask in upward_closed_masks(K, DEFAULT_BUDGET)
         )
         first = next((s for s in subsets if is_removable(K, s, field).removable), None)
         assert find_removable_subset(K, field) == first
@@ -205,11 +224,34 @@ def test_upward_closed_masks_match_brute_force(maximal):
     """The walk yields exactly the nonempty coface-closed subsets, each
     once, in (size, mask) order; checked against all 2^n masks (n <= 18)."""
     K = ph.build_complex(maximal)
-    assert list(_upward_closed_masks(K, DEFAULT_BUDGET)) == _brute_force_coface_closed(K)
+    assert list(upward_closed_masks(K, DEFAULT_BUDGET)) == _brute_force_coface_closed(K)
+
+
+@pytest.mark.parametrize(
+    "maximal", list(COMPLEXES.values()), ids=list(COMPLEXES)
+)
+def test_zero_count_walk_keeps_the_full_walks_count_0_sets(maximal):
+    """Branch and bound drops no set with Euler count 0: the walk yields
+    exactly the full walk's count-0 sets, in the same order."""
+    K = ph.build_complex(maximal)
+    assert list(_zero_count_masks(K, DEFAULT_BUDGET)) == [
+        m for m in upward_closed_masks(K, DEFAULT_BUDGET) if K.euler_count(m) == 0
+    ]
+
+
+def test_zero_count_walk_keeps_rp2s_count_0_sets(rp2):
+    """9,126 of rp2's 147,244 coface-closed subsets have Euler count 0; the
+    walk keeps 27,035 sets and yields those 9,126, in order."""
+    want = [m for m in upward_closed_masks(rp2, DEFAULT_BUDGET) if rp2.euler_count(m) == 0]
+    assert len(want) == 9_126
+    assert list(_zero_count_masks(rp2, DEFAULT_BUDGET)) == want
+    assert list(_zero_count_masks(rp2, 27_035)) == want
+    with pytest.raises(DomainError, match="more than 27034 "):
+        list(_zero_count_masks(rp2, 27_034))
 
 
 def test_rp2_removability_matches_relative_homology(rp2):
-    masks = list(_upward_closed_masks(rp2, DEFAULT_BUDGET))
+    masks = list(upward_closed_masks(rp2, DEFAULT_BUDGET))
     assert len(masks) == 147_244
     _check_against_relative_homology(rp2, masks[:500])
 
