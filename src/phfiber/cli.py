@@ -200,7 +200,11 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_BUDGET,
         metavar="N",
-        help=f"most coface-closed subsets the search keeps (default {DEFAULT_BUDGET})",
+        help=(
+            "most coface-closed subsets the search keeps, removable or not; it "
+            "drops a subset once its Euler count and its relative Betti total "
+            f"can no longer reach 0 (default {DEFAULT_BUDGET})"
+        ),
     )
 
     p = add("symmetries", _cmd_symmetries, "automorphism action on a fiber")

@@ -6,7 +6,9 @@ homology degree 0..dim K, of sorted bar tuples (birth, death); deaths are
 either a value or INF. Zero-length bars are suppressed.
 
 One column reduction (Edelsbrunner, Letscher and Zomorodian 2002), _reduce,
-computes every barcode, rank and Betti number in the package. It reads its
+computes every barcode, rank and Betti number in the package but one: the
+essentiality search (structure) reduces coboundary columns one at a time
+against shared chains of earlier columns, and never reduces K. It reads its
 columns from a boundary source, facet ids with coefficients +-1, so the one
 loop reduces simplicial complexes and the cellular chain complexes of fibers
 alike, and _betti is the one Betti reader for both. level_barcode reads a

@@ -2,13 +2,22 @@
 
 A subset of simplices is removable when deleting it leaves a subcomplex whose
 inclusion induces an isomorphism on homology; a complex with no nonempty
-removable subset is essential. Lower-star filters are the filters determined
-by their vertex values. The automorphism group of the complex acts on every
-fiber by permuting cells.
+removable subset is essential. Removing R is allowed exactly when the
+relative cohomology H*(K, K - R) vanishes, and the essentiality search reads
+that off the rank of K's coboundary restricted to R (de Silva, Morozov and
+Vejdemo-Johansson, Dualities in persistent (co)homology, Inverse Problems 27,
+2011): the defect d(R) = |R| - 2 rank is its total dimension. The search
+grows coface-closed sets one simplex at a time, so each set adds one column
+to its parent's reduced coboundary, and it drops a set once neither d nor the
+Euler count, |chi| <= d, can still reach 0. is_removable reads removability
+off one 0/1 filter's barcode of K instead. Lower-star filters are the filters
+determined by their vertex values. The automorphism group of the complex
+acts on every fiber by permuting cells.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError
@@ -26,7 +35,7 @@ from .simplicial import (
 from .strata import FilterStratum, mask_ids
 
 # The most coface-closed subsets the essentiality search may keep, counting
-# every set it builds and does not drop (_zero_count_masks), count 0 or not.
+# every set it builds and does not drop (_removable_masks), removable or not.
 DEFAULT_BUDGET = 1 << 20
 
 
@@ -50,7 +59,10 @@ def _inclusion_is_iso(K: SimplicialComplex, removed: int, field: FieldSpec) -> b
     is an isomorphism exactly when H(K, sub) = 0. The relative chains have
     the removed simplices R as a basis, so the alternating sum of the
     relative Betti numbers is the Euler count of R over every field, and a
-    nonzero count rules the removal out before any column reduction.
+    nonzero count rules the removal out before any column reduction. Their
+    total is the defect d(R) that the essentiality search carries
+    (_removable_masks), so |chi(R)| <= d(R), and this test, which reduces
+    all of K, is is_removable's and the search's oracle, not its step.
 
     Otherwise filter K by level 0 on sub and 1 on R; is_removable's
     closedness check is exactly the monotonicity of these levels. Their
@@ -90,21 +102,118 @@ def is_removable(
     return RemovabilityReport(ordered, True, _inclusion_is_iso(K, removed, field))
 
 
-def _zero_count_masks(K: SimplicialComplex, budget: int) -> Iterator[int]:
-    """Masks of the nonempty coface-closed subsets with Euler count 0, in
-    (size, mask) order.
+def _removal_table(K: SimplicialComplex, field: FieldSpec) -> tuple[list, list, list]:
+    """The per-simplex lists _removable_masks reads, built once per complex
+    and field and kept on K, like its rank tables.
 
-    Only coface-closed subsets have subcomplex complements, and only those
-    with count 0 can be removable (_inclusion_is_iso). The sets form a tree:
-    each set's parent is the set minus its lowest id, which is coface-closed
-    too, since faces have smaller ids than their cofaces. A set M with lowest
-    id l grows only by its candidates, the ids x < l whose cofaces with id
-    >= l lie in M, and its children are M plus one candidate with no coface
-    below l; no set arises twice. So the Euler count of every set in M's
-    subtree lies between chi(M) minus its odd candidates and chi(M) plus its
-    even ones, and when 0 lies outside that range the walk drops M with its
-    whole subtree (branch and bound). A child's candidates are its parent's
-    below it, less the faces of the ids between it and l.
+    Per simplex x: its coboundary column over field, the cofaces y of x one
+    dimension up with the coefficient (-1) ** i of x as facet i of y (an int
+    bitmask of the y over F2, a dict y -> coefficient mod p otherwise, scaled
+    so that its lead coefficient is 1); the column's lead, the bit of its
+    lowest row (0 for a zero column); and the ids below x that are not faces
+    of x, as a mask.
+    """
+    p = field.characteristic
+    table = K.removal_tables.get(p)
+    if table is None:
+        n, facet_ids = len(K), K.facet_ids
+        first_edge = K.dim_masks[0].bit_count()  # vertices have no facets
+        if p == 2:
+            cols = [0] * n
+            for y in range(first_edge, n):
+                bit = 1 << y
+                for x in facet_ids[y]:
+                    cols[x] |= bit
+            leads = [col & -col for col in cols]
+        else:
+            signed: list[dict[int, int]] = [{} for _ in range(n)]
+            for y in range(first_edge, n):
+                for i, x in enumerate(facet_ids[y]):
+                    signed[x][y] = -1 if i & 1 else 1
+            cols = []
+            for col in signed:
+                unit = col[min(col)] if col else 1  # -1 is its own inverse
+                cols.append({y: c * unit % p for y, c in col.items()})
+            leads = [1 << min(col) if col else 0 for col in cols]
+        keeps = [(1 << x) - 1 ^ faces for x, faces in enumerate(K.face_masks)]
+        table = K.removal_tables[p] = (cols, leads, keeps)
+    return table
+
+
+def _reduce_f2(col: int, lead: int, pivots: int, basis: tuple) -> tuple[int, int]:
+    """col, whose lead is one of the pivots of the basis chain, reduced
+    against the chain over F2; the reduced column and its lead (both 0 when
+    it reduces to zero). Each step finds the link holding the lead by
+    walking the chain, which is no longer than the rank."""
+    while True:
+        link = basis
+        while link[1] != lead:
+            link = link[3]
+        col ^= link[2]
+        lead = col & -col
+        if not pivots & lead:
+            return col, lead
+
+
+def _reduce_mod_p(
+    col: dict, lead: int, pivots: int, basis: tuple, p: int
+) -> tuple[dict, int]:
+    """As _reduce_f2, over F_p, on sparse columns (rows -> coefficients)
+    whose lead coefficients are 1; the reduced column is scaled to keep that."""
+    col = dict(col)
+    while True:
+        link = basis
+        while link[1] != lead:
+            link = link[3]
+        factor = col[lead.bit_length() - 1]
+        for r, c in link[2].items():
+            v = (col.get(r, 0) - factor * c) % p
+            if v:
+                col[r] = v
+            else:
+                del col[r]
+        if not col:
+            return col, 0
+        row = min(col)
+        lead = 1 << row
+        if not pivots & lead:
+            unit = pow(col[row], -1, p)
+            return {r: c * unit % p for r, c in col.items()}, lead
+
+
+def _removable_masks(
+    K: SimplicialComplex, field: FieldSpec, budget: int
+) -> Iterator[int]:
+    """Masks of the nonempty removable subsets, in (size, mask) order.
+
+    Only coface-closed subsets have subcomplex complements. The sets form a
+    tree: each set's parent is the set minus its lowest id, which is
+    coface-closed too, since faces have smaller ids than their cofaces. A set
+    M with lowest id l grows only by its candidates, the ids x < l whose
+    cofaces with id >= l lie in M, and its children are M plus one candidate
+    with no coface below l; no set arises twice. A child's candidates are its
+    parent's below it, less the faces of the ids between it and l.
+
+    Removing R is allowed when H(K, K - R) = 0 (_inclusion_is_iso). Over a
+    field that holds when the relative cohomology vanishes; the relative
+    cochains have basis R, and since R is coface-closed their coboundary is
+    K's coboundary restricted to R. So the defect d(R) = |R| - 2 rank of that
+    restriction is the total relative Betti number, and R is removable
+    exactly when d(R) = 0. A child M + x adds one column, the coboundary of
+    x, and a zero row (x is a coface of nothing in M); its rank is M's plus 1
+    when that column reduces to nonzero against M's reduced columns, so each
+    addition moves d by +-1 (de Silva, Morozov and Vejdemo-Johansson,
+    Dualities in persistent (co)homology, Inverse Problems 27, 2011, reduce
+    coboundaries in place of boundaries). A column's pivot is its lowest
+    row. Each kept set carries its reduced columns as a chain: its parent's
+    chain, plus a link holding the new column when it is independent, so no
+    basis is copied.
+
+    Two bounds drop a set with its whole subtree (branch and bound): d can
+    reach 0 only when d(M) is at most M's count of candidates, and the Euler
+    count, which satisfies |chi| <= d, can reach 0 only when it lies between
+    chi(M) minus the odd candidates and chi(M) plus the even ones. A child
+    is reduced only when both bounds can still keep it.
 
     The children of M lie between M and M plus its lowest bit, and any larger
     mask of M's size lies past that, so building from the kept parents in
@@ -112,13 +221,20 @@ def _zero_count_masks(K: SimplicialComplex, budget: int) -> Iterator[int]:
     level sorted. A size is built only once the last one was consumed, and
     only as far as the budget reaches; past `budget` kept sets, DomainError.
     """
-    n, odd, faces = len(K), K.odd_mask, K.face_masks
-    level = [(0, 0, (1 << n) - 1)]  # per kept set: mask, Euler count, candidates
+    n, odd, p = len(K), K.odd_mask, field.characteristic
+    even = (1 << n) - 1 & ~odd
+    cols, leads, keeps = _removal_table(K, field)
+    reduce = _reduce_f2 if p == 2 else partial(_reduce_mod_p, p=p)
+    # per kept set: mask, Euler count, candidates, defect, basis chain; a
+    # chain link is (the leads of its columns, as one mask, lead, column,
+    # parent link)
+    level = [(0, 0, (1 << n) - 1, 0, None)]
     count = size = 0
     while True:
         kept = []
-        for mask, chi, live in level:
+        for mask, chi, live, d, basis in level:
             kids = []
+            pivots = basis[0] if basis else 0
             # ids below the lowest set bit, downward; every id below the empty
             # set. At x, live holds the candidates <= x with no coface between
             # x and that bit, so x makes a child exactly when it is in live.
@@ -128,9 +244,19 @@ def _zero_count_masks(K: SimplicialComplex, budget: int) -> Iterator[int]:
                 if live & bit:
                     below = live & (bit - 1)
                     c = chi - 1 if odd & bit else chi + 1
-                    if c - (below & odd).bit_count() <= 0 <= c + (below & ~odd).bit_count():
-                        kids.append((mask | bit, c, below))
-                live &= ~faces[x] & (bit - 1)
+                    if (
+                        c - (below & odd).bit_count() <= 0 <= c + (below & even).bit_count()
+                        and d <= (room := below.bit_count()) + 1
+                    ):
+                        col, lead = cols[x], leads[x]
+                        if pivots & lead:
+                            col, lead = reduce(col, lead, pivots, basis)
+                        if lead:
+                            link = (pivots | lead, lead, col, basis)
+                            kids.append((mask | bit, c, below, d - 1, link))
+                        elif d < room:
+                            kids.append((mask | bit, c, below, d + 1, basis))
+                live &= keeps[x]
                 if not live:
                     break
             kept += reversed(kids)
@@ -140,14 +266,14 @@ def _zero_count_masks(K: SimplicialComplex, budget: int) -> Iterator[int]:
             return
         level = kept
         size += 1
-        for mask, chi, _ in level:
+        for mask, _, _, d, _ in level:
             count += 1
             if count > budget:
                 raise DomainError(
                     "too large for exhaustive essentiality: more than "
                     f"{budget} coface-closed subsets kept by size {size}; raise --budget"
                 )
-            if not chi:
+            if not d:
                 yield mask
 
 
@@ -156,21 +282,21 @@ def find_removable_subset(
 ) -> tuple[Simplex, ...] | None:
     """First nonempty removable subset in (size, mask) order, or None.
 
-    A removable subset has Euler count 0, since it is a basis of the relative
-    chains of a pair with no relative homology (_inclusion_is_iso), and its
-    complement is a subcomplex, so it is coface-closed. The walk
-    (_zero_count_masks) drops every coface-closed set whose subtree cannot
-    reach count 0 and yields the rest of count 0 in (size, mask) order, so
-    the first witness is unchanged; each is reduced, and removing all of K
-    never counts. `budget` bounds the sets the walk keeps, count 0 or not;
-    past it, DomainError. A budget below 1 is a DomainError.
+    A removable subset's complement is a subcomplex, so it is coface-closed.
+    The walk (_removable_masks) yields the coface-closed sets whose defect
+    d(R) = |R| - 2 rank of K's coboundary restricted to R is 0, which are
+    exactly the removable ones, and drops every set whose subtree can reach
+    neither d = 0 nor Euler count 0, |chi| <= d. It reduces at most one
+    coboundary column per set it builds, against its parent's reduced
+    columns, and never reduces K. All of K is never yielded: its defect is
+    the sum of its Betti numbers, at least 1. `budget` bounds the sets the
+    walk keeps, removable or not; past it, DomainError. A budget below 1 is
+    a DomainError.
     """
     if budget < 1:
         raise DomainError(f"essentiality budget must be at least 1, got {budget}")
-    full = (1 << len(K)) - 1
-    for mask in _zero_count_masks(K, budget):
-        if mask != full and _inclusion_is_iso(K, mask, field):
-            return tuple(K.simplices[i] for i in mask_ids(mask))
+    for mask in _removable_masks(K, field, budget):
+        return tuple(K.simplices[i] for i in mask_ids(mask))
     return None
 
 

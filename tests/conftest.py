@@ -180,7 +180,7 @@ def stratum_closure_leq(low, high):
 
 def upward_closed_masks(K, budget):
     """Masks of the nonempty coface-closed subsets in (size, mask) order: the
-    full walk, the oracle for structure._zero_count_masks, which prunes it.
+    full walk, the oracle for structure._removable_masks, which prunes it.
 
     Only these subsets have subcomplex complements. Each set is built once,
     from its parent: the set minus its lowest id. That parent is

@@ -1,5 +1,6 @@
 """Removable subsets, essential complexes, lower-star filters, symmetries."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import pytest
 
 import phfiber as ph
 from phfiber import DomainError
+from phfiber.io import load_complex
 from phfiber.structure import (
     DEFAULT_BUDGET,
-    _zero_count_masks,
+    _inclusion_is_iso,
+    _removable_masks,
     find_removable_subset,
     is_removable,
 )
@@ -21,6 +24,7 @@ from conftest import (
     rank_mod_p,
     upward_closed_masks,
 )
+from test_cli_golden import ROOT
 
 # Maximal simplices of the complexes the essentiality tests walk whole.
 COMPLEXES = {
@@ -103,24 +107,25 @@ def test_essentiality_budget_guard(triangle):
 
 
 def test_essentiality_budget_boundary():
-    """The hexagon is essential, and its walk keeps 33 of its 321
-    coface-closed subsets, the last of them all 12 simplices: a budget of 33
-    finishes the walk, one less stops at its last kept set and names the
-    budget, what it counts and the size."""
+    """The hexagon is essential, and its walk keeps 32 of its 321
+    coface-closed subsets, the last of them the 11 simplices but vertex 0
+    (all 12 have defect 2, the sum of the hexagon's Betti numbers): a budget
+    of 32 finishes the walk, one less stops at its last kept set and names
+    the budget, what it counts and the size."""
     K = ph.build_complex(COMPLEXES["hexagon"])
-    assert find_removable_subset(K, budget=33) is None
+    assert find_removable_subset(K, budget=32) is None
     with pytest.raises(
         DomainError,
-        match=r"^too large for exhaustive essentiality: more than 32 "
-        r"coface-closed subsets kept by size 12; raise --budget$",
+        match=r"^too large for exhaustive essentiality: more than 31 "
+        r"coface-closed subsets kept by size 11; raise --budget$",
     ):
-        find_removable_subset(K, budget=32)
+        find_removable_subset(K, budget=31)
 
 
 def test_essentiality_stops_at_the_first_witness():
     """The whisker's vertex and edge are the sixth of 478 coface-closed
-    subsets and come before the tenth the walk keeps, so a budget of 10
-    reaches them."""
+    subsets and the sixth set the walk keeps, so a budget of 10 reaches
+    them."""
     K = ph.build_complex(COMPLEXES["whisker_tetrahedron"])
     witness = find_removable_subset(K, budget=10)
     assert [s.vertices for s in witness] == [(4,), (3, 4)]
@@ -132,8 +137,10 @@ def test_essentiality_stops_at_the_first_witness():
 def test_complete_graph_1_skeleta_are_essential_within_the_default_budget(n, p):
     """The 1-skeleta of K7 and K8 (28 and 36 simplices) have no coface-closed
     subset with Euler count 0: a set holding k vertices holds their edges,
-    at least k(n - 1) - k(k - 1)/2 of them. The walk keeps 139 and 413
-    sets; the full walk passes more than DEFAULT_BUDGET on both."""
+    at least k(n - 1) - k(k - 1)/2 of them. The Euler bound alone drops all
+    but 139 and 413 sets, and the defect bound drops none of those, so the
+    walk keeps 139 and 413 sets over either field; the full walk passes
+    more than DEFAULT_BUDGET on both."""
     K = ph.build_complex([[a, b] for a in range(n) for b in range(a + 1, n)])
     assert find_removable_subset(K, ph.FieldSpec(p)) is None
 
@@ -227,27 +234,76 @@ def test_upward_closed_masks_match_brute_force(maximal):
     assert list(upward_closed_masks(K, DEFAULT_BUDGET)) == _brute_force_coface_closed(K)
 
 
+def _acyclic_masks(K, masks, p):
+    """The masks whose relative Betti numbers all vanish over F_p, in order:
+    the removable ones, read off the relative chain complex and not the
+    package's column reduction. Only count-0 masks are tested, since the
+    relative Betti numbers sum with alternating signs to the Euler count."""
+    return [
+        m for m in masks
+        if K.euler_count(m) == 0
+        and not any(_relative_betti(K, {j for j in range(len(K)) if m >> j & 1}, p))
+    ]
+
+
 @pytest.mark.parametrize(
     "maximal", list(COMPLEXES.values()), ids=list(COMPLEXES)
 )
 def test_zero_count_walk_keeps_the_full_walks_count_0_sets(maximal):
-    """Branch and bound drops no set with Euler count 0: the walk yields
-    exactly the full walk's count-0 sets, in the same order."""
+    """Branch and bound on the Euler count and the defect drops no removable
+    set: over F2 and F3, the walk yields exactly those count-0 sets of the
+    full walk whose relative homology vanishes, in the same order."""
     K = ph.build_complex(maximal)
-    assert list(_zero_count_masks(K, DEFAULT_BUDGET)) == [
-        m for m in upward_closed_masks(K, DEFAULT_BUDGET) if K.euler_count(m) == 0
-    ]
+    masks = list(upward_closed_masks(K, DEFAULT_BUDGET))
+    for p in (2, 3):
+        want = _acyclic_masks(K, masks, p)
+        assert list(_removable_masks(K, ph.FieldSpec(p), DEFAULT_BUDGET)) == want
+
+
+def test_walk_yields_the_acyclic_sets_of_random_2_complexes():
+    """The same oracle on 60 seeded random complexes of dimension at most 2
+    on at most 5 vertices, over F2 and F3."""
+    rng = random.Random(20261020)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        faces = [
+            list(s)
+            for k in (2, 3)
+            for s in itertools.combinations(range(n), k)
+            if rng.random() < 0.4
+        ]
+        K = ph.build_complex(faces + [[v] for v in range(n)])
+        masks = list(upward_closed_masks(K, DEFAULT_BUDGET))
+        for p in (2, 3):
+            want = _acyclic_masks(K, masks, p)
+            got = list(_removable_masks(K, ph.FieldSpec(p), DEFAULT_BUDGET))
+            assert got == want, (faces, p)
 
 
 def test_zero_count_walk_keeps_rp2s_count_0_sets(rp2):
-    """9,126 of rp2's 147,244 coface-closed subsets have Euler count 0; the
-    walk keeps 27,035 sets and yields those 9,126, in order."""
-    want = [m for m in upward_closed_masks(rp2, DEFAULT_BUDGET) if rp2.euler_count(m) == 0]
-    assert len(want) == 9_126
-    assert list(_zero_count_masks(rp2, DEFAULT_BUDGET)) == want
-    assert list(_zero_count_masks(rp2, 27_035)) == want
-    with pytest.raises(DomainError, match="more than 27034 "):
-        list(_zero_count_masks(rp2, 27_034))
+    """9,126 of rp2's 147,244 coface-closed subsets have Euler count 0. Of
+    those, the walk yields exactly the ones _inclusion_is_iso accepts, in
+    order: none over F2, where rp2 is essential, and 4,928 over F3, where
+    it has the homology of a point. Over F2 the walk keeps 14,208 sets, the
+    Euler bound alone 27,035: the budget counts kept sets."""
+    zero = [m for m in upward_closed_masks(rp2, DEFAULT_BUDGET) if rp2.euler_count(m) == 0]
+    assert len(zero) == 9_126
+    for p, count in ((2, 0), (3, 4_928)):
+        field = ph.FieldSpec(p)
+        want = [m for m in zero if _inclusion_is_iso(rp2, m, field)]
+        assert len(want) == count
+        assert list(_removable_masks(rp2, field, DEFAULT_BUDGET)) == want
+    assert list(_removable_masks(rp2, ph.F2, 14_208)) == []
+    with pytest.raises(DomainError, match="more than 14207 "):
+        list(_removable_masks(rp2, ph.F2, 14_207))
+
+
+def test_torus_is_essential_within_the_default_budget():
+    """The 7-vertex torus (42 simplices) is essential over F2. The Euler
+    bound alone kept more than DEFAULT_BUDGET sets; the defect bound keeps
+    660,708."""
+    torus = load_complex(str(ROOT / "demos" / "complexes" / "torus.json"))
+    assert find_removable_subset(torus, ph.F2) is None
 
 
 def test_rp2_removability_matches_relative_homology(rp2):
