@@ -127,10 +127,6 @@ class SimplicialComplex:
         # Per field characteristic, persistence's table of inclusion ranks
         # between subcomplexes, filled as the ranks are asked for.
         self.rank_tables: dict = {}
-        # Per field characteristic, the coboundary columns and masks the
-        # essentiality search reads (structure._removal_table), built when
-        # a search first asks for them.
-        self.removal_tables: dict = {}
         # strata's tables of closed next blocks after each placed union,
         # indexed by lower_star (all mode, then lower-star), filled as the
         # walks ask for them.

@@ -102,42 +102,36 @@ def is_removable(
     return RemovabilityReport(ordered, True, _inclusion_is_iso(K, removed, field))
 
 
-def _removal_table(K: SimplicialComplex, field: FieldSpec) -> tuple[list, list, list]:
-    """The per-simplex lists _removable_masks reads, built once per complex
-    and field and kept on K, like its rank tables.
+def _coboundaries(K: SimplicialComplex, p: int) -> list[tuple]:
+    """Per simplex x, its coboundary column over F_p and the column's lead,
+    the bit of its lowest row (0 for a zero column).
 
-    Per simplex x: its coboundary column over field, the cofaces y of x one
-    dimension up with the coefficient (-1) ** i of x as facet i of y (an int
-    bitmask of the y over F2, a dict y -> coefficient mod p otherwise, scaled
-    so that its lead coefficient is 1); the column's lead, the bit of its
-    lowest row (0 for a zero column); and the ids below x that are not faces
-    of x, as a mask.
+    The column holds the cofaces y of x one dimension up, with the
+    coefficient (-1) ** i of x as facet i of y: an int bitmask of the y over
+    F2, a dict y -> coefficient mod p otherwise, scaled so that its lead
+    coefficient is 1. Over F2 a reduction step is one XOR of bitmasks; with
+    dicts there the search took twice as long on the torus and on rp2. Each
+    search reads its own table, as no caller searches one complex twice.
     """
-    p = field.characteristic
-    table = K.removal_tables.get(p)
-    if table is None:
-        n, facet_ids = len(K), K.facet_ids
-        first_edge = K.dim_masks[0].bit_count()  # vertices have no facets
-        if p == 2:
-            cols = [0] * n
-            for y in range(first_edge, n):
-                bit = 1 << y
-                for x in facet_ids[y]:
-                    cols[x] |= bit
-            leads = [col & -col for col in cols]
+    n, facet_ids = len(K), K.facet_ids
+    if p == 2:
+        cols = [0] * n
+        for y, ids in enumerate(facet_ids):
+            for x in ids:
+                cols[x] |= 1 << y
+        return [(col, col & -col) for col in cols]
+    signed: list[dict[int, int]] = [{} for _ in range(n)]
+    for y, ids in enumerate(facet_ids):
+        for i, x in enumerate(ids):
+            signed[x][y] = -1 if i & 1 else 1
+    cob = []
+    for col in signed:
+        if col:
+            low = min(col)  # its coefficient, +-1, is its own inverse
+            cob.append(({y: c * col[low] % p for y, c in col.items()}, 1 << low))
         else:
-            signed: list[dict[int, int]] = [{} for _ in range(n)]
-            for y in range(first_edge, n):
-                for i, x in enumerate(facet_ids[y]):
-                    signed[x][y] = -1 if i & 1 else 1
-            cols = []
-            for col in signed:
-                unit = col[min(col)] if col else 1  # -1 is its own inverse
-                cols.append({y: c * unit % p for y, c in col.items()})
-            leads = [1 << min(col) if col else 0 for col in cols]
-        keeps = [(1 << x) - 1 ^ faces for x, faces in enumerate(K.face_masks)]
-        table = K.removal_tables[p] = (cols, leads, keeps)
-    return table
+            cob.append((col, 0))
+    return cob
 
 
 def _reduce_f2(col: int, lead: int, pivots: int, basis: tuple) -> tuple[int, int]:
@@ -213,7 +207,9 @@ def _removable_masks(
     reach 0 only when d(M) is at most M's count of candidates, and the Euler
     count, which satisfies |chi| <= d, can reach 0 only when it lies between
     chi(M) minus the odd candidates and chi(M) plus the even ones. A child
-    is reduced only when both bounds can still keep it.
+    is reduced only when both bounds can still keep it, and the scan for
+    M's children stops once too few candidates are left for any further
+    child to meet the defect bound.
 
     The children of M lie between M and M plus its lowest bit, and any larger
     mask of M's size lies past that, so building from the kept parents in
@@ -221,9 +217,9 @@ def _removable_masks(
     level sorted. A size is built only once the last one was consumed, and
     only as far as the budget reaches; past `budget` kept sets, DomainError.
     """
-    n, odd, p = len(K), K.odd_mask, field.characteristic
+    n, odd, faces, p = len(K), K.odd_mask, K.face_masks, field.characteristic
     even = (1 << n) - 1 & ~odd
-    cols, leads, keeps = _removal_table(K, field)
+    cob = _coboundaries(K, p)
     reduce = _reduce_f2 if p == 2 else partial(_reduce_mod_p, p=p)
     # per kept set: mask, Euler count, candidates, defect, basis chain; a
     # chain link is (the leads of its columns, as one mask, lead, column,
@@ -238,26 +234,28 @@ def _removable_masks(
             # ids below the lowest set bit, downward; every id below the empty
             # set. At x, live holds the candidates <= x with no coface between
             # x and that bit, so x makes a child exactly when it is in live.
+            # A child's defect, d +- 1, must not exceed its candidate count,
+            # one less than live's at x. So the scan stops once fewer than d
+            # ids (or none) are live, and every child it reaches with an
+            # independent column passes the defect bound.
+            need = d or 1
             low = (mask & -mask).bit_length() - 1 if mask else n
             for x in range(low - 1, -1, -1):
                 bit = 1 << x
                 if live & bit:
                     below = live & (bit - 1)
                     c = chi - 1 if odd & bit else chi + 1
-                    if (
-                        c - (below & odd).bit_count() <= 0 <= c + (below & even).bit_count()
-                        and d <= (room := below.bit_count()) + 1
-                    ):
-                        col, lead = cols[x], leads[x]
+                    if c - (below & odd).bit_count() <= 0 <= c + (below & even).bit_count():
+                        col, lead = cob[x]
                         if pivots & lead:
                             col, lead = reduce(col, lead, pivots, basis)
                         if lead:
                             link = (pivots | lead, lead, col, basis)
                             kids.append((mask | bit, c, below, d - 1, link))
-                        elif d < room:
+                        elif d < below.bit_count():
                             kids.append((mask | bit, c, below, d + 1, basis))
-                live &= keeps[x]
-                if not live:
+                live &= ~faces[x] & (bit - 1)
+                if live.bit_count() < need:
                     break
             kept += reversed(kids)
             if len(kept) > budget - count:

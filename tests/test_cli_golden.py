@@ -33,9 +33,8 @@ SQUARE = "demos/complexes/square.json"
 # A square fiber whose Euler-count candidates are mostly not cells.
 SQUARE_TYPE = "0:(1,inf),(2,3);1:(4,inf)"
 # Minimal RP^2 is essential over F2 but not over F3 (H_1 = Z/2). Of its
-# 147,244 coface-closed subsets, the F2 run keeps 27,035, dropping every
-# subtree whose Euler count cannot reach 0, and reduces only the 9,126 with
-# count 0.
+# 147,244 coface-closed subsets, the F2 run keeps 14,208 and reduces one
+# coboundary column per set it builds, with no reduction of K.
 RP2 = "demos/complexes/rp2.json"
 
 if __name__ == "__main__":
