@@ -1,8 +1,9 @@
 """Golden CLI output: every recorded invocation prints the recorded bytes.
 
 Each case runs `phfiber.cli.main` in process on `demos/complexes/interval.json`,
-`demos/complexes/triangle.json`, for one large fiber `demos/complexes/path5.json`,
-for the image and one fiber of a larger complex `demos/complexes/square.json`, or, for an
+`demos/complexes/triangle.json`, for one large fiber and the interior and lower-star
+bound sweeps `demos/complexes/path5.json`, for the image, the all and interior bound
+sweeps and one fiber of a larger complex `demos/complexes/square.json`, or, for an
 answer that depends on the boundary signs mod p, `demos/complexes/rp2.json`, and
 compares the sha256 of stdout and of stderr, and the exit code, with
 `tests/golden_cli.json`. A refactor that is meant to leave results alone proves
@@ -72,11 +73,16 @@ def cases() -> list[list[str]]:
     out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--emit-dot"])
     out.append(["homology", PATH5, "--barcode", PATH5_TYPE])
     out.append(["fiber", PATH5, "--barcode", PATH5_TYPE, "--field", "3"])
+    for mode in ("interior", "lower-star"):
+        out.append(["check-bounds", PATH5, "--mode", mode, "--field", "2"])
     for field in ("2", "3"):
         out.append(["fiber", SQUARE, "--barcode", SQUARE_TYPE, "--field", field])
     for mode in ("all", "interior", "lower-star"):
         for field in ("2", "3"):
             out.append(["image", SQUARE, "--mode", mode, "--field", field])
+    for mode in ("all", "interior"):
+        for field in ("2", "3"):
+            out.append(["check-bounds", SQUARE, "--mode", mode, "--field", field])
     for field in ("2", "3"):
         out.append(["essential", RP2, "--field", field])
     return out
