@@ -12,9 +12,9 @@ import phfiber as ph
 
 def main():
     K = ph.build_complex([[0, 1], [0, 2], [1, 2]])
-    strata = ph.enumerate_filter_strata(K, "lower_star")
-    records = ph.group_strata_by_barcode(K, strata)
-    print(f"lower-star strata: {len(strata)}, barcode strata in the "
+    records = ph.image_records(K, "lower_star")
+    strata = sum(len(r.member_ids) for r in records)
+    print(f"lower-star strata: {strata}, barcode strata in the "
           f"image: {len(records)}\n")
 
     for r in records:

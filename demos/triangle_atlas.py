@@ -10,9 +10,9 @@ import phfiber as ph
 
 def main():
     K = ph.build_complex([[0, 1], [0, 2], [1, 2]])
-    strata = ph.enumerate_filter_strata(K, "interior_only")
-    records = ph.group_strata_by_barcode(K, strata)
-    print(f"hollow triangle: {len(K)} simplices, {len(strata)} interior "
+    records = ph.image_records(K, "interior_only")
+    strata = sum(len(r.member_ids) for r in records)
+    print(f"hollow triangle: {len(K)} simplices, {strata} interior "
           f"filter strata, {len(records)} barcode strata in the image\n")
 
     print(f"{'codim':>5}  {'members':>7}  {'deficit':>7}  barcode type")
@@ -57,7 +57,7 @@ def main():
         print(f"  to the {label:<12} collapses {len(mm.collapsed_cells)} "
               f"cells, {len(mm.surviving_cells)} survive")
 
-    rows = ph.check_dimension_bound(strata, records)
+    rows = ph.check_dimension_bound(records)
     loose = [ph.format_barcode_type(r.barcode_type)
              for r in rows if not r.tight]
     print(f"\ndimension bound: tight for {len(rows) - len(loose)} of "

@@ -23,12 +23,7 @@ from .errors import DomainError, InvariantError
 from .fiber import _fiber_strata, fiber_complex, fiber_homology
 from .monodromy import monodromy_map
 from .simplicial import FieldSpec, automorphisms
-from .strata import (
-    _next_blocks,
-    check_dimension_bound,
-    enumerate_filter_strata,
-    image_records,
-)
+from .strata import check_dimension_bound, enumerate_filter_strata, image_records
 from .structure import (
     DEFAULT_BUDGET,
     fiber_symmetry_orbits,
@@ -100,24 +95,20 @@ def _cmd_check_bounds(args) -> str:
     K = io.load_complex(args.complex)
     field = _field(args)
     mode = STRATUM_MODES[args.mode]
-    # member ids are positions in enumerate_filter_strata(K, mode)
     records = image_records(K, mode, field)
-    if mode != "lower_star":
-        strata = enumerate_filter_strata(K, mode)
-    else:
+    if mode == "lower_star":
         # The bound is the all-mode fiber's, whose top cells lower-star
-        # groups miss: each type's members become the strata of its
-        # all-mode fiber walk, the fiber's cells, with no fiber built.
-        strata, lifted = [], []
+        # groups miss: each type's top member becomes the first largest
+        # stratum of its all-mode fiber walk, a top cell, with no fiber built.
+        lifted = []
         for rec in records:
-            leaves = _fiber_strata(K, rec.barcode_type, field, _next_blocks)
+            leaves = _fiber_strata(K, rec.barcode_type, field)
             if not leaves:
                 raise DomainError("empty fiber")
-            ids = tuple(range(len(strata), len(strata) + len(leaves)))
-            strata += [st for st, _ in leaves]
-            lifted.append(dataclasses.replace(rec, member_ids=ids))
+            top = max((st for st, _ in leaves), key=lambda st: st.interior_dim)
+            lifted.append(dataclasses.replace(rec, top_member=top))
         records = lifted
-    return io.dumps(io.bounds_doc(check_dimension_bound(strata, records)))
+    return io.dumps(io.bounds_doc(check_dimension_bound(records)))
 
 
 def _cmd_essential(args) -> str:

@@ -9,7 +9,7 @@ face relation is stratum coarsening, so the whole complex is combinatorial;
 no coordinates beyond symbol rank vectors are ever needed.
 
 The cells are found by one depth-first walk over the monotone partitions
-(_fiber_strata, on strata._next_blocks, or strata._lower_star_blocks for the
+(_fiber_strata, on strata._next_blocks, or its lower-star rows for the
 lower-star cells). Cheap tests on each block come first: its Euler count
 must match the symbol it takes, and the simplices still unplaced must supply
 the symbols still to come, one simplex of the right dimension per endpoint
@@ -51,7 +51,6 @@ from .persistence import Filter, _betti, _rank_table
 from .simplicial import F2, FieldSpec, SimplicialComplex
 from .strata import (
     FilterStratum,
-    _lower_star_blocks,
     _next_blocks,
     _trusted_stratum,
     bounded_deficit,
@@ -142,12 +141,12 @@ def _supply_needs(T: CombinatorialBarcode) -> list[tuple[int, ...]]:
 
 
 def _fiber_strata(
-    K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec, children
+    K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec, lower_star: bool = False
 ) -> list[tuple[FilterStratum, tuple]]:
     """The strata of type T, each with the symbol each of its blocks takes.
 
-    A depth-first walk, in serialize_stratum order, over the partitions that
-    `children` gives (strata._next_blocks or _lower_star_blocks). A block
+    A depth-first walk, in serialize_stratum order, over the partitions of
+    strata._next_blocks, its lower-star rows when lower_star is set. A block
     takes a symbol, or None when it is free, and its place is that symbol, or
     its gap g when free: it then lies strictly between the symbols g and
     g + 1. A branch at block j survives only while its row of inclusion ranks,
@@ -210,7 +209,7 @@ def _fiber_strata(
 
     def viable_children(placed: int, rank: int) -> list:
         out = []
-        for S, c in children(K, placed):
+        for S, c in _next_blocks(K, placed, lower_star):
             moves = []  # (symbol taken, next rank to pin)
             if rank == ZERO:
                 if c == chi[ZERO]:
@@ -382,13 +381,13 @@ def fiber_complex(
 ) -> FiberComplex:
     """All cells of the fiber over T together with their face poset.
 
-    mode "lower_star" walks only lower-star strata (strata._lower_star_blocks);
-    the resulting complex is still closed under faces.
+    mode "lower_star" walks only lower-star strata (the lower-star rows of
+    strata._next_blocks); the resulting complex is still closed under faces.
     """
     if mode not in FIBER_MODES:
         raise DomainError(f"unknown fiber mode {mode!r}, expected one of {FIBER_MODES}")
-    children = _next_blocks if mode == "all" else _lower_star_blocks
-    cells = [_fiber_cell(K, st, sym, T) for st, sym in _fiber_strata(K, T, field, children)]
+    leaves = _fiber_strata(K, T, field, mode == "lower_star")
+    cells = [_fiber_cell(K, st, sym, T) for st, sym in leaves]
     if not cells:
         raise DomainError("empty fiber")
     # The walk meets the strata in text order, so a stable sort by dimension

@@ -9,10 +9,10 @@ dimension, one free value each.
 
 A block is a bitmask over the complex's canonical simplex ids (bit i set when
 simplex i lies in the block). The enumeration here and the fiber's pruned
-walk (fiber._fiber_strata) read one table of next blocks, _next_blocks, or
-its lower-star rows, _lower_star_blocks, kept on K per mode as its rank
-tables are, so every walk on K shares it; its order makes both walks meet
-the strata in serialize_stratum order. Every consumer reads the masks;
+walk (fiber._fiber_strata) read one table of next blocks, _next_blocks,
+with lower-star rows of its own, kept on K per mode as its rank tables are,
+so every walk on K shares it; its order makes both walks meet the strata in
+serialize_stratum order. Every consumer reads the masks;
 Simplex objects appear only in the JSON documents.
 
 A stratum's barcode type depends only on its block order, so it is read off
@@ -25,17 +25,17 @@ Betti numbers), read by inclusion-exclusion (persistence._rank_barcode).
 The last row, the ranks into K, reads each P_i alone, so the type is fixed
 before the last block, and each block prefix is typed once for all its flag
 pairs (_prefix_bars, _shifted_types). image_records is the image: one walk
-over the block table that carries unions, rows and prefix ids and builds no
-stratum. group_strata_by_barcode types strata a caller built, with every
-block checked, and is the walk's oracle. The fiber walk prunes on the same
-table. check_dimension_bound reads each fiber's dimension off the groups,
-with no fiber built.
+over the block table that carries unions, rows and prefix ids and builds a
+stratum only for a type's top member. group_strata_by_barcode types strata
+a caller built, with every block checked, and is the walk's oracle. The
+fiber walk prunes on the same table. check_dimension_bound reads each
+fiber's dimension off its record's top member, with no fiber built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .barcodes import ZERO, CombinatorialBarcode, canonicalize_barcode, format_barcode_type
 from .errors import DomainError, InvariantError
@@ -151,6 +151,11 @@ def _closed_subsets(
 def _next_blocks(K: SimplicialComplex, placed: int, lower_star: bool = False) -> list:
     """Each closed block after `placed` as (mask, Euler count).
 
+    With lower_star, per nonempty set W of unplaced vertices, W with every
+    unplaced simplex whose vertices are placed or in W, so each simplex falls
+    in the block of its last vertex; `placed` must then be a union of such
+    blocks, so it holds every simplex its vertices complete.
+
     Sorted by id text, plus "|" unless the block is the last one. These keys
     are prefix-free and a stratum's text is its blocks' keys, then its flags,
     so a depth-first walk in this order meets strata in serialize_stratum order.
@@ -173,21 +178,13 @@ def _next_blocks(K: SimplicialComplex, placed: int, lower_star: bool = False) ->
     return blocks
 
 
-def _lower_star_blocks(K: SimplicialComplex, placed: int) -> list:
-    """_next_blocks for lower-star strata: per nonempty set W of unplaced
-    vertices, W with every unplaced simplex whose vertices are placed or in W,
-    so each simplex falls in the block of its last vertex. `placed` must be a
-    union of such blocks, so it holds every simplex its vertices complete."""
-    return _next_blocks(K, placed, True)
-
-
 def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
     """True when every filter of the stratum is a lower-star filter.
 
     Equivalent block criterion: each simplex of positive dimension lies in
     the same block as its last vertex, i.e. all its vertices are placed by
     its own block and at least one of them lies in it. The lower-star walks
-    read _lower_star_blocks instead; this is their test oracle. Blocks that
+    read _next_blocks' lower-star rows instead; this is their test oracle. Blocks that
     do not partition K raise stratum_levels' DomainError.
     """
     if not sum(stratum.blocks) == stratum.support() == (1 << len(K)) - 1:
@@ -220,8 +217,8 @@ def enumerate_filter_strata(
 ) -> tuple[FilterStratum, ...]:
     """All filter strata of K in serialize_stratum order: a walk over _next_blocks.
 
-    mode "interior_only" keeps both end flags off; "lower_star" walks
-    _lower_star_blocks, vertex sets with the simplices they complete, with
+    mode "interior_only" keeps both end flags off; "lower_star" walks the
+    lower-star rows, vertex sets with the simplices they complete, with
     the flags off: exactly the lower-star strata; "all" is everything.
     Every node has one last block, the rest of K, which the walk turns into
     its strata in place, one per flag pair, all sharing one blocks tuple.
@@ -290,12 +287,26 @@ def bounded_deficit(K: SimplicialComplex, T: CombinatorialBarcode) -> Fraction:
 
 @dataclass(frozen=True)
 class BarcodeStratumRecord:
-    """One barcode stratum of the image, with its member filter strata."""
+    """One barcode stratum of the image, with its member filter strata.
+
+    top_member is the first member, in member order, of the largest
+    interior_dim. A stratum of type T is a cell of T's fiber with
+    interior_dim - T.dim free blocks (T.dim of its unpinned blocks take the
+    ranks 1..T.dim), so it is a top cell of the fiber when the members hold
+    every top cell of the fiber:
+    - all-mode groups qualify, because a type's group is its whole fiber;
+    - interior groups qualify, because an interior type has no endpoint at
+      0 or 1. So no cell is pinned at 0, and a cell pinned at 1 is a facet of
+      the same blocks with the last one free.
+    Lower-star groups miss the top cells: the check-bounds command replaces
+    their top member by the first largest cell of the type's all-mode fiber.
+    """
 
     barcode_type: CombinatorialBarcode
     member_ids: tuple[int, ...]
     codim: int
     bounded_deficit: Fraction
+    top_member: FilterStratum
 
 
 @dataclass(frozen=True)
@@ -308,26 +319,18 @@ class DimensionBoundRow:
 
 
 def check_dimension_bound(
-    strata: Sequence[FilterStratum], records: Iterable[BarcodeStratumRecord]
+    records: Iterable[BarcodeStratumRecord],
 ) -> tuple[DimensionBoundRow, ...]:
     """Verify fiber dim <= bounded deficit <= codim for each barcode record.
 
-    A stratum of type T is a cell of T's fiber with interior_dim - T.dim free
-    blocks (T.dim of its unpinned blocks take the ranks 1..T.dim), so the
-    fiber's dimension is read off the members, positions in `strata`, as
-    their largest interior_dim minus T.dim, with no fiber built. The read is
-    exact when the members hold every top cell of the fiber:
-    - all-mode groups qualify, because a type's group is its whole fiber;
-    - interior groups qualify, because an interior type has no endpoint at
-      0 or 1. So no cell is pinned at 0, and a cell pinned at 1 is a facet of
-      the same blocks with the last one free.
-    Lower-star groups miss the top cells: pass each type's all-mode fiber
-    cells as its members instead (as the check-bounds command does).
+    The fiber's dimension is its record's top member's interior_dim minus
+    T.dim, with no fiber built; it is exact when the top member is a top
+    cell of the fiber (see BarcodeStratumRecord).
     """
     rows = []
     for rec in records:
         T = rec.barcode_type
-        top = max((strata[i] for i in rec.member_ids), key=lambda st: st.interior_dim)
+        top = rec.top_member
         d = top.interior_dim - T.dim
         if not Fraction(d) <= rec.bounded_deficit <= Fraction(rec.codim):
             raise InvariantError(
@@ -391,6 +394,7 @@ def group_strata_by_barcode(
     bars: dict[int, TotalBarcode] = {}  # prefix id -> bars in block indices
     members: dict[tuple, list[int]] = {}  # (prefix id, flags) -> its type's group
     groups: dict[CombinatorialBarcode, list[int]] = {}
+    tops: dict[CombinatorialBarcode, FilterStratum] = {}  # type -> its top member
     for i, st in enumerate(strata):
         new = st.blocks
         if new is not prev:  # flag variants share their blocks' tuple
@@ -439,15 +443,17 @@ def group_strata_by_barcode(
                 b = bars[key[0]] = _prefix_bars(K, field, rows)
             (T,) = _shifted_types(b, len(rows) + 1, [key[1:]])
             group = members[key] = groups.setdefault(T, [])
+            if T not in tops or st.interior_dim > tops[T].interior_dim:
+                tops[T] = st  # a key's strata share their interior_dim
         group.append(i)
-    return _records(K, groups)
+    return _records(K, groups, tops)
 
 
 def image_records(
     K: SimplicialComplex, mode: str = "all", field: FieldSpec = F2
 ) -> tuple[BarcodeStratumRecord, ...]:
     """group_strata_by_barcode(K, enumerate_filter_strata(K, mode), field),
-    from one walk that builds no stratum.
+    from one walk that builds a stratum only for a new top member.
 
     The walk is enumerate_filter_strata's, over K's block table for the
     mode, and a member id is the position at which that walk meets the
@@ -455,9 +461,11 @@ def image_records(
     as group_strata_by_barcode reads them, so a stratum's type is fixed at
     the node before its last block: each prefix id is typed once for all
     its flag pairs, and each stratum is one position appended to its group.
-    Where a rank into K is missing, the table fills it by one reduction of
-    K over the chain of the node's first stratum, the one its leftmost
-    children give, as grouping the enumeration fills it from that stratum.
+    A type's top member is rebuilt from the unions on the path when a
+    prefix id's flag pair improves it. Where a rank into K is missing, the
+    table fills it by one reduction of K over the chain of the node's first
+    stratum, the one its leftmost children give, as grouping the enumeration
+    fills it from that stratum.
     """
     flags, lone = _flag_pairs(mode)
     lower_star = mode == "lower_star"
@@ -471,6 +479,7 @@ def image_records(
     rows: list[tuple] = []  # per block on the path, its row
     typed: dict[int, list] = {}  # prefix id -> per flag pair, its type's group
     groups: dict[CombinatorialBarcode, list[int]] = {}
+    tops: dict[CombinatorialBarcode, FilterStratum] = {}  # type -> its top member
     pos = 0
 
     def walk(placed: int, pid: int) -> None:
@@ -484,8 +493,13 @@ def image_records(
                 per_flags = typed.get(pid)
                 if per_flags is None:
                     b = _prefix_bars(K, field, rows)
-                    types = _shifted_types(b, len(rows) + 1, flags if rows else lone)
+                    pairs = flags if rows else lone
+                    types = _shifted_types(b, len(rows) + 1, pairs)
                     per_flags = typed[pid] = [groups.setdefault(T, []) for T in types]
+                    for T, (z, o) in zip(types, pairs):
+                        if T not in tops or len(rows) + 1 - z - o > tops[T].interior_dim:
+                            ends = zip([0, *unions], [*unions, full])
+                            tops[T] = _trusted_stratum(tuple(B ^ A for A, B in ends), z, o)
                 for group in per_flags:
                     group.append(pos)
                     pos += 1
@@ -509,11 +523,13 @@ def image_records(
 
     walk(0, -1)
     del walk  # its closure holds walk: break the cycle, which would keep K alive
-    return _records(K, groups)
+    return _records(K, groups, tops)
 
 
 def _records(
-    K: SimplicialComplex, groups: dict[CombinatorialBarcode, list[int]]
+    K: SimplicialComplex,
+    groups: dict[CombinatorialBarcode, list[int]],
+    tops: dict[CombinatorialBarcode, FilterStratum],
 ) -> tuple[BarcodeStratumRecord, ...]:
     """One record per type, sorted by (codimension, type string)."""
     records = [
@@ -522,6 +538,7 @@ def _records(
             member_ids=tuple(ids),
             codim=len(K) - T.dim,
             bounded_deficit=bounded_deficit(K, T),
+            top_member=tops[T],
         )
         for T, ids in groups.items()
     ]

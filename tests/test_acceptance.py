@@ -125,8 +125,8 @@ def test_criterion_05_circle_monodromy_collapses(
     )
 
 
-def test_criterion_06_dimension_bound_sweep(triangle_strata, triangle_records):
-    rows = check_dimension_bound(triangle_strata, triangle_records)
+def test_criterion_06_dimension_bound_sweep(triangle_records):
+    rows = check_dimension_bound(triangle_records)
     bounds_hold = all(
         Fraction(r.fiber_dim) <= r.bounded_deficit <= Fraction(r.codim)
         for r in rows

@@ -190,6 +190,22 @@ def test_check_bounds_builds_no_fiber_outside_lower_star(monkeypatch, mode):
         assert replay(argv) == golden[json.dumps(argv)]
 
 
+@pytest.mark.parametrize("mode", ["interior", "all"])
+def test_check_bounds_enumerates_no_strata_outside_lower_star(monkeypatch, mode):
+    """Outside lower-star mode each image record carries its top member, so
+    check-bounds walks the image once: with enumerate_filter_strata
+    refusing, it still prints the recorded bytes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check-bounds enumerated the strata")
+
+    monkeypatch.setattr(cli, "enumerate_filter_strata", refuse)
+    golden = json.loads(GOLDEN.read_text())
+    for field in ("2", "3"):
+        argv = ["check-bounds", "demos/complexes/triangle.json", "--mode", mode, "--field", field]
+        assert replay(argv) == golden[json.dumps(argv)]
+
+
 @pytest.mark.parametrize(
     "name, p",
     [("triangle", 2), ("triangle", 3), ("square", 2), ("square", 3), ("path5", 2)],
@@ -205,7 +221,7 @@ def test_lower_star_check_bounds_reports_the_all_mode_fibers(capsys, name, p):
     records = ph.group_strata_by_barcode(K, strata, field)
     expected = per_type_dimension_bound(K, records, field)
     assert out == dumps(bounds_doc(expected))
-    assert ph.check_dimension_bound(strata, records) != expected
+    assert ph.check_dimension_bound(records) != expected
 
 
 def test_essential_triangle(capsys, triangle_file):

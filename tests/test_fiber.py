@@ -27,7 +27,6 @@ from phfiber.fiber import (
 from phfiber.persistence import level_barcode
 from phfiber.strata import (
     FilterStratum,
-    _next_blocks,
     check_dimension_bound,
     is_lower_star_stratum,
     serialize_stratum,
@@ -291,8 +290,8 @@ def test_cell_index_rejects_foreign_stratum(triangle_fibers, interval):
         fc.cell_index(foreign)
 
 
-def test_dimension_bound_rows(triangle_strata, triangle_records):
-    rows = check_dimension_bound(triangle_strata, triangle_records)
+def test_dimension_bound_rows(triangle_records):
+    rows = check_dimension_bound(triangle_records)
     assert len(rows) == 34
     for row in rows:
         assert Fraction(row.fiber_dim) <= row.bounded_deficit <= Fraction(row.codim)
@@ -303,7 +302,7 @@ def test_dimension_bound_rows(triangle_strata, triangle_records):
 def test_interval_dimension_bounds(interval):
     strata = ph.enumerate_filter_strata(interval, "interior_only")
     records = ph.group_strata_by_barcode(interval, strata)
-    rows = check_dimension_bound(strata, records)
+    rows = check_dimension_bound(records)
     assert all(row.tight for row in rows)
 
 
@@ -658,7 +657,7 @@ def test_exact_walk_matches_euler_pruning_with_recheck(path5, triangle, interval
                     for st, (_, _, labels) in expected.items()
                 ]
                 leaves.sort(key=lambda leaf: serialize_stratum(leaf[0], K))
-                assert _fiber_strata(K, rec.barcode_type, field, _next_blocks) == leaves
+                assert _fiber_strata(K, rec.barcode_type, field) == leaves
                 walks += 1
     assert walks == 1034
 

@@ -282,8 +282,8 @@ def test_monodromy_doc_has_exactly_the_map_tables(
     json.loads(dumps(doc))
 
 
-def test_bounds_doc(triangle_strata, triangle_records):
-    rows = check_dimension_bound(triangle_strata, triangle_records)
+def test_bounds_doc(triangle_records):
+    rows = check_dimension_bound(triangle_records)
     doc = bounds_doc(rows)
     assert len(doc) == 34
     assert set(doc[0]) == {

@@ -266,11 +266,11 @@ def _fubini(n):
 
 @pytest.mark.parametrize("name", ["triangle", "square", "path5", "rp2"])
 def test_lower_star_strata_match_actual_lower_star_filters(name):
-    """An independent oracle for the lower-star walk (_lower_star_blocks),
-    from actual filters. Each ordered partition of the vertices into k blocks
-    gives the lower-star extension of the values i/(k + 1) on block i, and
-    its stratum is read off the filter's values: one block per value, in
-    value order. These strata, in serialize_stratum order, must be the
+    """An independent oracle for the lower-star walk (the lower-star rows of
+    _next_blocks), from actual filters. Each ordered partition of the
+    vertices into k blocks gives the lower-star extension of the values
+    i/(k + 1) on block i, and its stratum is read off the filter's values:
+    one block per value, in value order. These strata, in serialize_stratum order, must be the
     walk's, Fubini(|V|) of them, and each filter's own barcode, reduced over
     F2 and F3, must have the type image grouping gives its stratum."""
     K = ph.load_complex(DEMO_COMPLEXES / f"{name}.json")
@@ -307,9 +307,9 @@ def test_lower_star_strata_match_actual_lower_star_filters(name):
     ids=["square", "filled_triangle", "path4", "path5"],
 )
 def test_lower_star_walk_equals_filtering_every_stratum(maximal):
-    """The lower-star walk reads _lower_star_blocks, whose blocks are sets of
-    vertices with every simplex they complete, so it never meets a stratum
-    that is not lower-star. It must give exactly the flagless strata that
+    """The lower-star walk reads _next_blocks' lower-star rows, whose blocks
+    are sets of vertices with every simplex they complete, so it never meets
+    a stratum that is not lower-star. It must give exactly the flagless strata that
     pass is_lower_star_stratum after a full walk, in the same order."""
     K = ph.build_complex(maximal)
     every = ph.enumerate_filter_strata(K, "interior_only")
@@ -584,6 +584,22 @@ def test_image_walk_equals_grouping_over_the_enumeration(maximal, mode, p):
     assert ph.image_records(build(), mode, field) == expected
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["triangle", "filled_triangle", "interval", "path4", "square"])
+def test_top_member_is_the_first_member_of_largest_interior_dim(name, mode, p):
+    """Each record's top_member is the stratum at the first of its member ids
+    whose interior_dim is the group's largest, in walk order and reversed.
+    The image walk's records equal these, top members included (above)."""
+    K = ph.build_complex(WALKED_COMPLEXES[name])
+    walked = ph.enumerate_filter_strata(K, mode)
+    for strata in (walked, walked[::-1]):
+        for rec in ph.group_strata_by_barcode(K, strata, ph.FieldSpec(p)):
+            top = max(strata[i].interior_dim for i in rec.member_ids)
+            first = next(i for i in rec.member_ids if strata[i].interior_dim == top)
+            assert rec.top_member is strata[first]
+
+
 @pytest.mark.parametrize(
     "maximal, mode, p, reductions",
     [
@@ -649,7 +665,7 @@ def test_dimension_bound_matches_the_per_type_fiber(maximal, mode, p):
     field = ph.FieldSpec(p)
     strata = ph.enumerate_filter_strata(K, mode)
     records = ph.group_strata_by_barcode(K, strata, field)
-    assert check_dimension_bound(strata, records) == per_type_dimension_bound(K, records, field)
+    assert check_dimension_bound(records) == per_type_dimension_bound(K, records, field)
 
 
 @pytest.mark.parametrize("deficit", [Fraction(1), Fraction(5)], ids=["above_dim", "above_codim"])
@@ -662,7 +678,7 @@ def test_dimension_bound_error_names_type_top_member_and_inequality(
     rec = next(r for r in triangle_records if r.barcode_type == T)
     doctored = dataclasses.replace(rec, bounded_deficit=deficit)
     with pytest.raises(InvariantError) as err:
-        check_dimension_bound(triangle_strata, [doctored])
+        check_dimension_bound([doctored])
     pattern = (
         f"fiber over {re.escape(ph.format_barcode_type(T))}: top member (\\S+) has "
         f"dimension 2, and 2 <= bounded deficit {deficit} <= codim 4 fails"
