@@ -12,8 +12,8 @@ simplex i lies in the block). The enumeration here and the fiber's pruned
 walk (fiber._fiber_strata) read one table of next blocks, _next_blocks,
 with lower-star rows of its own, kept on K per mode as its rank tables are,
 so every walk on K shares it; its order makes both walks meet the strata in
-serialize_stratum order. Every consumer reads the masks;
-Simplex objects appear only in the JSON documents.
+serialize_stratum order. Every consumer reads the masks; Simplex objects
+appear only in the JSON documents.
 
 A stratum's barcode type depends only on its block order, so it is read off
 the barcode of its integer levels (stratum_levels, barcode_of_stratum);
@@ -184,8 +184,8 @@ def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
     Equivalent block criterion: each simplex of positive dimension lies in
     the same block as its last vertex, i.e. all its vertices are placed by
     its own block and at least one of them lies in it. The lower-star walks
-    read _next_blocks' lower-star rows instead; this is their test oracle. Blocks that
-    do not partition K raise stratum_levels' DomainError.
+    read _next_blocks' lower-star rows instead; this is their test oracle.
+    Blocks that do not partition K raise stratum_levels' DomainError.
     """
     if not sum(stratum.blocks) == stratum.support() == (1 << len(K)) - 1:
         _reject(K, stratum)
