@@ -13,8 +13,8 @@ import phfiber as ph
 def main():
     K = ph.build_complex([[0, 1], [0, 2], [1, 2]])
     records = ph.image_records(K, "lower_star")
-    strata = sum(len(r.member_ids) for r in records)
-    print(f"lower-star strata: {strata}, barcode strata in the "
+    members = sum(len(r.member_ids) for r in records)
+    print(f"lower-star strata: {members}, barcode strata in the "
           f"image: {len(records)}\n")
 
     for r in records:

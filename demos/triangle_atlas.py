@@ -11,8 +11,8 @@ import phfiber as ph
 def main():
     K = ph.build_complex([[0, 1], [0, 2], [1, 2]])
     records = ph.image_records(K, "interior_only")
-    strata = sum(len(r.member_ids) for r in records)
-    print(f"hollow triangle: {len(K)} simplices, {strata} interior "
+    members = sum(len(r.member_ids) for r in records)
+    print(f"hollow triangle: {len(K)} simplices, {members} interior "
           f"filter strata, {len(records)} barcode strata in the image\n")
 
     print(f"{'codim':>5}  {'members':>7}  {'deficit':>7}  barcode type")

@@ -270,9 +270,10 @@ def test_lower_star_strata_match_actual_lower_star_filters(name):
     _next_blocks), from actual filters. Each ordered partition of the
     vertices into k blocks gives the lower-star extension of the values
     i/(k + 1) on block i, and its stratum is read off the filter's values:
-    one block per value, in value order. These strata, in serialize_stratum order, must be the
-    walk's, Fubini(|V|) of them, and each filter's own barcode, reduced over
-    F2 and F3, must have the type image grouping gives its stratum."""
+    one block per value, in value order. These strata, in serialize_stratum
+    order, must be the walk's, Fubini(|V|) of them, and each filter's own
+    barcode, reduced over F2 and F3, must have the type image grouping gives
+    its stratum."""
     K = ph.load_complex(DEMO_COMPLEXES / f"{name}.json")
     walked = ph.enumerate_filter_strata(K, "lower_star")
     filters = {}
@@ -309,8 +310,9 @@ def test_lower_star_strata_match_actual_lower_star_filters(name):
 def test_lower_star_walk_equals_filtering_every_stratum(maximal):
     """The lower-star walk reads _next_blocks' lower-star rows, whose blocks
     are sets of vertices with every simplex they complete, so it never meets
-    a stratum that is not lower-star. It must give exactly the flagless strata that
-    pass is_lower_star_stratum after a full walk, in the same order."""
+    a stratum that is not lower-star. It must give exactly the flagless
+    strata that pass is_lower_star_stratum after a full walk, in the same
+    order."""
     K = ph.build_complex(maximal)
     every = ph.enumerate_filter_strata(K, "interior_only")
     filtered = [st for st in every if is_lower_star_stratum(K, st)]
