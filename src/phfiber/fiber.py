@@ -14,11 +14,13 @@ lower-star cells). Cheap tests on each block come first: its Euler count
 must match the symbol it takes, and the simplices still unplaced must supply
 the symbols still to come, one simplex of the right dimension per endpoint
 (_supply_needs; a simplex creates or kills at most one class, the count
-behind the bounded deficit). They read only the placed union and the next
-rank, so each such pair gets its list of viable children once per walk.
-Then a branch survives only while the block's row of inclusion ranks, read
-from the complex's one rank table (persistence._rank_table), equals the row
-T predicts for the symbol the block takes, or for its gap when it is free.
+behind the bounded deficit). The needs fall as the rank grows, so these
+tests read only the placed union, the next rank and a few features of T
+there, and each placed union gets its list of viable children once per
+complex for every type with those features (K.move_tables). Then a branch
+survives only while the block's row of inclusion ranks, read from the
+complex's one rank table (persistence._rank_table), equals the row T
+predicts for the symbol the block takes, or for its gap when it is free.
 Those ranks fix the bars born and dying at the block, so the leaves are
 exactly the strata of type T, with no recheck, and each cell is built from
 the symbols the walk assigned: a block is pinned when it takes a symbol and
@@ -163,10 +165,14 @@ def _fiber_strata(
     must supply the symbols still to come: per degree q, at least
     _supply_needs(T)[r][q] q-simplices when the next rank to pin is r. For
     each union B the walk keeps the first rank whose needs the rest of K
-    can meet, and drops any move below it. These tests read only the placed
-    union, the next rank and T, so each (placed, rank) pair gets its list of
-    viable children, (block, union, last, moves) in child order, once per
-    walk; the row test reads the path and stays per node.
+    can meet, and drops any move below it. The rows of need fall as r
+    grows, so a move to r is kept exactly when need[r] is met, and as r is
+    rank or rank + 1 (at ZERO, 1), these tests read only the placed union
+    and the key (rank, m, chi[rank] if rank <= m, chi[ONE], ONE optional,
+    need[rank], need[rank + 1]): each placed union's viable children,
+    (block, union, last, moves) in child order, are built once per complex
+    for all types with that key (K.move_tables). The row test reads the
+    path and stays per node.
 
     The first block is pinned at 0 exactly when ZERO is an endpoint of T,
     since it holds a vertex; the ranks 1..m are taken in order; the last
@@ -198,7 +204,12 @@ def _fiber_strata(
     # above dim K, so a type with bars there is never supplied).
     dim_masks = (K.dim_masks + (0,) * len(need[0]))[: len(need[0])]
     supplied: dict[int, int] = {}  # union -> the first rank the rest of K supplies
-    viable: list[dict[int, list]] = [{} for _ in range(one + 1)]  # [rank][placed]
+    # Per rank, its viable children by placed union, shared on K by every
+    # type with the same features at that rank.
+    viable: list[dict[int, list]] = []  # [rank][placed]
+    for r in range(one + 1):
+        key = (r, m, chi[r] if r <= m else None, chi[one], one_optional, need[r], need[r + 1])
+        viable.append(K.move_tables[lower_star].setdefault(key, {}))
     table = _rank_table(K, field)
     vectors = table.vectors
     blocks: list[int] = []
@@ -279,13 +290,15 @@ def _fiber_strata(
 
 
 def _fiber_cell(
-    K: SimplicialComplex, stratum: FilterStratum, symbols: tuple, T: CombinatorialBarcode
+    K: SimplicialComplex, stratum: FilterStratum, symbols: tuple, T: CombinatorialBarcode,
+    shapes: dict[tuple[int, ...], tuple[int, ...]],
 ) -> FiberCell:
     """The cell of a stratum over T, read off the symbols its blocks take.
 
     A pinned block is labelled with its symbol. A free block lies in the gap
     after the last rank pinned before it. A 0-cell has no free block, and its
     rank vector gives each simplex the symbol of its block, which is its level.
+    Gap shapes are interned in shapes, so io.dumps writes each shape once.
     """
     shape = [0] * (T.dim + 1)
     labels = []
@@ -305,7 +318,9 @@ def _fiber_cell(
             for i in mask_ids(block):
                 levels[i] = sym
         rank_vector = tuple(levels)
-    return FiberCell(stratum, tuple(shape), rank_vector, tuple(labels))
+    gap_shape = tuple(shape)
+    gap_shape = shapes.setdefault(gap_shape, gap_shape)
+    return FiberCell(stratum, gap_shape, rank_vector, tuple(labels))
 
 
 def _cell_facets(cell: FiberCell) -> Iterator[tuple[FilterStratum, int]]:
@@ -387,7 +402,8 @@ def fiber_complex(
     if mode not in FIBER_MODES:
         raise DomainError(f"unknown fiber mode {mode!r}, expected one of {FIBER_MODES}")
     leaves = _fiber_strata(K, T, field, mode == "lower_star")
-    cells = [_fiber_cell(K, st, sym, T) for st, sym in leaves]
+    shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cells = [_fiber_cell(K, st, sym, T, shapes) for st, sym in leaves]
     if not cells:
         raise DomainError("empty fiber")
     # The walk meets the strata in text order, so a stable sort by dimension

@@ -264,7 +264,7 @@ def fiber_doc(fc: FiberComplex) -> dict:
             for i, c in enumerate(fc.cells)
         ],
         "face_relation": [list(pair) for pair in fc.face_relation],
-        "gap_shapes": [list(c.gap_shape) for c in fc.cells],
+        "gap_shapes": [c.gap_shape for c in fc.cells],
         "vertices": [
             {
                 "cell": i,

@@ -131,6 +131,11 @@ class SimplicialComplex:
         # indexed by lower_star (all mode, then lower-star), filled as the
         # walks ask for them.
         self.block_tables: tuple[dict, dict] = ({}, {})
+        # fiber's tables of viable children, indexed by lower_star: per key
+        # of the type features one rank's moves read, placed union -> list
+        # of (block, union, last, moves), shared by every fiber walk on K.
+        # Ints, None, bools, tuples and lists only, no reference to K.
+        self.move_tables: tuple[dict, dict] = ({}, {})
         # io's document of each block mask: the tuple of its simplices'
         # vertex tuples, in id order, shared by every stratum_doc on this
         # complex. Filled as the documents ask for them; ints only, no

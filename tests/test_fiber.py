@@ -5,6 +5,7 @@ import bisect
 import dataclasses
 import json
 import math
+import random
 import re
 import sys
 from collections import Counter
@@ -17,6 +18,7 @@ import phfiber as ph
 from phfiber import INF, DomainError, InvariantError
 from phfiber.barcodes import ZERO
 from phfiber.fiber import (
+    FIBER_MODES,
     _cell_facets,
     _face_sets,
     _fiber_strata,
@@ -680,6 +682,88 @@ def test_exact_walk_compares_births_by_degree():
         assert {c.stratum for c in fc.cells} == {strata[i] for i in rec.member_ids}
         checked += 1
     assert checked == 139
+
+
+def test_fibers_sharing_move_tables_match_fresh_complexes_in_any_order():
+    """The fiber walks on one complex share its move tables, so a walk reads
+    children that walks of other types built. Every image type's fiber in
+    both modes, over F2 and F3, built on one complex in image order, reversed
+    and shuffled, has the document bytes and cellular boundary it has on a
+    fresh complex of its own: the triangle, the filled triangle and the
+    interval over their all-mode types, path4 over its interior ones."""
+    rng = random.Random(0)
+    built = 0
+    for maximal, image_mode in [
+        ([[0, 1], [1, 2], [0, 2]], "all"),
+        ([[0, 1, 2]], "all"),
+        ([[0, 1]], "all"),
+        ([[0, 1], [1, 2], [2, 3]], "interior_only"),
+    ]:
+        for p in (2, 3):
+            field = ph.FieldSpec(p)
+
+            def fiber(K, T, mode):
+                try:
+                    fc = ph.fiber_complex(K, T, field, mode)
+                except DomainError:  # an empty lower-star fiber
+                    return None
+                return ph.io.dumps(ph.io.fiber_doc(fc)), fc.boundary
+
+            records = ph.image_records(ph.build_complex(maximal), image_mode, field)
+            queries = [(r.barcode_type, mode) for r in records for mode in FIBER_MODES]
+            fresh = {q: fiber(ph.build_complex(maximal), *q) for q in queries}
+            shuffled = rng.sample(queries, len(queries))
+            for order in (queries, queries[::-1], shuffled):
+                K = ph.build_complex(maximal)
+                assert {q: fiber(K, *q) for q in order} == fresh, (maximal, p)
+            built += sum(v is not None for v in fresh.values())
+    assert built == 2 * (142 + 206 + 14 + 170)
+
+
+def test_move_tables_are_keyed_by_what_a_rank_reads():
+    """K's move table has one dict of viable children per (rank, m,
+    chi[rank] if rank <= m, chi[ONE], ONE optional, need[rank],
+    need[rank + 1]). Two path4 interior types that agree on these at rank 3
+    share its dict: the second walk there asks only for children the first
+    built. A type that differs from them at rank 3 in need[4] alone gets a
+    dict of its own."""
+
+    def keys(T):
+        chi = [0] * (T.one + 1)
+        for q, deg in enumerate(T.degrees):
+            for b, d in deg:
+                chi[b] += (-1) ** q
+                if d != T.inf:
+                    chi[d] -= (-1) ** q
+        optional = T.one not in {e for deg in T.degrees for bar in deg for e in bar}
+        need = _supply_needs(T)
+        return [
+            (r, T.dim, chi[r] if r <= T.dim else None, chi[T.one], optional, need[r], need[r + 1])
+            for r in range(T.one + 1)
+        ]
+
+    a, b, c = map(ph.parse_barcode_type, [
+        "0:(1,inf),(2,4),(3,4),(4,5)",
+        "0:(1,inf),(2,4),(3,5),(4,5)",
+        "0:(1,inf),(2,3),(3,4),(3,5)",
+    ])
+    assert keys(a)[3] == keys(b)[3] and keys(a) != keys(b)
+    assert keys(c)[3][:-1] == keys(a)[3][:-1] and keys(c)[3] != keys(a)[3]
+    path4 = [[0, 1], [1, 2], [2, 3]]
+    K = ph.build_complex(path4)
+    tables = K.move_tables[False]
+    ph.fiber_complex(K, a)
+    shared = tables[keys(a)[3]]
+    before = dict(shared)
+    ph.fiber_complex(K, b)
+    assert tables[keys(b)[3]] is shared and shared == before
+    alone = ph.build_complex(path4)
+    ph.fiber_complex(alone, b)
+    asked = alone.move_tables[False][keys(b)[3]]
+    assert asked and asked.keys() <= shared.keys()
+    ph.fiber_complex(K, c)
+    assert tables[keys(c)[3]] and tables[keys(c)[3]] is not tables[keys(a)[3]]
+    assert set(tables) == set(keys(a) + keys(b) + keys(c))
 
 
 def test_facets_are_the_codimension_one_coarsenings():

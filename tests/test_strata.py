@@ -741,7 +741,7 @@ def test_fibers_on_one_complex_share_its_block_table(maximal, mode):
 def test_walks_leave_no_reference_cycle_holding_the_complex():
     """With the cyclic collector off, a complex dies as soon as its last
     reference goes, after any walk and after grouping: no walk closure is
-    left holding itself, and with it K, its rank tables and its block tables,
+    left holding itself, and with it K, its rank, block and move tables,
     which hold no reference to K."""
 
     def dies(run):
@@ -755,6 +755,7 @@ def test_walks_leave_no_reference_cycle_holding_the_complex():
         ph.enumerate_filter_strata(K, "all")
         ph.fiber_complex(K, T)
         assert K.block_tables[False]  # K dies with its block table filled
+        assert K.move_tables[False]  # and with its move table filled
 
     T = ph.parse_barcode_type("0:(1,inf);1:(2,inf)")
     gc.collect()
