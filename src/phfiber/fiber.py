@@ -14,13 +14,14 @@ lower-star cells). Cheap tests on each block come first: its Euler count
 must match the symbol it takes, and the simplices still unplaced must supply
 the symbols still to come, one simplex of the right dimension per endpoint
 (_supply_needs; a simplex creates or kills at most one class, the count
-behind the bounded deficit). The needs fall as the rank grows, so these
-tests read only the placed union, the next rank and a few features of T
-there, and each placed union gets its list of viable children once per
-complex for every type with those features (K.move_tables). Then a branch
-survives only while the block's row of inclusion ranks, read from the
-complex's one rank table (persistence._rank_table), equals the row T
-predicts for the symbol the block takes, or for its gap when it is free.
+behind the bounded deficit). Those need rows are all these tests read of T
+(the Euler counts follow from them), so they read only the placed union
+and the rows at the next rank and the one after, and each placed union gets
+its list of viable children once per complex for every type with those rows
+(K.move_tables). Then a branch survives only while the block's row of
+inclusion ranks, read from the complex's one rank table
+(persistence._rank_table), equals the row T predicts for the symbol the
+block takes, or for its gap when it is free.
 Those ranks fix the bars born and dying at the block, so the leaves are
 exactly the strata of type T, with no recheck, and each cell is built from
 the symbols the walk assigned: a block is pinned when it takes a symbol and
@@ -163,30 +164,33 @@ def _fiber_strata(
     the block's Euler count must equal the symbol's (0 when free); the last
     block must leave every rank placed; and the simplices not yet placed
     must supply the symbols still to come: per degree q, at least
-    _supply_needs(T)[r][q] q-simplices when the next rank to pin is r. For
-    each union B the walk keeps the first rank whose needs the rest of K
-    can meet, and drops any move below it. The rows of need fall as r
-    grows, so a move to r is kept exactly when need[r] is met, and as r is
-    rank or rank + 1 (at ZERO, 1), these tests read only the placed union
-    and the key (rank, m, chi[rank] if rank <= m, chi[ONE], ONE optional,
-    need[rank], need[rank + 1]): each placed union's viable children,
-    (block, union, last, moves) in child order, are built once per complex
-    for all types with that key (K.move_tables). The row test reads the
-    path and stays per node.
+    need[r][q] q-simplices when the next rank to pin is r, where need =
+    _supply_needs(T). Those rows are all these tests read of T: the Euler
+    count of symbol r is the sum over q of (-1)^q (need[r][q] -
+    need[r + 1][q]), ONE is an endpoint exactly when need[ONE] is not all
+    0, and a move goes to rank or rank + 1 (at ZERO, 1). So they read only
+    the placed union and the key (rank, m, need[rank], need[rank + 1]):
+    each placed union's viable children, (block, union, last, moves) in
+    child order, are built once per complex for all types with that key
+    (K.move_tables). The row test reads the path and stays per node.
 
-    The first block is pinned at 0 exactly when ZERO is an endpoint of T,
-    since it holds a vertex; the ranks 1..m are taken in order; the last
-    block may be pinned at 1 when ONE is not an endpoint.
+    The first block is pinned at 0 exactly when ZERO is an endpoint of T
+    (need[ZERO] != need[1]), since it holds a vertex; the ranks 1..m are
+    taken in order; the last block may be pinned at 1 when ONE is not an
+    endpoint. Each finite endpoint takes its own simplex, so a type with
+    more of them than K has simplices (a negative bounded deficit) has no
+    strata, and the walk returns none before building its tables.
     """
     m, one = T.dim, T.one
-    endpoints = {e for deg in T.degrees for bar in deg for e in bar}
-    # The change of the sublevel Euler characteristic at each symbol.
-    chi = [0] * (one + 1)
-    for q, deg in enumerate(T.degrees):
-        for b, d in deg:
-            chi[b] += (-1) ** q
-            if d != T.inf:
-                chi[d] -= (-1) ** q
+    if T.finite_endpoint_count() > len(K):
+        return []  # each finite endpoint is a distinct simplex: the deficit is < 0
+    need = _supply_needs(T)
+    # The change of the sublevel Euler characteristic at each symbol r: its
+    # endpoints, need[r] - need[r + 1], each counting (-1)^q in column q.
+    chi = [
+        sum((-1) ** q * (n - k) for q, (n, k) in enumerate(zip(need[r], need[r + 1])))
+        for r in range(one + 1)
+    ]
     # expect[s][t]: per degree of K, T's bars born at or before s, dying after t.
     # Sized for both K and T, so a type with bars above dim K matches no row.
     width = max(K.dim + 1, len(T.degrees))
@@ -197,19 +201,16 @@ def _fiber_strata(
                 for c in counts[s][: min(d, one + 1)]:
                     c[q] += 1
     expect = [[tuple(c) for c in row] for row in counts]
-    one_optional = one not in endpoints
+    one_optional = not any(need[one])
     full = (1 << len(K)) - 1
-    need = _supply_needs(T)
     # Per degree of need, the mask of K's simplices of that dimension (none
     # above dim K, so a type with bars there is never supplied).
     dim_masks = (K.dim_masks + (0,) * len(need[0]))[: len(need[0])]
-    supplied: dict[int, int] = {}  # union -> the first rank the rest of K supplies
+    supplied: dict[int, tuple] = {}  # union -> per degree, the simplices not in it
     # Per rank, its viable children by placed union, shared on K by every
-    # type with the same features at that rank.
-    viable: list[dict[int, list]] = []  # [rank][placed]
-    for r in range(one + 1):
-        key = (r, m, chi[r] if r <= m else None, chi[one], one_optional, need[r], need[r + 1])
-        viable.append(K.move_tables[lower_star].setdefault(key, {}))
+    # type with the same need rows at that rank and the next.
+    viable = [K.move_tables[lower_star].setdefault((r, m, need[r], need[r + 1]), {})
+              for r in range(one + 1)]
     table = _rank_table(K, field)
     vectors = table.vectors
     blocks: list[int] = []
@@ -239,14 +240,10 @@ def _fiber_strata(
                 moves = [(s, r) for s, r in moves if r > m and (s == one or one_optional)]
             elif moves:
                 # The rest of K must supply the endpoints from the next rank on.
-                low = supplied.get(B)
-                if low is None:
-                    have = [(~B & mask).bit_count() for mask in dim_masks]
-                    low = 0
-                    while any(n > h for n, h in zip(need[low], have)):
-                        low += 1
-                    supplied[B] = low
-                moves = [(s, r) for s, r in moves if r >= low]
+                have = supplied.get(B)
+                if have is None:
+                    have = supplied[B] = tuple((~B & mask).bit_count() for mask in dim_masks)
+                moves = [(s, r) for s, r in moves if all(n <= h for n, h in zip(need[r], have))]
             if moves:
                 out.append((S, B, last, moves))
         return out
@@ -284,7 +281,7 @@ def _fiber_strata(
             blocks.pop()
             unions.pop()
 
-    walk(0, ZERO if ZERO in endpoints else 1)
+    walk(0, ZERO if need[ZERO] != need[1] else 1)
     del walk  # its closure holds walk: break the cycle, which would keep K alive
     return leaves
 

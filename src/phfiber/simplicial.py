@@ -132,8 +132,9 @@ class SimplicialComplex:
         # walks ask for them.
         self.block_tables: tuple[dict, dict] = ({}, {})
         # fiber's tables of viable children, indexed by lower_star: per key
-        # of the type features one rank's moves read, placed union -> list
-        # of (block, union, last, moves), shared by every fiber walk on K.
+        # (rank, m, need[rank], need[rank + 1]) of a type's supply rows,
+        # placed union -> list of (block, union, last, moves), shared by
+        # every fiber walk on K.
         # Ints, None, bools, tuples and lists only, no reference to K.
         self.move_tables: tuple[dict, dict] = ({}, {})
         # io's document of each block mask: the tuple of its simplices'

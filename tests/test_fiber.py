@@ -8,6 +8,7 @@ import math
 import random
 import re
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -277,6 +278,21 @@ def test_empty_fiber_is_rejected(triangle):
     for text in ("0:(1,inf)", "0:(1,inf);3:(2,inf)", "0:(zero,inf);3:(1,2)"):
         with pytest.raises(DomainError, match="empty fiber"):
             ph.fiber_complex(triangle, ph.parse_barcode_type(text))
+
+
+def test_oversized_type_is_rejected_before_its_tables(triangle):
+    """Each finite endpoint takes its own simplex, so a type with more of
+    them than K has simplices has a negative bounded deficit and an empty
+    fiber. The walk says so before it builds its need and expect tables,
+    which grow as m^2 to m^3: on the hollow triangle an 8.5 KB type with
+    m = 1601 is rejected in well under a second."""
+    bars = ",".join(f"({k},{k + 1})" for k in range(1, 1601, 2))
+    T = ph.parse_barcode_type(f"0:{bars},(1601,inf)")
+    assert T.dim == 1601 and T.finite_endpoint_count() > len(triangle)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="empty fiber"):
+        ph.fiber_complex(triangle, T)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unknown_fiber_mode_rejected(triangle, types):
@@ -722,25 +738,17 @@ def test_fibers_sharing_move_tables_match_fresh_complexes_in_any_order():
 
 def test_move_tables_are_keyed_by_what_a_rank_reads():
     """K's move table has one dict of viable children per (rank, m,
-    chi[rank] if rank <= m, chi[ONE], ONE optional, need[rank],
-    need[rank + 1]). Two path4 interior types that agree on these at rank 3
-    share its dict: the second walk there asks only for children the first
-    built. A type that differs from them at rank 3 in need[4] alone gets a
-    dict of its own."""
+    need[rank], need[rank + 1]), need = _supply_needs(T): the Euler counts
+    and the ONE flag that the moves read follow from those rows. Two path4
+    interior types that agree on them at rank 3 share its dict: the second
+    walk there asks only for children the first built. A type that differs
+    from them at rank 3 in need[4] alone gets a dict of its own. Two
+    triangle all-mode types that differ in chi[ONE] and in whether ONE is an
+    endpoint, but not in need[1] or need[2], share rank 1's dict."""
 
     def keys(T):
-        chi = [0] * (T.one + 1)
-        for q, deg in enumerate(T.degrees):
-            for b, d in deg:
-                chi[b] += (-1) ** q
-                if d != T.inf:
-                    chi[d] -= (-1) ** q
-        optional = T.one not in {e for deg in T.degrees for bar in deg for e in bar}
         need = _supply_needs(T)
-        return [
-            (r, T.dim, chi[r] if r <= T.dim else None, chi[T.one], optional, need[r], need[r + 1])
-            for r in range(T.one + 1)
-        ]
+        return [(r, T.dim, need[r], need[r + 1]) for r in range(T.one + 1)]
 
     a, b, c = map(ph.parse_barcode_type, [
         "0:(1,inf),(2,4),(3,4),(4,5)",
@@ -764,6 +772,20 @@ def test_move_tables_are_keyed_by_what_a_rank_reads():
     ph.fiber_complex(K, c)
     assert tables[keys(c)[3]] and tables[keys(c)[3]] is not tables[keys(a)[3]]
     assert set(tables) == set(keys(a) + keys(b) + keys(c))
+
+    d, e = map(ph.parse_barcode_type, [
+        "0:(1,inf),(2,3),(2,4);1:(5,inf)",
+        "0:(1,inf),(2,3),(4,5);1:(one,inf)",
+    ])
+    assert keys(d)[1] == keys(e)[1]
+    K = ph.build_complex([[0, 1], [1, 2], [0, 2]])
+    tables = K.move_tables[False]
+    assert ph.fiber_complex(K, d).cells
+    shared = tables[keys(d)[1]]
+    before = dict(shared)
+    assert ph.fiber_complex(K, e).cells
+    assert tables[keys(e)[1]] is shared and shared == before
+    assert set(tables) == set(keys(d) + keys(e))
 
 
 def test_facets_are_the_codimension_one_coarsenings():
