@@ -14,20 +14,19 @@ lower-star cells). Cheap tests on each block come first: its Euler count
 must match the symbol it takes, and the simplices still unplaced must supply
 the symbols still to come, one simplex of the right dimension per endpoint
 (_supply_needs; a simplex creates or kills at most one class, the count
-behind the bounded deficit). Those need rows are all these tests read of T
-(the Euler counts follow from them), so they read only the placed union
-and the rows at the next rank and the one after, and each placed union gets
-its list of viable children once per complex for every type with those rows
-(K.move_tables). Then a branch survives only while the block's row of
-inclusion ranks, read from the complex's one rank table
+behind the bounded deficit). These tests are one function, _moves, of the
+placed union and the need rows at the next rank and the one after (the Euler
+counts follow from them), so each placed union gets its list of viable
+children once per complex for every type with those rows, kept in K.tables
+under (_moves, lower_star, key). Then a branch survives only while the
+block's row of inclusion ranks, read from the complex's one rank table
 (persistence._rank_table), equals the row T predicts for the symbol the
-block takes, or for its gap when it is free.
-Those ranks fix the bars born and dying at the block, so the leaves are
-exactly the strata of type T, with no recheck, and each cell is built from
-the symbols the walk assigned: a block is pinned when it takes a symbol and
-free otherwise, and a 0-cell's rank vector gives each simplex its block's
-symbol. Block masks are the strata's blocks, so cells, their facets and
-monodromy images use masks.
+block takes, or for its gap when it is free. Those ranks fix the bars born
+and dying at the block, so the leaves are exactly the strata of type T, with
+no recheck, and each cell is built from the symbols the walk assigned: a
+block is pinned when it takes a symbol and free otherwise, and a 0-cell's
+rank vector gives each simplex its block's symbol. Block masks are the
+strata's blocks, so cells, their facets and monodromy images use masks.
 
 The face relation is built locally. A cell's facets are the facets of its
 simplex factors: in a gap holding free blocks p_1 .. p_k they merge p_1 into
@@ -143,6 +142,61 @@ def _supply_needs(T: CombinatorialBarcode) -> list[tuple[int, ...]]:
     return [tuple(row) for row in need]
 
 
+def _moves(K: SimplicialComplex, lower_star: bool, key: tuple, placed: int) -> list:
+    """The viable children of a placed union in a fiber walk: per block of
+    strata._next_blocks (its lower-star rows when lower_star is set) that
+    has any moves, (block, union, last, moves), where moves lists each
+    (symbol taken, next rank to pin) that passes the tests below.
+
+    key is (rank, m, need[rank], need[rank + 1]), need = _supply_needs(T)
+    and rank the next rank to pin. It is all the tests read of T, so every
+    type with that key shares one table of these lists on K. No test drops
+    a stratum of type T:
+    - at ZERO the block takes ZERO; later it is free or takes rank while
+      rank <= m, and the last block may take ONE;
+    - the block's Euler count is that of the symbol it takes, 0 when free.
+      Symbol rank's count is the sum over q of (-1)^q (need[rank][q] -
+      need[rank + 1][q]), its endpoints (a death of degree q - 1 sits in
+      column q);
+    - the last block leaves every rank placed, and pins ONE unless need[ONE]
+      is all 0 (ONE is no endpoint);
+    - the simplices not yet placed supply the symbols still to come: per
+      degree q, at least need[r][q] q-simplices for the move's next rank r.
+    """
+    rank, m, need, after = key  # need[rank], need[rank + 1]
+    one = m + 1
+    chi = sum((-1) ** q * (n - k) for q, (n, k) in enumerate(zip(need, after)))
+    full = (1 << len(K)) - 1
+    dim_masks = K.dim_masks + (0,) * len(need)  # no simplices above dim K
+    out = []
+    for S, c in _next_blocks(K, placed, lower_star):
+        B = placed | S
+        last = B == full
+        moves = []
+        if rank == ZERO:
+            if c == chi:
+                moves.append((ZERO, 1))
+        else:
+            if c == 0:
+                moves.append((None, rank))
+            if rank <= m and c == chi:
+                moves.append((rank, rank + 1))
+            elif last and c == chi:  # rank is ONE
+                moves.append((one, rank))
+        # No simplex is left after the last block, so the supply test keeps a
+        # move there exactly when need[ONE] is all 0; pinning ONE skips it.
+        moves = [
+            (s, r) for s, r in moves
+            if (r > m or not last) and (s == one or all(
+                n <= (~B & mask).bit_count()
+                for n, mask in zip(need if r == rank else after, dim_masks)
+            ))
+        ]
+        if moves:
+            out.append((S, B, last, moves))
+    return out
+
+
 def _fiber_strata(
     K: SimplicialComplex, T: CombinatorialBarcode, field: FieldSpec, lower_star: bool = False
 ) -> list[tuple[FilterStratum, tuple]]:
@@ -152,27 +206,18 @@ def _fiber_strata(
     strata._next_blocks, its lower-star rows when lower_star is set. A block
     takes a symbol, or None when it is free, and its place is that symbol, or
     its gap g when free: it then lies strictly between the symbols g and
-    g + 1. A branch at block j survives only while its row of inclusion ranks,
-    rank(H(P_i) -> H(P_j)) per degree for the unions P_i of the first i <= j
-    blocks (K's rank table, persistence._rank_table), equals the row T
-    predicts: the number of T's bars born at or before block i's place and
-    dying after block j's place. Rows j - 1 and j fix the bars born and dying
-    at block j, so the leaves are exactly the strata whose barcode is T (the
-    persistent Betti numbers fix the bars).
-
-    Three tests come before the row, and none drops a stratum of type T:
-    the block's Euler count must equal the symbol's (0 when free); the last
-    block must leave every rank placed; and the simplices not yet placed
-    must supply the symbols still to come: per degree q, at least
-    need[r][q] q-simplices when the next rank to pin is r, where need =
-    _supply_needs(T). Those rows are all these tests read of T: the Euler
-    count of symbol r is the sum over q of (-1)^q (need[r][q] -
-    need[r + 1][q]), ONE is an endpoint exactly when need[ONE] is not all
-    0, and a move goes to rank or rank + 1 (at ZERO, 1). So they read only
-    the placed union and the key (rank, m, need[rank], need[rank + 1]):
-    each placed union's viable children, (block, union, last, moves) in
-    child order, are built once per complex for all types with that key
-    (K.move_tables). The row test reads the path and stays per node.
+    g + 1. The moves a block may make come from _moves, which reads only the
+    placed union and the key (rank, m, need[rank], need[rank + 1]) of T's
+    supply rows at the next rank to pin, so each placed union's list is
+    built once per complex for every type with that key, in
+    K.tables[(_moves, lower_star, key)]. A branch at block j then survives
+    only while its row of inclusion ranks, rank(H(P_i) -> H(P_j)) per
+    degree for the unions P_i of the first i <= j blocks (K's rank table,
+    persistence._rank_table), equals the row T predicts: the number of T's
+    bars born at or before block i's place and dying after block j's place.
+    Rows j - 1 and j fix the bars born and dying at block j, so the leaves
+    are exactly the strata whose barcode is T (the persistent Betti numbers
+    fix the bars). The row test reads the path and stays per node.
 
     The first block is pinned at 0 exactly when ZERO is an endpoint of T
     (need[ZERO] != need[1]), since it holds a vertex; the ranks 1..m are
@@ -185,12 +230,6 @@ def _fiber_strata(
     if T.finite_endpoint_count() > len(K):
         return []  # each finite endpoint is a distinct simplex: the deficit is < 0
     need = _supply_needs(T)
-    # The change of the sublevel Euler characteristic at each symbol r: its
-    # endpoints, need[r] - need[r + 1], each counting (-1)^q in column q.
-    chi = [
-        sum((-1) ** q * (n - k) for q, (n, k) in enumerate(zip(need[r], need[r + 1])))
-        for r in range(one + 1)
-    ]
     # expect[s][t]: per degree of K, T's bars born at or before s, dying after t.
     # Sized for both K and T, so a type with bars above dim K matches no row.
     width = max(K.dim + 1, len(T.degrees))
@@ -201,16 +240,8 @@ def _fiber_strata(
                 for c in counts[s][: min(d, one + 1)]:
                     c[q] += 1
     expect = [[tuple(c) for c in row] for row in counts]
-    one_optional = not any(need[one])
-    full = (1 << len(K)) - 1
-    # Per degree of need, the mask of K's simplices of that dimension (none
-    # above dim K, so a type with bars there is never supplied).
-    dim_masks = (K.dim_masks + (0,) * len(need[0]))[: len(need[0])]
-    supplied: dict[int, tuple] = {}  # union -> per degree, the simplices not in it
-    # Per rank, its viable children by placed union, shared on K by every
-    # type with the same need rows at that rank and the next.
-    viable = [K.move_tables[lower_star].setdefault((r, m, need[r], need[r + 1]), {})
-              for r in range(one + 1)]
+    keys = [(r, m, need[r], need[r + 1]) for r in range(one + 1)]
+    viable = [K.tables.setdefault((_moves, lower_star, key), {}) for key in keys]
     table = _rank_table(K, field)
     vectors = table.vectors
     blocks: list[int] = []
@@ -219,39 +250,10 @@ def _fiber_strata(
     symbols: list = []  # per placed block, its symbol or None when free
     leaves: list[tuple[FilterStratum, tuple]] = []
 
-    def viable_children(placed: int, rank: int) -> list:
-        out = []
-        for S, c in _next_blocks(K, placed, lower_star):
-            moves = []  # (symbol taken, next rank to pin)
-            if rank == ZERO:
-                if c == chi[ZERO]:
-                    moves.append((ZERO, 1))
-            else:
-                if c == 0:
-                    moves.append((None, rank))
-                if rank <= m and c == chi[rank]:
-                    moves.append((rank, rank + 1))
-            B = placed | S
-            last = B == full
-            if last:
-                # Every rank is placed, and ONE is pinned if it is an endpoint.
-                if rank > m and c == chi[one]:
-                    moves.append((one, rank))
-                moves = [(s, r) for s, r in moves if r > m and (s == one or one_optional)]
-            elif moves:
-                # The rest of K must supply the endpoints from the next rank on.
-                have = supplied.get(B)
-                if have is None:
-                    have = supplied[B] = tuple((~B & mask).bit_count() for mask in dim_masks)
-                moves = [(s, r) for s, r in moves if all(n <= h for n, h in zip(need[r], have))]
-            if moves:
-                out.append((S, B, last, moves))
-        return out
-
     def walk(placed: int, rank: int) -> None:
         kids = viable[rank].get(placed)
         if kids is None:
-            kids = viable[rank][placed] = viable_children(placed, rank)
+            kids = viable[rank][placed] = _moves(K, lower_star, keys[rank], placed)
         for S, B, last, moves in kids:
             unions.append(B)
             into = table.into.get(B)

@@ -7,8 +7,8 @@ numbers are rendered as "num/den" strings, endpoint symbols as the tokens
 zero, one, inf, or a positive rank.
 
 A stratum document takes each block's doc, the tuple of its simplices' vertex
-tuples, from one table per complex (K.block_docs), so the documents on one
-complex share those tuple objects: callers must treat documents as read-only.
+tuples, from K.tables[(stratum_doc,)], so the documents on one complex share
+those tuple objects: callers must treat documents as read-only.
 
 dumps renders a document as json.dumps(doc, indent=2) does, byte for byte,
 with its own writer: the indent sends json to its pure-Python encoder, which
@@ -178,11 +178,11 @@ def load_complex(path: str) -> SimplicialComplex:
 def stratum_doc(stratum: FilterStratum, K: SimplicialComplex) -> dict:
     """Each block as the vertex tuples of its simplices, in canonical id order.
 
-    A block's doc is the tuple kept for its mask in K.block_docs, shared by
-    every document on K: dumps writes it as a JSON array, and json reads it
-    back as a list of lists.
+    A block's doc is the tuple kept for its mask in K.tables[(stratum_doc,)],
+    shared by every document on K: dumps writes it as a JSON array, and json
+    reads it back as a list of lists. The table holds ints only.
     """
-    docs = K.block_docs
+    docs = K.tables.setdefault((stratum_doc,), {})
     blocks = []
     for block in stratum.blocks:
         doc = docs.get(block)

@@ -249,10 +249,11 @@ class _RankTable:
 
 
 def _rank_table(K: SimplicialComplex, field: FieldSpec) -> _RankTable:
-    """K's table of inclusion ranks over field, kept on K like its face masks."""
-    table = K.rank_tables.get(field.characteristic)
+    """K's table of inclusion ranks over field, in K.tables at (_RankTable.fill, p)."""
+    key = (_RankTable.fill, field.characteristic)
+    table = K.tables.get(key)
     if table is None:
-        table = K.rank_tables[field.characteristic] = _RankTable()
+        table = K.tables[key] = _RankTable()
     return table
 
 

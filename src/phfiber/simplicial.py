@@ -124,24 +124,11 @@ class SimplicialComplex:
             sum(1 << i for i, d in enumerate(self.dims) if d == q)
             for q in range(self.dim + 1)
         )
-        # Per field characteristic, persistence's table of inclusion ranks
-        # between subcomplexes, filled as the ranks are asked for.
-        self.rank_tables: dict = {}
-        # strata's tables of closed next blocks after each placed union,
-        # indexed by lower_star (all mode, then lower-star), filled as the
-        # walks ask for them.
-        self.block_tables: tuple[dict, dict] = ({}, {})
-        # fiber's tables of viable children, indexed by lower_star: per key
-        # (rank, m, need[rank], need[rank + 1]) of a type's supply rows,
-        # placed union -> list of (block, union, last, moves), shared by
-        # every fiber walk on K.
-        # Ints, None, bools, tuples and lists only, no reference to K.
-        self.move_tables: tuple[dict, dict] = ({}, {})
-        # io's document of each block mask: the tuple of its simplices'
-        # vertex tuples, in id order, shared by every stratum_doc on this
-        # complex. Filled as the documents ask for them; ints only, no
-        # reference to the complex.
-        self.block_docs: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # Tables that other modules keep per complex, filled as they are asked
+        # for. Each is keyed by the function that fills it and that function's
+        # arguments other than K; its owner documents its format. None holds
+        # a reference to K.
+        self.tables: dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self.simplices)

@@ -10,7 +10,7 @@ dimension, one free value each.
 A block is a bitmask over the complex's canonical simplex ids (bit i set when
 simplex i lies in the block). The enumeration here and the fiber's pruned
 walk (fiber._fiber_strata) read one table of next blocks, _next_blocks,
-with lower-star rows of its own, kept on K per mode as its rank tables are,
+with lower-star rows of its own, kept in K.tables per mode (_block_table),
 so every walk on K shares it; its order makes both walks meet the strata in
 serialize_stratum order. Every consumer reads the masks; Simplex objects
 appear only in the JSON documents.
@@ -159,16 +159,15 @@ def _next_blocks(K: SimplicialComplex, placed: int, lower_star: bool = False) ->
     Sorted by id text, plus "|" unless the block is the last one. These keys
     are prefix-free and a stratum's text is its blocks' keys, then its flags,
     so a depth-first walk in this order meets strata in serialize_stratum order.
-    The lists are kept in K's block table for the mode, like its rank tables,
-    so every walk on K shares them: table[placed] is the list after placed,
-    and table[None] maps each block to its entry and id text, which depend on
-    the block alone. The table holds ints and strings only, no reference to K.
+    Every walk on K shares the lists: _block_table(K, lower_star)[placed] is
+    the list after placed, and K.tables[(_next_blocks,)] maps each block to
+    its entry and id text, which depend on the block alone, for both modes.
     """
-    table = K.block_tables[lower_star]
+    table = _block_table(K, lower_star)
     blocks = table.get(placed)
     if blocks is None:
         full = (1 << len(K)) - 1
-        known = table.setdefault(None, {})  # block -> (its entry, its id text)
+        known = K.tables.setdefault((_next_blocks,), {})  # block -> (entry, id text)
         subsets = _closed_subsets(K, full & ~placed, placed, lower_star)
         for S in subsets:
             if S not in known:
@@ -176,6 +175,11 @@ def _next_blocks(K: SimplicialComplex, placed: int, lower_star: bool = False) ->
         subsets.sort(key=lambda S: known[S][1] + "|" * (placed | S != full))
         blocks = table[placed] = [known[S][0] for S in subsets]
     return blocks
+
+
+def _block_table(K: SimplicialComplex, lower_star: bool) -> dict:
+    """K's _next_blocks lists for the mode, at (_next_blocks, lower_star)."""
+    return K.tables.setdefault((_next_blocks, lower_star), {})
 
 
 def is_lower_star_stratum(K: SimplicialComplex, stratum: FilterStratum) -> bool:
@@ -225,7 +229,7 @@ def enumerate_filter_strata(
     """
     flags, lone = _flag_pairs(mode)
     lower_star = mode == "lower_star"
-    table = K.block_tables[lower_star]
+    table = _block_table(K, lower_star)
     full = (1 << len(K)) - 1
     out: list[FilterStratum] = []
 
@@ -298,8 +302,10 @@ class BarcodeStratumRecord:
     - interior groups qualify, because an interior type has no endpoint at
       0 or 1. So no cell is pinned at 0, and a cell pinned at 1 is a facet of
       the same blocks with the last one free.
-    Lower-star groups miss the top cells: the check-bounds command replaces
-    their top member by the first largest cell of the type's all-mode fiber.
+    A lower-star group holds the top cells of the type's lower-star fiber,
+    as an interior group does, but misses those of its all-mode fiber: the
+    check-bounds command replaces its top member by the first largest cell
+    of the all-mode fiber.
     """
 
     barcode_type: CombinatorialBarcode
@@ -325,7 +331,11 @@ def check_dimension_bound(
 
     The fiber's dimension is its record's top member's interior_dim minus
     T.dim, with no fiber built; it is exact when the top member is a top
-    cell of the fiber (see BarcodeStratumRecord).
+    cell of the fiber (see BarcodeStratumRecord). On image_records(K,
+    "lower_star") that is the lower-star fiber's dimension, the one
+    fiber_complex(..., mode="lower_star") builds, while check-bounds --mode
+    lower-star prints the all-mode fiber's; on path5 the two differ on 16 of
+    its 17 types.
     """
     rows = []
     for rec in records:
@@ -469,7 +479,7 @@ def image_records(
     """
     flags, lone = _flag_pairs(mode)
     lower_star = mode == "lower_star"
-    block_table = K.block_tables[lower_star]
+    block_table = _block_table(K, lower_star)
     full = (1 << len(K)) - 1
     table = _rank_table(K, field)
     into = table.into

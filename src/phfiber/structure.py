@@ -214,8 +214,9 @@ def _removable_masks(
     The children of M lie between M and M plus its lowest bit, and any larger
     mask of M's size lies past that, so building from the kept parents in
     mask order, each through its children in increasing order, keeps every
-    level sorted. A size is built only once the last one was consumed, and
-    only as far as the budget reaches; past `budget` kept sets, DomainError.
+    level sorted. Each kept set is counted, and yielded when d = 0, as it is
+    built, so a size is built only as far as the caller reads; past `budget`
+    kept sets, DomainError.
     """
     n, odd, faces, p = len(K), K.odd_mask, K.face_masks, field.characteristic
     even = (1 << n) - 1 & ~odd
@@ -226,7 +227,8 @@ def _removable_masks(
     # parent link)
     level = [(0, 0, (1 << n) - 1, 0, None)]
     count = size = 0
-    while True:
+    while level:
+        size += 1
         kept = []
         for mask, chi, live, d, basis in level:
             kids = []
@@ -257,22 +259,17 @@ def _removable_masks(
                 live &= ~faces[x] & (bit - 1)
                 if live.bit_count() < need:
                     break
-            kept += reversed(kids)
-            if len(kept) > budget - count:
-                break
-        if not kept:
-            return
+            for kid in reversed(kids):
+                count += 1
+                if count > budget:
+                    raise DomainError(
+                        "too large for exhaustive essentiality: more than "
+                        f"{budget} coface-closed subsets kept by size {size}; raise --budget"
+                    )
+                if not kid[3]:
+                    yield kid[0]
+                kept.append(kid)
         level = kept
-        size += 1
-        for mask, _, _, d, _ in level:
-            count += 1
-            if count > budget:
-                raise DomainError(
-                    "too large for exhaustive essentiality: more than "
-                    f"{budget} coface-closed subsets kept by size {size}; raise --budget"
-                )
-            if not d:
-                yield mask
 
 
 def find_removable_subset(

@@ -207,12 +207,20 @@ def test_check_bounds_enumerates_no_strata_outside_lower_star(monkeypatch, mode)
 
 
 @pytest.mark.parametrize(
-    "name, p",
-    [("triangle", 2), ("triangle", 3), ("square", 2), ("square", 3), ("path5", 2)],
+    "name, p, differ, types",
+    [
+        ("triangle", 2, 1, 2),
+        ("triangle", 3, 1, 2),
+        ("square", 2, 5, 6),
+        ("square", 3, 5, 6),
+        ("path5", 2, 16, 17),
+    ],
 )
-def test_lower_star_check_bounds_reports_the_all_mode_fibers(capsys, name, p):
+def test_lower_star_check_bounds_reports_the_all_mode_fibers(capsys, name, p, differ, types):
     """Lower-star check-bounds prints each lower-star type's all-mode fiber
-    dimension, which its lower-star group alone would understate."""
+    dimension. check_dimension_bound on the lower-star records reads the
+    lower-star fiber's dimension instead, the one fiber_complex builds in
+    lower-star mode, which is smaller on `differ` of the types."""
     path = str(ROOT / "demos" / "complexes" / f"{name}.json")
     code, out, err = run(capsys, "check-bounds", path, "--mode", "lower-star", "--field", str(p))
     assert code == 0 and err == ""
@@ -221,7 +229,14 @@ def test_lower_star_check_bounds_reports_the_all_mode_fibers(capsys, name, p):
     records = ph.group_strata_by_barcode(K, strata, field)
     expected = per_type_dimension_bound(K, records, field)
     assert out == dumps(bounds_doc(expected))
-    assert ph.check_dimension_bound(records) != expected
+    rows = ph.check_dimension_bound(records)
+    assert rows == ph.check_dimension_bound(ph.image_records(K, "lower_star", field))
+    assert [row.fiber_dim for row in rows] == [
+        ph.fiber_dimension(ph.fiber_complex(K, rec.barcode_type, field, "lower_star"))
+        for rec in records
+    ]
+    assert len(rows) == types
+    assert sum(a.fiber_dim < b.fiber_dim for a, b in zip(rows, expected)) == differ
 
 
 def test_essential_triangle(capsys, triangle_file):

@@ -23,6 +23,7 @@ from phfiber.fiber import (
     _cell_facets,
     _face_sets,
     _fiber_strata,
+    _moves,
     _supply_needs,
     boundary_circuits,
     fiber_dimension,
@@ -736,15 +737,21 @@ def test_fibers_sharing_move_tables_match_fresh_complexes_in_any_order():
     assert built == 2 * (142 + 206 + 14 + 170)
 
 
+def move_tables(K, lower_star=False):
+    """K's tables of viable children for one mode, by move-table key."""
+    return {key[2]: t for key, t in K.tables.items() if key[:2] == (_moves, lower_star)}
+
+
 def test_move_tables_are_keyed_by_what_a_rank_reads():
-    """K's move table has one dict of viable children per (rank, m,
-    need[rank], need[rank + 1]), need = _supply_needs(T): the Euler counts
-    and the ONE flag that the moves read follow from those rows. Two path4
-    interior types that agree on them at rank 3 share its dict: the second
-    walk there asks only for children the first built. A type that differs
-    from them at rank 3 in need[4] alone gets a dict of its own. Two
-    triangle all-mode types that differ in chi[ONE] and in whether ONE is an
-    endpoint, but not in need[1] or need[2], share rank 1's dict."""
+    """K.tables holds one dict of viable children per (_moves, lower_star,
+    (rank, m, need[rank], need[rank + 1])), need = _supply_needs(T): the
+    Euler counts and the ONE flag that the moves read follow from those
+    rows. Two path4 interior types that agree on them at rank 3 share its
+    dict: the second walk there asks only for children the first built. A
+    type that differs from them at rank 3 in need[4] alone gets a dict of
+    its own. Two triangle all-mode types that differ in chi[ONE] and in
+    whether ONE is an endpoint, but not in need[1] or need[2], share rank
+    1's dict."""
 
     def keys(T):
         need = _supply_needs(T)
@@ -759,17 +766,17 @@ def test_move_tables_are_keyed_by_what_a_rank_reads():
     assert keys(c)[3][:-1] == keys(a)[3][:-1] and keys(c)[3] != keys(a)[3]
     path4 = [[0, 1], [1, 2], [2, 3]]
     K = ph.build_complex(path4)
-    tables = K.move_tables[False]
     ph.fiber_complex(K, a)
-    shared = tables[keys(a)[3]]
+    shared = move_tables(K)[keys(a)[3]]
     before = dict(shared)
     ph.fiber_complex(K, b)
-    assert tables[keys(b)[3]] is shared and shared == before
+    assert move_tables(K)[keys(b)[3]] is shared and shared == before
     alone = ph.build_complex(path4)
     ph.fiber_complex(alone, b)
-    asked = alone.move_tables[False][keys(b)[3]]
+    asked = move_tables(alone)[keys(b)[3]]
     assert asked and asked.keys() <= shared.keys()
     ph.fiber_complex(K, c)
+    tables = move_tables(K)
     assert tables[keys(c)[3]] and tables[keys(c)[3]] is not tables[keys(a)[3]]
     assert set(tables) == set(keys(a) + keys(b) + keys(c))
 
@@ -779,13 +786,45 @@ def test_move_tables_are_keyed_by_what_a_rank_reads():
     ])
     assert keys(d)[1] == keys(e)[1]
     K = ph.build_complex([[0, 1], [1, 2], [0, 2]])
-    tables = K.move_tables[False]
     assert ph.fiber_complex(K, d).cells
-    shared = tables[keys(d)[1]]
+    shared = move_tables(K)[keys(d)[1]]
     before = dict(shared)
     assert ph.fiber_complex(K, e).cells
+    tables = move_tables(K)
     assert tables[keys(e)[1]] is shared and shared == before
     assert set(tables) == set(keys(d) + keys(e))
+
+
+@pytest.mark.parametrize(
+    "maximal, image_mode",
+    [
+        ([[0, 1], [1, 2], [0, 2]], "all"),
+        ([[0, 1, 2]], "all"),
+        ([[0, 1], [1, 2], [2, 3]], "interior_only"),
+    ],
+    ids=["triangle", "filled_triangle", "path4"],
+)
+def test_cached_moves_equal_fresh_calls_on_a_new_complex(maximal, image_mode):
+    """_moves is a function of the complex, the mode, its key and the placed
+    union alone: after the fibers of every image type in both modes, over
+    F2 and F3, have filled K's move tables, each cached list equals the list
+    a fresh _moves call builds on a new complex."""
+    K = ph.build_complex(maximal)
+    for p in (2, 3):
+        field = ph.FieldSpec(p)
+        for rec in ph.image_records(K, image_mode, field):
+            for mode in FIBER_MODES:
+                try:
+                    ph.fiber_complex(K, rec.barcode_type, field, mode)
+                except DomainError:  # an empty lower-star fiber
+                    pass
+    fresh = ph.build_complex(maximal)
+    for lower_star in (False, True):
+        tables = move_tables(K, lower_star)
+        assert tables
+        for key, table in tables.items():
+            for placed, kids in table.items():
+                assert kids == _moves(fresh, lower_star, key, placed), (key, placed)
 
 
 def test_facets_are_the_codimension_one_coarsenings():

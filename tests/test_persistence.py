@@ -13,6 +13,7 @@ from phfiber import INF, DomainError
 from phfiber.barcodes import canonicalize_barcode
 from phfiber.persistence import (
     _inclusion_ranks,
+    _RankTable,
     _rank_barcode,
     _rank_table,
     level_barcode,
@@ -253,10 +254,11 @@ def test_level_barcode_matches_the_rank_oracle(triangle, rp2):
 
 
 def test_rank_table_is_kept_per_field(rp2):
-    """K's shared rank table is keyed by field: RP^2 has Betti numbers
-    (1, 1, 1) over F2 and (1, 0, 0) over F3, so the entry for the pair
-    (K, K), which is H(K) itself, must follow the field whichever field asks
-    first. Each complex object keeps its own tables."""
+    """K's shared rank table is keyed by field, under (_RankTable.fill, p)
+    in K.tables: RP^2 has Betti numbers (1, 1, 1) over F2 and (1, 0, 0) over
+    F3, so the entry for the pair (K, K), which is H(K) itself, must follow
+    the field whichever field asks first. Each complex object keeps its own
+    tables."""
     F3 = ph.FieldSpec(3)
     for fields in ((ph.F2, F3), (F3, ph.F2)):
         K = ph.build_complex([s.vertices for s in rp2.simplices if s.dim == 2])
@@ -267,7 +269,7 @@ def test_rank_table_is_kept_per_field(rp2):
             (r,) = table.fill(K, field, [full])
             assert table.into[full][full] == r
             assert table.vectors[r] == ph.betti_numbers(K, field), field
-        assert set(K.rank_tables) == {2, 3}
+        assert set(K.tables) == {(_RankTable.fill, 2), (_RankTable.fill, 3)}
     assert ph.betti_numbers(rp2, ph.F2) == (1, 1, 1)
     assert ph.betti_numbers(rp2, F3) == (1, 0, 0)
 
@@ -282,7 +284,7 @@ def test_rank_table_leaves_its_complex_to_reference_counting():
     try:
         K = ph.build_complex([[0, 1, 2]])
         ph.group_strata_by_barcode(K, strata)
-        assert K.rank_tables
+        assert K.tables[_RankTable.fill, 2].into
         ref = weakref.ref(K)
         del K
         assert ref() is None

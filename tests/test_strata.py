@@ -14,7 +14,8 @@ import pytest
 
 import phfiber as ph
 from phfiber import DomainError, InvariantError, io
-from phfiber.fiber import _cell_facets
+from phfiber.fiber import _cell_facets, _moves
+from phfiber.persistence import _RankTable
 from phfiber.strata import (
     MODES,
     FilterStratum,
@@ -717,25 +718,27 @@ def test_serialize_stratum_shows_blocks_and_flags(interval):
 )
 def test_fibers_on_one_complex_share_its_block_table(maximal, mode):
     """The enumeration and every fiber walk on one complex read one table of
-    next blocks per mode, kept on K: after the all-mode enumeration (and the
-    walk of the fibers' own mode) has filled it, the fiber over every type
-    of the mode's image equals the fiber built on a fresh complex, so it
-    prints the same document. The fresh complex is handed K's rank tables,
-    so the two sides differ in their block tables alone."""
+    next blocks per mode, kept in K.tables under (_next_blocks, lower_star):
+    after the all-mode enumeration (and the walk of the fibers' own mode)
+    has filled it, the fiber over every type of the mode's image equals the
+    fiber built on a fresh complex, so it prints the same document. The
+    fresh complex is handed K's rank table, so the two sides differ in
+    their block tables alone."""
     K = ph.build_complex(maximal)
     ph.enumerate_filter_strata(K, "all")
     strata = ph.enumerate_filter_strata(K, mode)
     lower_star = mode == "lower_star"
-    assert K.block_tables[False] and K.block_tables[lower_star]
+    assert K.tables[_next_blocks, False] and K.tables[_next_blocks, lower_star]
     for rec in ph.group_strata_by_barcode(K, strata):
         T = rec.barcode_type
         fresh_K = ph.build_complex(maximal)
-        fresh_K.rank_tables = K.rank_tables
+        fresh_K.tables[_RankTable.fill, 2] = K.tables[_RankTable.fill, 2]
         shared = ph.fiber_complex(K, T, ph.F2, mode)
         fresh = ph.fiber_complex(fresh_K, T, ph.F2, mode)
         assert shared == fresh, ph.format_barcode_type(T)
         assert shared.boundary == fresh.boundary
-        assert fresh_K.block_tables[lower_star] and not fresh_K.block_tables[not lower_star]
+        assert fresh_K.tables[_next_blocks, lower_star]
+        assert not fresh_K.tables.get((_next_blocks, not lower_star))
 
 
 def test_walks_leave_no_reference_cycle_holding_the_complex():
@@ -754,8 +757,8 @@ def test_walks_leave_no_reference_cycle_holding_the_complex():
     def fiber_after_enumeration(K):
         ph.enumerate_filter_strata(K, "all")
         ph.fiber_complex(K, T)
-        assert K.block_tables[False]  # K dies with its block table filled
-        assert K.move_tables[False]  # and with its move table filled
+        assert K.tables[_next_blocks, False]  # K dies with its block table filled
+        assert any(key[:2] == (_moves, False) for key in K.tables)  # and move tables
 
     T = ph.parse_barcode_type("0:(1,inf);1:(2,inf)")
     gc.collect()
